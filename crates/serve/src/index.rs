@@ -11,7 +11,8 @@
 //!
 //! Distances are squared Euclidean (paper Eq. 5): lower = closer.
 
-use crate::store::{sq_dist, EmbeddingStore};
+use crate::store::EmbeddingStore;
+use ehna_tgraph::quant::{LaneBlocks, LANES};
 use ehna_tgraph::NodeId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -174,14 +175,27 @@ impl Default for IvfConfig {
 }
 
 /// Cluster-pruned inverted-file index with exact reranking.
+///
+/// Each inverted list keeps its rows' codes in a [`LaneBlocks`] copy
+/// (dimension-major blocks of [`LANES`] rows), so a probe scores
+/// [`LANES`] candidates per kernel call, bit-identical to per-row
+/// [`RowDistance::dist`](crate::RowDistance::dist). The copy costs one
+/// extra set of code bytes per indexed row.
 #[derive(Debug)]
 pub struct IvfIndex {
     store: Arc<EmbeddingStore>,
-    /// `num_clusters x dim`, row-major.
-    centroids: Vec<f32>,
-    /// Row ids per cluster.
-    lists: Vec<Vec<u32>>,
+    /// `num_clusters` centroids, blocked.
+    centroids: LaneBlocks,
+    lists: Vec<IvfList>,
     nprobe: usize,
+}
+
+/// One inverted list: its row ids (ascending) and their codes, blocked in
+/// the same order.
+#[derive(Debug)]
+struct IvfList {
+    ids: Vec<u32>,
+    blocks: LaneBlocks,
 }
 
 impl IvfIndex {
@@ -203,23 +217,23 @@ impl IvfIndex {
         }
         let mut centroids = vec![0.0f32; c * dim];
         for (slot, &row) in order.iter().take(c).enumerate() {
-            centroids[slot * dim..(slot + 1) * dim].copy_from_slice(&store.rows().row(row));
+            store.rows().row_into(row, &mut centroids[slot * dim..(slot + 1) * dim]);
         }
 
         let mut assign = vec![0usize; n];
+        let mut row = vec![0.0f32; dim];
         for _ in 0..config.kmeans_iters.max(1) {
-            // Assignment step.
-            for (v, a) in assign.iter_mut().enumerate() {
-                let row = store.rows().row(v);
-                *a = nearest_centroid(&centroids, dim, &row).0;
-            }
-            // Update step.
+            // Assignment and update in one pass over the rows: every row
+            // is assigned against the previous pass's centroids and summed
+            // in ascending row order, as two separate passes would.
+            let blocked = blocked_centroids(&centroids, dim);
             let mut sums = vec![0.0f64; c * dim];
             let mut counts = vec![0usize; c];
-            for (v, &a) in assign.iter().enumerate() {
-                counts[a] += 1;
-                let row = store.rows().row(v);
-                for (s, &x) in sums[a * dim..(a + 1) * dim].iter_mut().zip(row.iter()) {
+            for (v, a) in assign.iter_mut().enumerate() {
+                store.rows().row_into(v, &mut row);
+                *a = nearest_centroid(&blocked, &row);
+                counts[*a] += 1;
+                for (s, &x) in sums[*a * dim..(*a + 1) * dim].iter_mut().zip(&row) {
                     *s += x as f64;
                 }
             }
@@ -229,7 +243,7 @@ impl IvfIndex {
                     // centroid stays meaningful.
                     if n > 0 {
                         let row = rng.gen_range(0..n);
-                        centroids[cl * dim..(cl + 1) * dim].copy_from_slice(&store.rows().row(row));
+                        store.rows().row_into(row, &mut centroids[cl * dim..(cl + 1) * dim]);
                     }
                     continue;
                 }
@@ -241,11 +255,18 @@ impl IvfIndex {
             }
         }
 
-        let mut lists: Vec<Vec<u32>> = vec![Vec::new(); c];
+        let mut ids: Vec<Vec<u32>> = vec![Vec::new(); c];
         for (v, &a) in assign.iter().enumerate() {
-            lists[a].push(v as u32);
+            ids[a].push(v as u32);
         }
-        IvfIndex { store, centroids, lists, nprobe: config.nprobe.max(1) }
+        let lists =
+            ids.into_iter().map(|ids| IvfList { blocks: store.rows().blocks(&ids), ids }).collect();
+        IvfIndex {
+            centroids: blocked_centroids(&centroids, dim),
+            store,
+            lists,
+            nprobe: config.nprobe.max(1),
+        }
     }
 
     /// Number of clusters.
@@ -259,33 +280,43 @@ impl IvfIndex {
     }
 }
 
-/// Index of the closest centroid and its distance.
-fn nearest_centroid(centroids: &[f32], dim: usize, row: &[f32]) -> (usize, f64) {
+/// Row-major `centroids` (rows of `dim`) as lane blocks.
+fn blocked_centroids(centroids: &[f32], dim: usize) -> LaneBlocks {
+    LaneBlocks::from_f32_rows(dim, centroids.chunks_exact(dim))
+}
+
+/// Call `f(cluster, distance)` for every centroid, in centroid order.
+fn for_each_centroid(centroids: &LaneBlocks, query: &[f32], mut f: impl FnMut(usize, f64)) {
+    let mut lanes = [0.0f64; LANES];
+    for b in 0..centroids.num_blocks() {
+        centroids.sq_dist_f32(query, b, &mut lanes);
+        for (cl, &d) in (b * LANES..centroids.len()).zip(&lanes) {
+            f(cl, d);
+        }
+    }
+}
+
+/// Index of the closest centroid (the first on ties).
+fn nearest_centroid(centroids: &LaneBlocks, row: &[f32]) -> usize {
     let mut best = (0usize, f64::INFINITY);
-    for (cl, cen) in centroids.chunks_exact(dim).enumerate() {
-        let d = sq_dist(row, cen);
+    for_each_centroid(centroids, row, |cl, d| {
         if d < best.1 {
             best = (cl, d);
         }
-    }
-    best
+    });
+    best.0
 }
 
 impl KnnIndex for IvfIndex {
     fn search_explained(&self, query: &[f32], k: usize) -> (Vec<Neighbor>, SearchInfo) {
         assert_eq!(query.len(), self.store.dim(), "query dimension mismatch");
-        let dim = self.store.dim();
         let c = self.lists.len();
         if c == 0 {
             return (Vec::new(), SearchInfo { probed: Vec::new(), scanned: 0 });
         }
         // Rank centroids by distance, keep the nprobe closest.
-        let mut ranked: Vec<(f64, usize)> = self
-            .centroids
-            .chunks_exact(dim)
-            .enumerate()
-            .map(|(cl, cen)| (sq_dist(query, cen), cl))
-            .collect();
+        let mut ranked: Vec<(f64, usize)> = Vec::with_capacity(c);
+        for_each_centroid(&self.centroids, query, |cl, d| ranked.push((d, cl)));
         let nprobe = self.nprobe.min(c);
         ranked.sort_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
         ranked.truncate(nprobe);
@@ -293,17 +324,21 @@ impl KnnIndex for IvfIndex {
         let scorer = self.store.scorer(query);
         let mut top = TopK::new(k);
         let mut scanned = 0usize;
+        let mut dists = [0.0f64; LANES];
         for &(_, cl) in &ranked {
-            for &v in &self.lists[cl] {
-                let id = NodeId(v);
-                let d = scorer.dist(v as usize);
-                scanned += 1;
-                // `<=`, not `<`: at d == bound the heap's (dist, id)
-                // tie-break must decide, or a tying candidate with a
-                // smaller id gets dropped here and full-probe IVF stops
-                // agreeing with brute force on tie-heavy tables.
-                if top.bound().map_or(true, |b| d <= b) {
-                    top.push(id, d);
+            let list = &self.lists[cl];
+            scanned += list.ids.len();
+            // The last block is padded; zip drops its padding lanes.
+            for (b, ids) in list.ids.chunks(LANES).enumerate() {
+                scorer.dist_block(&list.blocks, b, &mut dists);
+                for (&v, &d) in ids.iter().zip(&dists) {
+                    // `<=`, not `<`: at d == bound the heap's (dist, id)
+                    // tie-break must decide, or a tying candidate with a
+                    // smaller id gets dropped here and full-probe IVF
+                    // stops agreeing with brute force on tie-heavy tables.
+                    if top.bound().map_or(true, |bound| d <= bound) {
+                        top.push(NodeId(v), d);
+                    }
                 }
             }
         }
@@ -323,7 +358,8 @@ impl KnnIndex for IvfIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ehna_tgraph::NodeEmbeddings;
+    use ehna_tgraph::quant::sq_dist_f64;
+    use ehna_tgraph::{NodeEmbeddings, QuantFormat, QuantSpec, QuantizedEmbeddings};
 
     /// `n` points in `clusters` well-separated Gaussian-ish blobs.
     fn blobs(n: usize, clusters: usize, dim: usize, seed: u64) -> Arc<EmbeddingStore> {
@@ -437,5 +473,125 @@ mod tests {
         let idx = BruteForceIndex::new(store);
         let hits = idx.search(&[1.0], 2);
         assert_eq!(hits.iter().map(|h| h.id.0).collect::<Vec<_>>(), vec![0, 1]);
+    }
+
+    /// The per-row build the blocked one must reproduce bit for bit:
+    /// row-major centroids scored one `sq_dist_f64` at a time, with
+    /// separate assignment and update passes.
+    fn reference_build(store: &EmbeddingStore, config: &IvfConfig) -> (Vec<f32>, Vec<Vec<u32>>) {
+        let (n, dim) = (store.num_nodes(), store.dim());
+        let c = config
+            .num_clusters
+            .unwrap_or_else(|| (n as f64).sqrt().round() as usize)
+            .clamp(usize::from(n > 0), n.max(1));
+        let mut rng = StdRng::seed_from_u64(config.seed);
+        let mut order: Vec<usize> = (0..n).collect();
+        for i in 0..c.min(n) {
+            let j = rng.gen_range(i..n);
+            order.swap(i, j);
+        }
+        let mut centroids = vec![0.0f32; c * dim];
+        for (slot, &row) in order.iter().take(c).enumerate() {
+            centroids[slot * dim..(slot + 1) * dim].copy_from_slice(&store.rows().row(row));
+        }
+        let nearest = |centroids: &[f32], row: &[f32]| {
+            let mut best = (0usize, f64::INFINITY);
+            for (cl, cen) in centroids.chunks_exact(dim).enumerate() {
+                let d = sq_dist_f64(row, cen);
+                if d < best.1 {
+                    best = (cl, d);
+                }
+            }
+            best.0
+        };
+        let mut assign = vec![0usize; n];
+        for _ in 0..config.kmeans_iters.max(1) {
+            for (v, a) in assign.iter_mut().enumerate() {
+                *a = nearest(&centroids, &store.rows().row(v));
+            }
+            let mut sums = vec![0.0f64; c * dim];
+            let mut counts = vec![0usize; c];
+            for (v, &a) in assign.iter().enumerate() {
+                counts[a] += 1;
+                let row = store.rows().row(v);
+                for (s, &x) in sums[a * dim..(a + 1) * dim].iter_mut().zip(row.iter()) {
+                    *s += x as f64;
+                }
+            }
+            for (cl, &count) in counts.iter().enumerate() {
+                if count == 0 {
+                    if n > 0 {
+                        let row = rng.gen_range(0..n);
+                        centroids[cl * dim..(cl + 1) * dim].copy_from_slice(&store.rows().row(row));
+                    }
+                    continue;
+                }
+                for (cen, &s) in
+                    centroids[cl * dim..(cl + 1) * dim].iter_mut().zip(&sums[cl * dim..])
+                {
+                    *cen = (s / count as f64) as f32;
+                }
+            }
+        }
+        let mut lists = vec![Vec::new(); c];
+        for (v, &a) in assign.iter().enumerate() {
+            lists[a].push(v as u32);
+        }
+        (centroids, lists)
+    }
+
+    #[test]
+    fn blocked_build_matches_per_row_reference() {
+        // Rows with only three distinct values make many centroids start
+        // equal, so tie-breaking (first centroid wins) and empty-cluster
+        // reseeding are both exercised.
+        let ties = NodeEmbeddings::from_vec(3, (0..150 * 3).map(|i| (i / 3 % 3) as f32).collect());
+        let blobs_dense = blobs(300, 6, 13, 3);
+        let int8 = QuantizedEmbeddings::encode(
+            blobs_dense.dense().unwrap(),
+            &QuantSpec::new(QuantFormat::Int8),
+        )
+        .unwrap();
+        let stores = [
+            Arc::new(EmbeddingStore::new(ties, None).unwrap()),
+            Arc::clone(&blobs_dense),
+            Arc::new(EmbeddingStore::from_quant(int8, None).unwrap()),
+        ];
+        for store in stores {
+            let dim = store.dim();
+            for clusters in [1, 7, 16, 17, 40] {
+                let cfg = IvfConfig {
+                    num_clusters: Some(clusters),
+                    nprobe: 5,
+                    kmeans_iters: 4,
+                    ..Default::default()
+                };
+                let (centroids, lists) = reference_build(&store, &cfg);
+                let ivf = IvfIndex::build(Arc::clone(&store), cfg);
+                assert_eq!(
+                    ivf.centroids,
+                    blocked_centroids(&centroids, dim),
+                    "{clusters} clusters"
+                );
+                assert_eq!(ivf.lists.len(), lists.len());
+                for (list, ids) in ivf.lists.iter().zip(&lists) {
+                    assert_eq!(&list.ids, ids, "{clusters} clusters");
+                    assert_eq!(list.blocks, store.rows().blocks(ids));
+                }
+                // The query's centroid ranking follows per-row distances.
+                for probe in [0u32, 77, 149] {
+                    let q = store.row(NodeId(probe)).unwrap().into_owned();
+                    let mut want: Vec<(f64, usize)> = centroids
+                        .chunks_exact(dim)
+                        .enumerate()
+                        .map(|(cl, cen)| (sq_dist_f64(&q, cen), cl))
+                        .collect();
+                    want.sort_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
+                    let probed = ivf.search_explained(&q, 3).1.probed;
+                    let want: Vec<usize> = want.iter().take(probed.len()).map(|w| w.1).collect();
+                    assert_eq!(probed, want, "{clusters} clusters, probe {probe}");
+                }
+            }
+        }
     }
 }

@@ -449,13 +449,17 @@ fn accept_loop(
     Ok(())
 }
 
-/// Admission control: configure socket timeouts, then either enqueue
-/// the connection for the worker pool or shed it with an `overloaded`
+/// Admission control: configure the socket, then either enqueue the
+/// connection for the worker pool or shed it with an `overloaded`
 /// response.
 fn admit(shared: &ServerShared, tx: &Sender<TcpStream>, stream: TcpStream) {
     // Accepted sockets must be blocking regardless of what the
     // non-blocking listener hands us (platform-dependent inheritance).
     let _ = stream.set_nonblocking(false);
+    // One response line per request: without TCP_NODELAY, Nagle holds a
+    // small reply behind a client's delayed ACK (milliseconds per answer
+    // on pipelined connections). The EHNP listener sets it too.
+    let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(shared.config.read_timeout));
     let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
     if shared.active.load(Ordering::SeqCst) >= shared.config.max_connections {
@@ -1078,6 +1082,25 @@ mod tests {
 
     fn limits() -> RequestLimits {
         RequestLimits::default()
+    }
+
+    #[test]
+    fn admitted_sockets_disable_nagle() {
+        let shared = ServerShared {
+            handler: Arc::new(EngineHandler::new(engine(), limits(), None)),
+            config: ServerConfig::default(),
+            stop: AtomicBool::new(false),
+            active: AtomicUsize::new(0),
+            conns: Mutex::new(HashMap::new()),
+            next_conn_id: AtomicU64::new(0),
+        };
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        assert!(!stream.nodelay().unwrap(), "accepted sockets start with Nagle on");
+        let (tx, rx) = bounded(1);
+        admit(&shared, &tx, stream);
+        assert!(rx.try_recv().unwrap().nodelay().unwrap());
     }
 
     #[test]

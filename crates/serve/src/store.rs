@@ -4,7 +4,7 @@
 //! `Arc`.
 
 use crate::ServeError;
-use ehna_tgraph::quant::{sq_dist_f64, QuantScorer, QuantizedEmbeddings};
+use ehna_tgraph::quant::{sq_dist_f64, LaneBlocks, QuantScorer, QuantizedEmbeddings, LANES};
 use ehna_tgraph::{NameMap, NodeEmbeddings, NodeId};
 use std::borrow::Cow;
 use std::fs::File;
@@ -65,6 +65,13 @@ pub trait RowSource: Send + Sync + std::fmt::Debug {
     /// Row `idx` decoded to f32. Borrowed (zero-copy) where the storage
     /// allows, owned where decoding is required.
     fn row(&self, idx: usize) -> Cow<'_, [f32]>;
+    /// Decode row `idx` into `out` (length `dim`) without allocating.
+    fn row_into(&self, idx: usize, out: &mut [f32]) {
+        out.copy_from_slice(&self.row(idx));
+    }
+    /// The rows `ids` (in order) relaid into [`LaneBlocks`], for
+    /// [`RowDistance::dist_block`] on this source's scorers.
+    fn blocks(&self, ids: &[u32]) -> LaneBlocks;
     /// A per-query distance evaluator over the rows. Build one per query:
     /// quantized sources may do per-query precomputation (the PQ scorer
     /// builds its asymmetric-distance table here).
@@ -77,6 +84,10 @@ pub trait RowSource: Send + Sync + std::fmt::Debug {
 pub trait RowDistance: Send + Sync {
     /// Distance from the query to row `idx`.
     fn dist(&self, idx: usize) -> f64;
+    /// Distances to the rows of block `b` of `blocks` (built by this
+    /// scorer's source's [`RowSource::blocks`]), bit-identical to
+    /// [`RowDistance::dist`] per row; padding lanes are unspecified.
+    fn dist_block(&self, blocks: &LaneBlocks, b: usize, out: &mut [f64; LANES]);
 }
 
 struct DenseScorer<'a> {
@@ -88,6 +99,10 @@ impl RowDistance for DenseScorer<'_> {
     #[inline]
     fn dist(&self, idx: usize) -> f64 {
         sq_dist_f64(&self.query, self.emb.get(NodeId(idx as u32)))
+    }
+
+    fn dist_block(&self, blocks: &LaneBlocks, b: usize, out: &mut [f64; LANES]) {
+        blocks.sq_dist_f32(&self.query, b, out);
     }
 }
 
@@ -116,6 +131,10 @@ impl RowSource for NodeEmbeddings {
         Cow::Borrowed(self.get(NodeId(idx as u32)))
     }
 
+    fn blocks(&self, ids: &[u32]) -> LaneBlocks {
+        LaneBlocks::from_f32_rows(self.dim(), ids.iter().map(|&v| self.get(NodeId(v))))
+    }
+
     fn scorer(&self, query: &[f32]) -> Box<dyn RowDistance + '_> {
         Box::new(DenseScorer { emb: self, query: query.to_vec() })
     }
@@ -125,6 +144,10 @@ impl RowDistance for QuantScorer<'_> {
     #[inline]
     fn dist(&self, idx: usize) -> f64 {
         QuantScorer::dist(self, idx)
+    }
+
+    fn dist_block(&self, blocks: &LaneBlocks, b: usize, out: &mut [f64; LANES]) {
+        QuantScorer::dist_block(self, blocks, b, out);
     }
 }
 
@@ -151,6 +174,14 @@ impl RowSource for QuantizedEmbeddings {
 
     fn row(&self, idx: usize) -> Cow<'_, [f32]> {
         QuantizedEmbeddings::row(self, idx)
+    }
+
+    fn row_into(&self, idx: usize, out: &mut [f32]) {
+        self.decode_row_into(idx, out);
+    }
+
+    fn blocks(&self, ids: &[u32]) -> LaneBlocks {
+        self.lane_blocks(ids)
     }
 
     fn scorer(&self, query: &[f32]) -> Box<dyn RowDistance + '_> {
@@ -341,12 +372,6 @@ impl EmbeddingStore {
     pub fn scorer(&self, query: &[f32]) -> Box<dyn RowDistance + '_> {
         self.rows.scorer(query)
     }
-}
-
-/// Squared Euclidean distance between two equal-length vectors — the
-/// pinned serve-path accumulation (re-exported from `ehna_tgraph`).
-pub(crate) fn sq_dist(a: &[f32], b: &[f32]) -> f64 {
-    sq_dist_f64(a, b)
 }
 
 fn open_rows(snapshot: &Path, mmap: bool) -> Result<Box<dyn RowSource>, ServeError> {

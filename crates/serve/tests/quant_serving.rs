@@ -111,9 +111,16 @@ fn tie_heavy_ordering_is_identical_across_brute_and_full_probe_ivf() {
     let data: Vec<f32> = (0..N * DIM).map(|i| ((i * 7) % 5) as f32).collect();
     let emb = NodeEmbeddings::from_vec(DIM, data);
 
+    // Every EHNQ format plus the dense (non-EHNQ) store, whose IVF lists
+    // score through the f32 lane blocks.
+    let mut stores: Vec<Arc<EmbeddingStore>> =
+        vec![Arc::new(EmbeddingStore::new(emb.clone(), None).unwrap())];
     for format in [QuantFormat::F32, QuantFormat::F16, QuantFormat::Int8, QuantFormat::Pq] {
         let q = QuantizedEmbeddings::encode(&emb, &spec8(format)).unwrap();
-        let store = Arc::new(EmbeddingStore::from_quant(q, None).unwrap());
+        stores.push(Arc::new(EmbeddingStore::from_quant(q, None).unwrap()));
+    }
+    for store in stores {
+        let format = store.format_label();
         let brute = brute_store(Arc::clone(&store));
         let ivf_index = IvfIndex::build(
             Arc::clone(&store),
@@ -133,7 +140,7 @@ fn tie_heavy_ordering_is_identical_across_brute_and_full_probe_ivf() {
                 assert_eq!(
                     (x.id, x.dist.to_bits()),
                     (y.id, y.dist.to_bits()),
-                    "{format:?}: node {probe} tie broken differently"
+                    "{format}: node {probe} tie broken differently"
                 );
             }
         }

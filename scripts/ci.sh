@@ -89,15 +89,20 @@ echo "== quant gates (wall-clock bounded)"
 # int8/PQ >= 4x code-byte compression, tie-heavy brute-vs-full-probe-IVF
 # bit identity under the pinned f64 distance contract, heap/mmap answer
 # identity under concurrent reload churn, canonical node-key
-# resolution), and the quantize/serve/shard CLI path end to end. The
-# router equivalence gate above already covers quantized shards being
-# byte-identical to a quantized standalone server. Hard timeouts so a
-# wedged churn thread fails fast.
+# resolution), the lane-parallel block scorers bit-identical to the
+# per-row scorers for every format, ragged list length, dimension and
+# PQ sub-quantizer count (lane_scoring), and the quantize/serve/shard
+# CLI path end to end. The router equivalence gate above already covers
+# quantized shards being byte-identical to a quantized standalone
+# server. Hard timeouts so a wedged churn thread fails fast.
 cargo test -p ehna-tgraph --test quant_robustness --no-run -q
+cargo test -p ehna-tgraph --test lane_scoring --no-run -q
 cargo test -p ehna-serve --test quant_serving --no-run -q
 cargo test -p ehna-cli quantize --no-run -q
 timeout --kill-after=10 180 \
     cargo test -p ehna-tgraph --test quant_robustness -q
+timeout --kill-after=10 120 \
+    cargo test -p ehna-tgraph --test lane_scoring -q
 timeout --kill-after=10 180 \
     cargo test -p ehna-serve --test quant_serving -q
 timeout --kill-after=10 120 \
