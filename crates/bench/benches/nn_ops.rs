@@ -56,6 +56,28 @@ fn bench_nn(c: &mut Criterion) {
             black_box(g.num_nodes())
         })
     });
+
+    // The train workload's largest node-LSTM group: 2048 walks × 11 steps,
+    // d = 64, 2 layers, on a recycled tape as the trainer runs it.
+    let mut store3 = ParamStore::new();
+    let stack3 = StackedLstm::new(&mut store3, "s", 64, 64, 2, &mut rng);
+    let group_steps: Vec<Vec<f32>> = (0..11).map(|_| rand_vec(2048 * 64, &mut rng)).collect();
+    let mut tape = Graph::new();
+    group.sample_size(10);
+    group.bench_function("stacked_lstm_fwd_bwd_seq11_b2048_d64", |bch| {
+        bch.iter(|| {
+            let g = &mut tape;
+            let steps: Vec<_> =
+                group_steps.iter().map(|d| g.constant(2048, 64, d.clone())).collect();
+            let h = stack3.forward_sequence(g, &store3, &steps);
+            let sq = g.square(h);
+            let loss = g.sum_all(sq);
+            g.backward(loss);
+            g.write_grads(&mut store3);
+            store3.zero_grads();
+            g.recycle();
+        })
+    });
     group.finish();
 }
 

@@ -86,8 +86,8 @@ pub struct Trainer<'g> {
     rng: StdRng,
     epoch_counter: u64,
     checkpoint_hook: Option<CheckpointHook<'g>>,
-    /// Reusable autodiff tape: recycled after every batch so steady-state
-    /// training allocates no per-batch buffers.
+    /// Reusable autodiff tape: recycled after every training batch and
+    /// inference chunk so steady state allocates no per-batch buffers.
     tape: Graph,
 }
 
@@ -536,24 +536,26 @@ impl<'g> Trainer<'g> {
         // are invariant to `batch_size`.
         let seed = self.model.config.seed ^ INFERENCE_WALK_SALT;
         let mut offset = 0usize;
+        let mut g = std::mem::take(&mut self.tape);
         for chunk in with_history.chunks(bs) {
             let hns = sampler.sample_batch_at(chunk, self.model.config.threads, seed, offset);
             offset += chunk.len();
-            let mut g = Graph::new();
             let z = aggregate_batch(&mut self.model, &mut g, &hns, false);
             let zv = g.value(z);
             for (i, &(v, _)) in chunk.iter().enumerate() {
                 out.get_mut(v).copy_from_slice(&zv[i * d..(i + 1) * d]);
             }
+            g.recycle();
         }
         for chunk in without.chunks(bs) {
-            let mut g = Graph::new();
             let z = aggregate_fallback(&self.model, &mut g, self.graph, chunk, &mut self.rng);
             let zv = g.value(z);
             for (i, &(v, _)) in chunk.iter().enumerate() {
                 out.get_mut(v).copy_from_slice(&zv[i * d..(i + 1) * d]);
             }
+            g.recycle();
         }
+        self.tape = g;
     }
 
     /// Re-aggregate only `nodes` into `out`, leaving every other row
@@ -607,21 +609,21 @@ impl<'g> Trainer<'g> {
         );
         let seed = self.model.config.seed ^ REFRESH_WALK_SALT;
         let bs = self.model.config.batch_size.max(2);
+        let mut g = std::mem::take(&mut self.tape);
         for chunk in with_history.chunks(bs) {
             let hns: Vec<_> =
                 chunk.iter().map(|&(v, t)| sampler.sample_keyed(v, t, seed)).collect();
-            let mut g = Graph::new();
             let z = aggregate_batch(&mut self.model, &mut g, &hns, false);
             let zv = g.value(z);
             for (i, &(v, _)) in chunk.iter().enumerate() {
                 out.get_mut(v).copy_from_slice(&zv[i * d..(i + 1) * d]);
             }
+            g.recycle();
         }
         // History-less rows go through the fallback one node at a time
         // with a node-keyed RNG, so they too are batch-composition
         // independent.
         for &v in &without {
-            let mut g = Graph::new();
             let mut rng = keyed_rng(seed, v);
             let z = aggregate_fallback(
                 &self.model,
@@ -631,7 +633,9 @@ impl<'g> Trainer<'g> {
                 &mut rng,
             );
             out.get_mut(v).copy_from_slice(&g.value(z)[..d]);
+            g.recycle();
         }
+        self.tape = g;
         Ok(())
     }
 

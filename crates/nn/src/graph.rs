@@ -5,6 +5,19 @@ use crate::kernels::{
 };
 use crate::store::{ParamId, ParamStore};
 
+/// One LSTM layer's weights on the tape, as [`Graph::lstm_sequence`]
+/// takes them: `w_ih` is `[in, 4h]`, `w_hh` is `[h, 4h]`, `bias` is
+/// `[1, 4h]`, gate blocks ordered `[i | f | g | o]`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LstmWeights {
+    /// Input-to-gates weights.
+    pub w_ih: Var,
+    /// Hidden-to-gates (recurrent) weights.
+    pub w_hh: Var,
+    /// Gate bias row.
+    pub bias: Var,
+}
+
 /// Handle to one node of a [`Graph`] tape. Cheap to copy; carries its shape
 /// so op constructors can validate without touching the tape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,6 +74,14 @@ enum Op {
     LstmStep {
         pre: u32,
         c_prev: u32,
+    },
+    /// Fused stacked LSTM over a whole sequence from zero state: value is
+    /// the top layer's final `h`; aux carries one `[gates | h | c]` block
+    /// per (step, layer) for the backward pass (see
+    /// [`Graph::lstm_sequence`]). `layers[l]` is `[w_ih, w_hh, bias]`.
+    LstmSequence {
+        steps: Vec<u32>,
+        layers: Vec<[u32; 3]>,
     },
     /// Fused training-mode batch-norm; aux carries `[x̂|inv_std|mean|var]`.
     BatchNormTrain {
@@ -171,6 +192,10 @@ struct Node {
 /// classes further up (bounded waste) before giving up and allocating
 /// fresh — the fresh buffer joins its proper class on recycle, so the
 /// pool converges to a right-sized working set after the first batch.
+///
+/// No stranding: a miss first evicts one too-small buffer of the
+/// request's own class, so when sizes drift upward between batches the
+/// fresh allocation replaces an idle buffer instead of joining it.
 #[derive(Debug, Default)]
 struct Pool {
     classes: Vec<Vec<Vec<f32>>>,
@@ -211,6 +236,12 @@ impl Pool {
                     return buf;
                 }
             }
+        }
+        // Miss: whatever is left in class `lo` is too small for `len`.
+        // Drop one of them, or a rising size would strand it here forever
+        // while its fresh replacement joins it on recycle.
+        if let Some(bucket) = self.classes.get_mut(lo) {
+            bucket.pop();
         }
         Vec::with_capacity(len)
     }
@@ -455,6 +486,78 @@ impl Graph {
         let mut aux = self.alloc_scratch(b * 5 * h);
         kernels::lstm_step_forward(b, h, self.val(pre), self.val(c_prev), &mut value, &mut aux);
         self.push_aux(Op::LstmStep { pre: pre.idx, c_prev: c_prev.idx }, b, 2 * h, value, aux)
+    }
+
+    /// Fused stacked LSTM over a whole sequence, starting from zero state:
+    /// `steps[t]` is the `[batch, in]` input at step `t` (one `Var` may
+    /// repeat), `layers[0]` maps `in → h` and every later layer `h → h`,
+    /// layer `l + 1` consuming layer `l`'s per-step hidden state. Returns
+    /// the top layer's final hidden state `[batch, h]`.
+    ///
+    /// One tape node replaces the four per (step, layer) of the
+    /// [`affine2`](Self::affine2) → [`lstm_step`](Self::lstm_step) →
+    /// two-slice unrolling, with the same values and gradients bit for
+    /// bit: the same kernels run in the same order. Only what the
+    /// backward pass reads is kept — per (step, layer) the gates
+    /// `[i|f|g|o|tanh c]`, `h` and `c`, 7h floats per row against the
+    /// unrolling's 21h (values plus gradients). At `t = 0` the state is
+    /// structurally zero, so `h·W_hh`, its gradient GEMMs and the `c_prev`
+    /// gradient are skipped; this depends on the step index only, never
+    /// on data, so a NaN in `W_hh` still reaches every step `t ≥ 1`.
+    ///
+    /// # Panics
+    /// Panics on an empty sequence or stack, ragged steps, or weights
+    /// whose shapes do not chain.
+    pub fn lstm_sequence(&mut self, steps: &[Var], layers: &[LstmWeights]) -> Var {
+        assert!(!steps.is_empty(), "empty sequence");
+        assert!(!layers.is_empty(), "need at least one layer");
+        let (b, in_dim) = (steps[0].rows(), steps[0].cols());
+        assert!(steps.iter().all(|x| (x.rows(), x.cols()) == (b, in_dim)), "ragged sequence");
+        let h = layers[0].w_hh.rows();
+        for (l, w) in layers.iter().enumerate() {
+            let k = if l == 0 { in_dim } else { h };
+            assert_eq!((w.w_ih.rows(), w.w_ih.cols()), (k, 4 * h), "layer {l} w_ih shape");
+            assert_eq!((w.w_hh.rows(), w.w_hh.cols()), (h, 4 * h), "layer {l} w_hh shape");
+            assert_eq!((w.bias.rows(), w.bias.cols()), (1, 4 * h), "layer {l} bias shape");
+        }
+        let nl = layers.len();
+        let blk = lstm_block_len(b, h);
+        let mut aux = self.alloc_scratch(steps.len() * nl * blk);
+        let mut pre = self.alloc_scratch(b * 4 * h);
+        let zeros = self.alloc_zeroed(b * h);
+        for (t, &x) in steps.iter().enumerate() {
+            for (l, w) in layers.iter().enumerate() {
+                let off = (t * nl + l) * blk;
+                let (done, rest) = aux.split_at_mut(off);
+                let (gates, rest) = rest[..blk].split_at_mut(b * 5 * h);
+                let (h_new, c_new) = rest.split_at_mut(b * h);
+                let (input, k) = if l == 0 {
+                    (self.val(x), in_dim)
+                } else {
+                    (lstm_block(&done[off - blk..], b, h).1, h)
+                };
+                bias_rows_fill(b, 4 * h, self.val(w.bias), &mut pre);
+                gemm_acc(b, k, 4 * h, input, self.val(w.w_ih), &mut pre);
+                let c_prev = if t == 0 {
+                    &zeros[..]
+                } else {
+                    let (_, h_prev, c_prev) = lstm_block(&done[off - nl * blk..], b, h);
+                    gemm_acc(b, h, 4 * h, h_prev, self.val(w.w_hh), &mut pre);
+                    c_prev
+                };
+                kernels::lstm_cell_forward(b, h, &pre, c_prev, gates, h_new, c_new);
+            }
+        }
+        let top = (steps.len() * nl - 1) * blk;
+        let mut value = self.alloc_empty(b * h);
+        value.extend_from_slice(lstm_block(&aux[top..], b, h).1);
+        self.pool.put(pre);
+        self.pool.put(zeros);
+        let op = Op::LstmSequence {
+            steps: steps.iter().map(|x| x.idx).collect(),
+            layers: layers.iter().map(|w| [w.w_ih.idx, w.w_hh.idx, w.bias.idx]).collect(),
+        };
+        self.push_aux(op, b, h, value, aux)
     }
 
     /// Fused training-mode batch normalization over `[m,n]` with `[1,n]`
@@ -1107,6 +1210,9 @@ impl Graph {
                         dcp,
                     );
                 }
+                Op::LstmSequence { steps, layers } => {
+                    self.lstm_sequence_backward(i, steps, layers, &g)
+                }
                 &Op::BatchNormTrain { x, gamma, beta } => {
                     let (x, ga, be) = (x as usize, gamma as usize, beta as usize);
                     let (m, n) = (rows, cols);
@@ -1522,6 +1628,72 @@ impl Graph {
         }
     }
 
+    /// Backpropagation through time for the [`Graph::lstm_sequence`] node
+    /// `i` with upstream gradient `g`, in exactly the unrolled tape's
+    /// order: steps in reverse, top layer first, and per (step, layer) the
+    /// `affine2` backward's GEMMs one by one (input term, `dW_ih`,
+    /// recurrent term, `dW_hh`, bias). The gradient of `h[t][l]` receives
+    /// the `W_hh` term from step `t + 1` before the `W_ih` term from layer
+    /// `l + 1`, each `+=` into a zeroed buffer. The weight-gradient GEMMs
+    /// are never merged across steps: that would change `gemm_tn_acc`'s
+    /// chunk tree and with it the bits.
+    fn lstm_sequence_backward(&mut self, i: usize, steps: &[u32], layers: &[[u32; 3]], g: &[f32]) {
+        let (b, h) = (self.nodes[i].rows, self.nodes[i].cols);
+        let nl = layers.len();
+        let blk = lstm_block_len(b, h);
+        let mut dpre = self.alloc_scratch(b * 4 * h);
+        let mut dcp = self.alloc_scratch(b * h);
+        let zeros = self.alloc_zeroed(b * h);
+        // Per layer: the gradients of the current step's `h` and `c`.
+        let mut dh: Vec<Vec<f32>> = (0..nl).map(|_| self.alloc_zeroed(b * h)).collect();
+        let mut dc: Vec<Vec<f32>> = (0..nl).map(|_| self.alloc_zeroed(b * h)).collect();
+        for (d, &gv) in dh[nl - 1].iter_mut().zip(g) {
+            *d += gv;
+        }
+        let (nodes, grads) = (&self.nodes, &mut self.grads);
+        let aux = &nodes[i].aux;
+        for t in (0..steps.len()).rev() {
+            for l in (0..nl).rev() {
+                let [w_ih, w_hh, bias] = layers[l].map(|v| v as usize);
+                let off = (t * nl + l) * blk;
+                let gates = lstm_block(&aux[off..], b, h).0;
+                let c_prev =
+                    if t == 0 { &zeros[..] } else { lstm_block(&aux[off - nl * blk..], b, h).2 };
+                dpre.fill(0.0);
+                let d_cprev = if t > 0 {
+                    dcp.fill(0.0);
+                    Some(&mut dcp[..])
+                } else {
+                    None
+                };
+                kernels::lstm_cell_backward(
+                    b, h, gates, c_prev, &dh[l], &dc[l], &mut dpre, d_cprev,
+                );
+                std::mem::swap(&mut dc[l], &mut dcp);
+
+                let k = nodes[w_ih].rows;
+                let (x, dx) = if l == 0 {
+                    let x = steps[t] as usize;
+                    (&nodes[x].value[..], &mut grads[x])
+                } else {
+                    (lstm_block(&aux[off - blk..], b, h).1, &mut dh[l - 1])
+                };
+                gemm_nt_acc(b, 4 * h, k, &dpre, &nodes[w_ih].value, dx);
+                gemm_tn_acc(k, b, 4 * h, x, &dpre, &mut grads[w_ih]);
+                if t > 0 {
+                    let h_prev = lstm_block(&aux[off - nl * blk..], b, h).1;
+                    dh[l].fill(0.0);
+                    gemm_nt_acc(b, 4 * h, h, &dpre, &nodes[w_hh].value, &mut dh[l]);
+                    gemm_tn_acc(h, b, 4 * h, h_prev, &dpre, &mut grads[w_hh]);
+                }
+                col_sum_acc(b, 4 * h, &dpre, &mut grads[bias]);
+            }
+        }
+        for buf in [dpre, dcp, zeros].into_iter().chain(dh).chain(dc) {
+            self.pool.put(buf);
+        }
+    }
+
     /// Accumulate leaf gradients into `store` (dense for [`Graph::param`]
     /// leaves, scatter-add for [`Graph::gather`] leaves). Requires
     /// [`Graph::backward`] to have run.
@@ -1551,6 +1723,19 @@ impl Graph {
             }
         }
     }
+}
+
+/// Floats in one (step, layer) block of an [`Graph::lstm_sequence`] aux
+/// buffer: `b` rows each of gates (`5h`), then `h` (`b × h`), then `c`.
+fn lstm_block_len(b: usize, h: usize) -> usize {
+    b * 7 * h
+}
+
+/// The `(gates, h, c)` parts of the aux block starting at `blk[0]`.
+fn lstm_block(blk: &[f32], b: usize, h: usize) -> (&[f32], &[f32], &[f32]) {
+    let (gates, rest) = blk.split_at(b * 5 * h);
+    let (hs, rest) = rest.split_at(b * h);
+    (gates, hs, &rest[..b * h])
 }
 
 /// `dst += k * src`.
@@ -1842,6 +2027,38 @@ mod tests {
         pool.put(reused);
         let pooled: usize = pool.classes.iter().map(Vec::len).sum();
         assert_eq!(pooled, 1, "steady-state per-size working set is one buffer, not a leak");
+    }
+
+    #[test]
+    fn pool_does_not_strand_buffers_when_sizes_rise() {
+        // Regression: a miss used to leave the class's too-small buffers
+        // in place, so a request size rising batch by batch within one
+        // class grew the idle pool by one stranded buffer per round.
+        let mut pool = Pool::default();
+        for round in 0..32 {
+            let buf = pool.take((1 << 16) + round * 1000);
+            pool.put(buf);
+        }
+        let idle: Vec<usize> = pool.classes.iter().flatten().map(Vec::capacity).collect();
+        assert_eq!(idle.len(), 1, "idle buffers {idle:?}: one per working-set slot");
+        assert!(idle[0] < 1 << 17, "idle capacity stays within the class");
+    }
+
+    #[test]
+    fn lstm_sequence_zero_state_skip_is_structural() {
+        // The t = 0 state is structurally zero, so `h·W_hh` is skipped
+        // there; a NaN in `W_hh` must still poison every later step.
+        let mut g = Graph::new();
+        let x = g.constant(1, 1, vec![0.5]);
+        let layer = LstmWeights {
+            w_ih: g.constant(1, 4, vec![0.1, 0.2, 0.3, 0.4]),
+            w_hh: g.constant(1, 4, vec![f32::NAN, 0.0, 0.0, 0.0]),
+            bias: g.constant(1, 4, vec![0.0; 4]),
+        };
+        let one = g.lstm_sequence(&[x], &[layer]);
+        assert!(g.value(one)[0].is_finite(), "one step never reads W_hh");
+        let two = g.lstm_sequence(&[x, x], &[layer]);
+        assert!(g.value(two)[0].is_nan(), "NaN in W_hh masked at t = 1");
     }
 
     #[test]

@@ -360,28 +360,16 @@ pub fn gemm_tn_acc(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [
     }
     let chunks = k.div_ceil(TN_CHUNK);
     let mut partials = vec![0.0f32; chunks * m * n];
-    let t = threads();
-    let run = |ci: usize, part: &mut [f32]| {
-        let p0 = ci * TN_CHUNK;
-        let rows = TN_CHUNK.min(k - p0);
-        tn_chunk(m, rows, n, &a[p0 * m..(p0 + rows) * m], &b[p0 * n..(p0 + rows) * n], part);
-    };
-    if t <= 1 {
-        for (ci, part) in partials.chunks_mut(m * n).enumerate() {
-            run(ci, part);
+    // Each worker owns a contiguous run of chunk partials (one chunk per
+    // "row" of `par_row_parts`); a chunk's partial never depends on which
+    // worker computes it.
+    par_row_parts(&mut partials, chunks, m * n, 1, |c0, run| {
+        for (ci, part) in run.chunks_mut(m * n).enumerate() {
+            let p0 = (c0 + ci) * TN_CHUNK;
+            let rows = TN_CHUNK.min(k - p0);
+            tn_chunk(m, rows, n, &a[p0 * m..(p0 + rows) * m], &b[p0 * n..(p0 + rows) * n], part);
         }
-    } else {
-        std::thread::scope(|s| {
-            let run = &run;
-            let mut handles = Vec::with_capacity(chunks);
-            for (ci, part) in partials.chunks_mut(m * n).enumerate() {
-                handles.push(s.spawn(move || run(ci, part)));
-            }
-            for h in handles {
-                h.join().expect("kernel worker panicked");
-            }
-        });
-    }
+    });
     // Fixed-order pairwise tree over chunk partials: partial[i] +=
     // partial[i+gap] for gap = 1, 2, 4, ... — the combine order depends
     // only on the chunk count (a function of k), never on threads.
@@ -514,10 +502,17 @@ pub fn fast_exp(x: f32) -> f32 {
         ),
         1.0,
     );
-    // NaN casts to 0 ⇒ scale 1.0, and `p` carries the NaN through.
-    let scale = f32::from_bits((((zf as i32) + 127) << 23) as u32);
-    p * scale
+    // Biased exponent `zf + 127 ∈ [1, 253]` read straight out of the
+    // mantissa of `zf + 127 + 2^23` (exact: the ulp there is 1), so no
+    // saturating float→int cast blocks vectorization. A NaN `zf` yields
+    // garbage scale bits, and `p` carries the NaN through the product.
+    let biased = (zf + (127.0 + EXP_SHIFT)).to_bits() - EXP_SHIFT.to_bits();
+    p * f32::from_bits(biased << 23)
 }
+
+/// `2^23`: adding it to a small non-negative integer-valued `f32` puts
+/// the integer in the low mantissa bits.
+const EXP_SHIFT: f32 = 8_388_608.0;
 
 /// Branchless logistic sigmoid built on [`fast_exp`]; NaN propagates,
 /// saturates to (0, 1) exclusive at the extremes.
@@ -535,11 +530,146 @@ pub fn fast_tanh(x: f32) -> f32 {
 
 // ------------------------------------------------------- fused LSTM cell
 
-/// Fused LSTM cell forward over a batch of `b` rows with hidden width
-/// `h`. `pre` is the gate preactivation block `[i|f|g|o]` (`b × 4h`),
-/// `c_prev` the previous cell state (`b × h`). Writes the combined state
-/// `hc = [h_new | c_new]` (`b × 2h`) and the activated gates
-/// `aux = [i|f|g|o|tanh(c_new)]` (`b × 5h`) for the backward pass.
+/// The LSTM cell on one row with hidden width `h` — the only copy of the
+/// cell math. `pre` is the row's gate preactivations `[i|f|g|o]` (`4h`),
+/// `cp` its previous cell state (`h`). Writes the activated gates
+/// `gates = [i|f|g|o|tanh(c_new)]` (`5h`, kept for the backward pass)
+/// and the new states `h_new`, `c_new` (`h` each).
+#[inline]
+fn lstm_cell_row(pre: &[f32], cp: &[f32], gates: &mut [f32], h_new: &mut [f32], c_new: &mut [f32]) {
+    let h = cp.len();
+    let (gi, rest) = gates.split_at_mut(h);
+    let (gf, rest) = rest.split_at_mut(h);
+    let (gg, rest) = rest.split_at_mut(h);
+    let (go, gtc) = rest.split_at_mut(h);
+    // Narrow per-gate passes (one activation kind, two streams each)
+    // vectorize where a fused 7-stream loop does not.
+    for (d, &p) in gi.iter_mut().zip(&pre[..h]) {
+        *d = fast_sigmoid(p);
+    }
+    for (d, &p) in gf.iter_mut().zip(&pre[h..2 * h]) {
+        *d = fast_sigmoid(p);
+    }
+    for (d, &p) in gg.iter_mut().zip(&pre[2 * h..3 * h]) {
+        *d = fast_tanh(p);
+    }
+    for (d, &p) in go.iter_mut().zip(&pre[3 * h..4 * h]) {
+        *d = fast_sigmoid(p);
+    }
+    for j in 0..h {
+        let c = gf[j] * cp[j] + gi[j] * gg[j];
+        let tc = fast_tanh(c);
+        gtc[j] = tc;
+        h_new[j] = go[j] * tc;
+        c_new[j] = c;
+    }
+}
+
+/// Backward of [`lstm_cell_row`]: from the saved `gates`, the previous
+/// cell `cp` and the upstream state gradients `gh`, `gc`, accumulate
+/// (`+=`) into the preactivation gradient `dpre` (`4h`) and, when given,
+/// the previous-cell gradient `dcp` (`h`).
+#[inline]
+fn lstm_cell_row_backward(
+    gates: &[f32],
+    cp: &[f32],
+    gh: &[f32],
+    gc: &[f32],
+    dpre: &mut [f32],
+    dcp: Option<&mut [f32]>,
+) {
+    let h = cp.len();
+    // Every slice re-cut to exactly `h` so the loops carry no bounds
+    // checks and vectorize; the per-element math is order-independent.
+    let (gi, rest) = gates.split_at(h);
+    let (gf, rest) = rest.split_at(h);
+    let (gg, rest) = rest.split_at(h);
+    let (go, gtc) = rest.split_at(h);
+    let (gtc, gh, gc) = (&gtc[..h], &gh[..h], &gc[..h]);
+    let (di, rest) = dpre.split_at_mut(h);
+    let (df, rest) = rest.split_at_mut(h);
+    let (dg, d_o) = rest.split_at_mut(h);
+    let d_o = &mut d_o[..h];
+    let mut dcp = dcp.map(|d| &mut d[..h]);
+    for j in 0..h {
+        let (i, f, g, o, tc) = (gi[j], gf[j], gg[j], go[j], gtc[j]);
+        let d_out = gh[j] * tc;
+        let d_c = gc[j] + gh[j] * o * (1.0 - tc * tc);
+        if let Some(dcp) = dcp.as_deref_mut() {
+            dcp[j] += d_c * f;
+        }
+        let d_i = d_c * g;
+        let d_g = d_c * i;
+        let d_f = d_c * cp[j];
+        di[j] += d_i * i * (1.0 - i);
+        df[j] += d_f * f * (1.0 - f);
+        dg[j] += d_g * (1.0 - g * g);
+        d_o[j] += d_out * o * (1.0 - o);
+    }
+}
+
+/// Fused LSTM cell forward over `b` rows with hidden width `h`: `pre`
+/// (`b × 4h`) and `c_prev` (`b × h`) in; the gates (`b × 5h`, see
+/// [`lstm_cell_row`]) and the new states `h_new`, `c_new` (`b × h`
+/// each) out.
+pub fn lstm_cell_forward(
+    b: usize,
+    h: usize,
+    pre: &[f32],
+    c_prev: &[f32],
+    gates: &mut [f32],
+    h_new: &mut [f32],
+    c_new: &mut [f32],
+) {
+    debug_assert_eq!(pre.len(), b * 4 * h);
+    debug_assert_eq!(c_prev.len(), b * h);
+    debug_assert_eq!(gates.len(), b * 5 * h);
+    debug_assert_eq!((h_new.len(), c_new.len()), (b * h, b * h));
+    for r in 0..b {
+        lstm_cell_row(
+            &pre[r * 4 * h..(r + 1) * 4 * h],
+            &c_prev[r * h..(r + 1) * h],
+            &mut gates[r * 5 * h..(r + 1) * 5 * h],
+            &mut h_new[r * h..(r + 1) * h],
+            &mut c_new[r * h..(r + 1) * h],
+        );
+    }
+}
+
+/// Fused LSTM cell backward over `b` rows (see
+/// [`lstm_cell_row_backward`]); `d_cprev` is `None` when the previous
+/// cell state is a structural zero whose gradient nobody reads.
+#[allow(clippy::too_many_arguments)]
+pub fn lstm_cell_backward(
+    b: usize,
+    h: usize,
+    gates: &[f32],
+    c_prev: &[f32],
+    g_h: &[f32],
+    g_c: &[f32],
+    d_pre: &mut [f32],
+    mut d_cprev: Option<&mut [f32]>,
+) {
+    debug_assert_eq!(gates.len(), b * 5 * h);
+    debug_assert_eq!(c_prev.len(), b * h);
+    debug_assert_eq!((g_h.len(), g_c.len()), (b * h, b * h));
+    debug_assert_eq!(d_pre.len(), b * 4 * h);
+    for r in 0..b {
+        let rows = r * h..(r + 1) * h;
+        lstm_cell_row_backward(
+            &gates[r * 5 * h..(r + 1) * 5 * h],
+            &c_prev[rows.clone()],
+            &g_h[rows.clone()],
+            &g_c[rows.clone()],
+            &mut d_pre[r * 4 * h..(r + 1) * 4 * h],
+            d_cprev.as_deref_mut().map(|d| &mut d[rows]),
+        );
+    }
+}
+
+/// Single-step LSTM cell forward in the per-step tape op's layout: the
+/// combined state `hc = [h_new | c_new]` (`b × 2h`) and `aux` = the
+/// gates (`b × 5h`). Same cell math as [`lstm_cell_forward`].
 pub fn lstm_step_forward(
     b: usize,
     h: usize,
@@ -552,44 +682,22 @@ pub fn lstm_step_forward(
     debug_assert_eq!(c_prev.len(), b * h);
     debug_assert_eq!(hc.len(), b * 2 * h);
     debug_assert_eq!(aux.len(), b * 5 * h);
-    // Narrow per-gate passes (one activation kind, two streams each)
-    // vectorize where the fused 7-stream loop did not; the per-element
-    // math is identical, so the results are bit-for-bit the same.
     for r in 0..b {
-        let pre_r = &pre[r * 4 * h..(r + 1) * 4 * h];
-        let cp = &c_prev[r * h..(r + 1) * h];
-        let (hc_h, hc_c) = hc[r * 2 * h..(r + 1) * 2 * h].split_at_mut(h);
-        let aux_r = &mut aux[r * 5 * h..(r + 1) * 5 * h];
-        let (gi, rest) = aux_r.split_at_mut(h);
-        let (gf, rest) = rest.split_at_mut(h);
-        let (gg, rest) = rest.split_at_mut(h);
-        let (go, gtc) = rest.split_at_mut(h);
-        for (d, &p) in gi.iter_mut().zip(&pre_r[..h]) {
-            *d = fast_sigmoid(p);
-        }
-        for (d, &p) in gf.iter_mut().zip(&pre_r[h..2 * h]) {
-            *d = fast_sigmoid(p);
-        }
-        for (d, &p) in gg.iter_mut().zip(&pre_r[2 * h..3 * h]) {
-            *d = fast_tanh(p);
-        }
-        for (d, &p) in go.iter_mut().zip(&pre_r[3 * h..4 * h]) {
-            *d = fast_sigmoid(p);
-        }
-        for j in 0..h {
-            let c = gf[j] * cp[j] + gi[j] * gg[j];
-            let tc = fast_tanh(c);
-            gtc[j] = tc;
-            hc_h[j] = go[j] * tc;
-            hc_c[j] = c;
-        }
+        let (h_new, c_new) = hc[r * 2 * h..(r + 1) * 2 * h].split_at_mut(h);
+        lstm_cell_row(
+            &pre[r * 4 * h..(r + 1) * 4 * h],
+            &c_prev[r * h..(r + 1) * h],
+            &mut aux[r * 5 * h..(r + 1) * 5 * h],
+            h_new,
+            c_new,
+        );
     }
 }
 
-/// Fused LSTM cell backward. `g_hc` is the upstream gradient of the
-/// combined `[h_new | c_new]` output; accumulates into the preactivation
-/// gradient `d_pre` (`b × 4h`, `+=`) and the previous-cell gradient
-/// `d_cprev` (`b × h`, `+=`).
+/// Backward of [`lstm_step_forward`]. `g_hc` is the upstream gradient of
+/// the combined `[h_new | c_new]` output; accumulates into the
+/// preactivation gradient `d_pre` (`b × 4h`, `+=`) and the previous-cell
+/// gradient `d_cprev` (`b × h`, `+=`).
 pub fn lstm_step_backward(
     b: usize,
     h: usize,
@@ -605,28 +713,15 @@ pub fn lstm_step_backward(
     debug_assert_eq!(d_pre.len(), b * 4 * h);
     debug_assert_eq!(d_cprev.len(), b * h);
     for r in 0..b {
-        let aux_r = &aux[r * 5 * h..(r + 1) * 5 * h];
-        let (gi, rest) = aux_r.split_at(h);
-        let (gf, rest) = rest.split_at(h);
-        let (gg, rest) = rest.split_at(h);
-        let (go, gtc) = rest.split_at(h);
-        let cp = &c_prev[r * h..(r + 1) * h];
-        let (gh, gc_in) = g_hc[r * 2 * h..(r + 1) * 2 * h].split_at(h);
-        let dpre_r = &mut d_pre[r * 4 * h..(r + 1) * 4 * h];
-        let dcp = &mut d_cprev[r * h..(r + 1) * h];
-        for j in 0..h {
-            let (i, f, g, o, tc) = (gi[j], gf[j], gg[j], go[j], gtc[j]);
-            let d_o = gh[j] * tc;
-            let d_c = gc_in[j] + gh[j] * o * (1.0 - tc * tc);
-            dcp[j] += d_c * f;
-            let d_i = d_c * g;
-            let d_g = d_c * i;
-            let d_f = d_c * cp[j];
-            dpre_r[j] += d_i * i * (1.0 - i);
-            dpre_r[h + j] += d_f * f * (1.0 - f);
-            dpre_r[2 * h + j] += d_g * (1.0 - g * g);
-            dpre_r[3 * h + j] += d_o * o * (1.0 - o);
-        }
+        let (g_h, g_c) = g_hc[r * 2 * h..(r + 1) * 2 * h].split_at(h);
+        lstm_cell_row_backward(
+            &aux[r * 5 * h..(r + 1) * 5 * h],
+            &c_prev[r * h..(r + 1) * h],
+            g_h,
+            g_c,
+            &mut d_pre[r * 4 * h..(r + 1) * 4 * h],
+            Some(&mut d_cprev[r * h..(r + 1) * h]),
+        );
     }
 }
 
@@ -1986,6 +2081,75 @@ mod tests {
         assert!((fast_tanh(f32::INFINITY) - 1.0).abs() < 1e-6);
         assert!((fast_tanh(f32::NEG_INFINITY) + 1.0).abs() < 1e-6);
         assert!(fast_exp(100.0).is_finite(), "fast_exp saturates, never overflows");
+    }
+
+    /// The `fast_exp` scale as first written: a saturating `as i32` cast
+    /// of the floored exponent (NaN casts to 0). Kept as the oracle for
+    /// the bit-trick version.
+    fn fast_exp_cast_scale(x: f32) -> f32 {
+        let z = (x * LOG2_E).clamp(-126.0, 126.0);
+        let zf = z.floor();
+        let f = z - zf;
+        let p = f.mul_add(
+            f.mul_add(
+                f.mul_add(
+                    f.mul_add(
+                        f.mul_add(f.mul_add(1.540_353e-4, 0.001_333_355_8), 0.009_618_129),
+                        0.055_504_11,
+                    ),
+                    0.240_226_5,
+                ),
+                std::f32::consts::LN_2,
+            ),
+            1.0,
+        );
+        p * f32::from_bits((((zf as i32) + 127) << 23) as u32)
+    }
+
+    fn assert_fast_exp_matches_oracle(x: f32) {
+        let (got, want) = (fast_exp(x), fast_exp_cast_scale(x));
+        assert!(
+            got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+            "fast_exp({x:e}) = {got:e}, oracle {want:e}"
+        );
+    }
+
+    #[test]
+    fn fast_exp_bit_identical_to_cast_scale() {
+        // ±126·ln 2 are the clamp edges; their neighbors sit on each side.
+        let edge = 126.0 / LOG2_E;
+        let specials = [
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+            f32::MAX,
+            f32::MIN,
+            f32::MIN_POSITIVE,
+            edge,
+            -edge,
+            f32::from_bits(edge.to_bits() + 1),
+            f32::from_bits(edge.to_bits() - 1),
+            -f32::from_bits(edge.to_bits() + 1),
+            -f32::from_bits(edge.to_bits() - 1),
+        ];
+        for x in specials {
+            assert_fast_exp_matches_oracle(x);
+        }
+        // A strided sweep over every sign, exponent and mantissa region.
+        for bits in (0..=u32::MAX).step_by(4099) {
+            assert_fast_exp_matches_oracle(f32::from_bits(bits));
+        }
+    }
+
+    #[test]
+    #[ignore = "exhaustive over all 2^32 inputs; run with --ignored --release"]
+    fn fast_exp_bit_identical_to_cast_scale_exhaustive() {
+        for bits in 0..=u32::MAX {
+            assert_fast_exp_matches_oracle(f32::from_bits(bits));
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! stacked), and batch normalization — the building blocks of the EHNA
 //! aggregator (paper Algorithm 1).
 
-use crate::graph::{Graph, Var};
+use crate::graph::{Graph, LstmWeights, Var};
 use crate::init;
 use crate::store::{ParamId, ParamStore};
 use rand::Rng;
@@ -92,16 +92,25 @@ impl LstmCell {
         LstmCell { w_ih, w_hh, bias, in_dim, hidden }
     }
 
+    /// This cell's weights as tape leaves.
+    pub fn weights(&self, g: &mut Graph, store: &ParamStore) -> LstmWeights {
+        LstmWeights {
+            w_ih: g.param(store, self.w_ih),
+            w_hh: g.param(store, self.w_hh),
+            bias: g.param(store, self.bias),
+        }
+    }
+
     /// One step: `(x [batch,in], h [batch,hidden], c [batch,hidden])`
     /// → `(h', c')`. Four tape nodes: one fused gate preactivation
     /// (`x·W_ih + h·W_hh + b`), one fused cell kernel, two state slices.
+    /// The per-step reference that [`Graph::lstm_sequence`] reproduces
+    /// bit for bit; sequences run through the fused op instead.
     pub fn step(&self, g: &mut Graph, store: &ParamStore, x: Var, h: Var, c: Var) -> (Var, Var) {
         assert_eq!(x.cols(), self.in_dim, "lstm input width");
         assert_eq!(h.cols(), self.hidden, "lstm hidden width");
-        let w_ih = g.param(store, self.w_ih);
-        let w_hh = g.param(store, self.w_hh);
-        let b = g.param(store, self.bias);
-        let pre = g.affine2(x, w_ih, h, w_hh, b);
+        let w = self.weights(g, store);
+        let pre = g.affine2(x, w.w_ih, h, w.w_hh, w.bias);
         let hc = g.lstm_step(pre, c);
         let hd = self.hidden;
         let h_new = g.slice_cols(hc, 0, hd);
@@ -110,19 +119,11 @@ impl LstmCell {
     }
 
     /// Run a whole sequence (`steps[t]` is `[batch, in_dim]`), starting
-    /// from zero state; returns the final hidden state.
+    /// from zero state; returns the final hidden state. One fused
+    /// [`Graph::lstm_sequence`] node.
     pub fn forward_sequence(&self, g: &mut Graph, store: &ParamStore, steps: &[Var]) -> Var {
-        assert!(!steps.is_empty(), "empty sequence");
-        let batch = steps[0].rows();
-        let mut h = g.constant(batch, self.hidden, vec![0.0; batch * self.hidden]);
-        let mut c = h;
-        for &x in steps {
-            assert_eq!(x.rows(), batch, "ragged batch");
-            let (nh, nc) = self.step(g, store, x, h, c);
-            h = nh;
-            c = nc;
-        }
-        h
+        let w = self.weights(g, store);
+        g.lstm_sequence(steps, &[w])
     }
 }
 
@@ -166,31 +167,16 @@ impl StackedLstm {
         self.layers[0].hidden
     }
 
+    /// The stacked cells, bottom first.
+    pub fn layers(&self) -> &[LstmCell] {
+        &self.layers
+    }
+
     /// Run the stack over a sequence; returns the top layer's final hidden
-    /// state `[batch, hidden]`.
+    /// state `[batch, hidden]`. One fused [`Graph::lstm_sequence`] node.
     pub fn forward_sequence(&self, g: &mut Graph, store: &ParamStore, steps: &[Var]) -> Var {
-        assert!(!steps.is_empty(), "empty sequence");
-        let batch = steps[0].rows();
-        let mut states: Vec<(Var, Var)> = self
-            .layers
-            .iter()
-            .map(|l| {
-                let z = g.constant(batch, l.hidden, vec![0.0; batch * l.hidden]);
-                (z, z)
-            })
-            .collect();
-        let mut top = states[0].0;
-        for &x in steps {
-            let mut input = x;
-            for (l, cell) in self.layers.iter().enumerate() {
-                let (h, c) = states[l];
-                let (nh, nc) = cell.step(g, store, input, h, c);
-                states[l] = (nh, nc);
-                input = nh;
-            }
-            top = input;
-        }
-        top
+        let weights: Vec<LstmWeights> = self.layers.iter().map(|l| l.weights(g, store)).collect();
+        g.lstm_sequence(steps, &weights)
     }
 }
 

@@ -50,5 +50,5 @@ pub mod layers;
 pub mod optim;
 mod store;
 
-pub use graph::{Graph, Var};
+pub use graph::{Graph, LstmWeights, Var};
 pub use store::{ParamId, ParamStore};

@@ -114,15 +114,20 @@ echo "== kernel gates (wall-clock bounded)"
 # motivated the rewrite — zero-skip shortcuts silently masking NaN), and
 # training is bit-identical at 1 vs 4 kernel threads, end-to-end through
 # sampling, backprop, and optimizer updates. The kernels microbench is
-# built (--no-run) so perf regressions stay one command away. Hard
-# timeouts so a deadlocked thread-scope fails fast.
+# built (--no-run) so perf regressions stay one command away. The fused
+# stacked-LSTM op matches its per-step composition bit for bit (value and
+# every gradient) across layers, lengths, batch sizes and thread counts
+# (lstm_sequence). Hard timeouts so a deadlocked thread-scope fails fast.
 cargo bench -p ehna-bench --bench kernels --no-run
 cargo test -p ehna-nn --test kernel_proptests --no-run -q
 cargo test -p ehna-core --test threaded_determinism --no-run -q
+cargo test --test lstm_sequence --no-run -q
 timeout --kill-after=10 120 \
     cargo test -p ehna-nn --test kernel_proptests -q
 timeout --kill-after=10 180 \
     cargo test -p ehna-core --test threaded_determinism -q
+timeout --kill-after=10 120 \
+    cargo test --test lstm_sequence -q
 
 echo "== aggregator gates (wall-clock bounded)"
 # The pluggable node-stage subsystem's contracts: the LSTM aggregator is
