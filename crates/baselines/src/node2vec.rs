@@ -31,17 +31,6 @@ impl Node2Vec {
         Node2Vec { sgns: SkipGramConfig { dim, ..Default::default() }, ..Default::default() }
     }
 
-    /// DeepWalk (Perozzi et al., KDD 2014) is node2vec with unbiased
-    /// walks (`p = q = 1`); the paper cites it as the walk-based
-    /// progenitor.
-    pub fn deepwalk(dim: usize) -> Self {
-        Node2Vec {
-            walks: Node2VecConfig { p: 1.0, q: 1.0, ..Default::default() },
-            sgns: SkipGramConfig { dim, ..Default::default() },
-            threads: 1,
-        }
-    }
-
     /// Generate the walk corpus, optionally multi-threaded.
     pub fn corpus(&self, graph: &TemporalGraph, seed: u64) -> Vec<Vec<NodeId>> {
         let walker = Node2VecWalker::new(graph, self.walks.clone());

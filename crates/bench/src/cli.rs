@@ -37,7 +37,7 @@ impl Default for Args {
 }
 
 impl Args {
-    /// Parse from an iterator of arguments (excluding argv[0]).
+    /// Parse from an iterator of arguments (excluding `argv[0]`).
     ///
     /// # Errors
     /// Returns a usage message on unknown flags or bad values.

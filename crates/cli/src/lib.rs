@@ -55,7 +55,7 @@ impl From<ehna_tgraph::GraphError> for CliError {
     }
 }
 
-/// Top-level dispatch: `args` excludes argv[0]. Output goes to `out`.
+/// Top-level dispatch: `args` excludes `argv[0]`. Output goes to `out`.
 pub fn run(args: &[String], out: &mut dyn std::io::Write) -> Result<(), CliError> {
     let Some((cmd, rest)) = args.split_first() else {
         return Err(CliError::usage(usage()));

@@ -3,7 +3,7 @@
 //!
 //! Partitioning is round-robin by global row id: global `g` lands on
 //! shard `g % N` at local index `g / N` (see
-//! [`owner_of`](crate::manifest::owner_of)). Round-robin keeps shard
+//! [`owner_of`]). Round-robin keeps shard
 //! sizes within one row of each other for any table, and — because the
 //! global→local map is monotone within a shard — makes shard-local id
 //! order equal global id order, which is what lets the router merge

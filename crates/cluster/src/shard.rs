@@ -10,7 +10,7 @@
 //! frame boundary is healthy keep-alive (the router holds one connection
 //! per replica for hours), while a connection that stalls *mid-frame*
 //! for longer than the frame deadline is dropped as wedged. The split is
-//! why frame reads go through [`read_full`] rather than a blanket socket
+//! why frame reads go through `read_full` rather than a blanket socket
 //! timeout — a timeout inside `read_exact` can eat bytes and desync the
 //! framing.
 

@@ -10,9 +10,10 @@
 //! * [`AttnAggregator`] — a Time2Vec + multi-head scaled-dot-product
 //!   attention variant that processes all walk nodes of the whole batch
 //!   at once: pad every unit to the batch's longest walk, one embedding
-//!   gather, batched GEMM projections, and a fused masked-attention op.
-//!   No sequential dependency in walk length, so throughput scales with
-//!   GEMM efficiency instead of unrolled LSTM steps.
+//!   gather, batched GEMM projections, and the fused
+//!   `Graph::temporal_attention` op. No sequential dependency in walk
+//!   length, so throughput scales with GEMM efficiency instead of
+//!   unrolled LSTM steps.
 //!
 //! Everything downstream of the unit representations — batch-norm, the
 //! walk-level stage, the readout — is shared

@@ -3,7 +3,7 @@
 //! Both attention levels combine a *constant* temporal factor (computed
 //! here from walk structure and timestamps — gradients do not flow through
 //! time) with a *learned* embedding-distance factor (computed inside the
-//! autodiff graph by [`aggregate`](crate::aggregate)):
+//! autodiff graph by the private `aggregate` module):
 //!
 //! * node level (Eq. 3):  `α(v,x) = softmax_v( −(1/S_v) · ‖e_x − e_v‖² )`
 //!   where `S_v = Σ_{(u,v) ∈ r} τ(t(u,v))` sums the (normalized) times of

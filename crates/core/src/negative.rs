@@ -22,8 +22,9 @@ impl NegativeSampler {
     /// # Errors
     /// [`GraphError::Empty`] if the graph has no edges (degrees all zero,
     /// so no noise distribution exists). This used to panic; it is a
-    /// library path reachable from [`Trainer::from_model`]
-    /// (crate::Trainer::from_model), so it reports a typed error instead.
+    /// library path reachable from
+    /// [`Trainer::from_model`](crate::Trainer::from_model), so it reports
+    /// a typed error instead.
     pub fn new(graph: &TemporalGraph) -> Result<Self, GraphError> {
         let degrees: Vec<usize> = graph.nodes().map(|v| graph.degree(v)).collect();
         let support: Vec<u32> =
@@ -63,17 +64,6 @@ impl NegativeSampler {
         // Two-node graph: a true negative does not exist. Keep the
         // historical behavior (degree-weighted draw) rather than panic.
         NodeId(self.table.sample(rng) as u32)
-    }
-
-    /// Draw `q` negatives for the edge `(x, y)`.
-    pub fn sample_many<R: Rng + ?Sized>(
-        &self,
-        x: NodeId,
-        y: NodeId,
-        q: usize,
-        rng: &mut R,
-    ) -> Vec<NodeId> {
-        (0..q).map(|_| self.sample(x, y, rng)).collect()
     }
 }
 
@@ -132,15 +122,6 @@ mod tests {
             let v = s.sample(NodeId(0), NodeId(3), &mut rng);
             assert!(v != NodeId(0) && v != NodeId(3));
         }
-    }
-
-    #[test]
-    fn sample_many_count() {
-        let g = star(10);
-        let s = NegativeSampler::new(&g).unwrap();
-        let mut rng = StdRng::seed_from_u64(3);
-        let v = s.sample_many(NodeId(1), NodeId(2), 7, &mut rng);
-        assert_eq!(v.len(), 7);
     }
 
     #[test]

@@ -92,11 +92,6 @@ impl BipartiteConfig {
         self.num_users + self.num_items
     }
 
-    /// Whether `node` indexes a user (as opposed to an item).
-    pub fn is_user(&self, node: u32) -> bool {
-        (node as usize) < self.num_users
-    }
-
     /// Generate the interaction network.
     ///
     /// # Panics
@@ -176,8 +171,8 @@ mod tests {
         let cfg = BipartiteConfig::yelp(200, 100, 2_000);
         let g = cfg.generate(3);
         for e in g.edges() {
-            let (u, i) = (e.src.0.min(e.dst.0), e.src.0.max(e.dst.0));
-            assert!(cfg.is_user(u) != cfg.is_user(i), "edge {u}-{i} not user-item");
+            let (u, i) = (e.src.0.min(e.dst.0) as usize, e.src.0.max(e.dst.0) as usize);
+            assert!(u < cfg.num_users && i >= cfg.num_users, "edge {u}-{i} not user-item");
         }
     }
 

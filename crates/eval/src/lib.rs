@@ -26,7 +26,7 @@ pub mod ranking;
 pub mod reconstruction;
 pub mod split;
 
-pub use linkpred::{LinkPredictionConfig, LinkPredictionOutcome, LinkPredictionTask};
+pub use linkpred::{LinkPredictionConfig, LinkPredictionTask};
 pub use logreg::{LogRegConfig, LogisticRegression};
 pub use metrics::{auc, error_reduction, BinaryMetrics};
 pub use nodeclass::{NodeClassificationConfig, NodeClassificationResult};

@@ -97,11 +97,6 @@ impl LogisticRegression {
             + self.bias;
         1.0 / (1.0 + (-z).exp())
     }
-
-    /// Probabilities for a batch.
-    pub fn predict_batch(&self, features: &[Vec<f32>]) -> Vec<f64> {
-        features.iter().map(|f| self.predict_proba(f)).collect()
-    }
 }
 
 /// `log σ(z)` computed without overflow.
@@ -159,16 +154,6 @@ mod tests {
             LogisticRegression::fit(&xs, &ys, &LogRegConfig { l2: 1.0, ..Default::default() });
         let norm = |m: &LogisticRegression| m.weights.iter().map(|w| w * w).sum::<f64>();
         assert!(norm(&strong) < norm(&weak));
-    }
-
-    #[test]
-    fn batch_prediction_matches_single() {
-        let (xs, ys) = blobs(50, 4);
-        let model = LogisticRegression::fit(&xs, &ys, &LogRegConfig::default());
-        let batch = model.predict_batch(&xs);
-        for (x, &p) in xs.iter().zip(&batch) {
-            assert_eq!(model.predict_proba(x), p);
-        }
     }
 
     #[test]

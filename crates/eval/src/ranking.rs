@@ -1,6 +1,6 @@
 //! Ranking metrics beyond Precision@P: average precision (MAP) and
 //! precision–recall curves, standard companions in the network-
-//! reconstruction literature the paper cites ([9], the Cui et al.
+//! reconstruction literature the paper cites (\[9\], the Cui et al.
 //! survey).
 
 /// Average precision of a ranked boolean relevance list (scores already
@@ -22,17 +22,6 @@ pub fn average_precision(relevance: &[bool]) -> f64 {
     } else {
         total / hits as f64
     }
-}
-
-/// Average precision from unsorted `(score, relevant)` pairs (higher
-/// score = ranked earlier; ties broken arbitrarily but deterministically).
-pub fn average_precision_scored(pairs: &[(f64, bool)]) -> f64 {
-    let mut order: Vec<usize> = (0..pairs.len()).collect();
-    order.sort_by(|&a, &b| {
-        pairs[b].0.partial_cmp(&pairs[a].0).expect("no NaN scores").then(a.cmp(&b))
-    });
-    let relevance: Vec<bool> = order.iter().map(|&i| pairs[i].1).collect();
-    average_precision(&relevance)
 }
 
 /// One point of a precision–recall curve.
@@ -94,14 +83,6 @@ mod tests {
         assert_eq!(average_precision(&[false, false]), 0.0);
         assert!(pr_curve(&[false]).is_empty());
         assert_eq!(average_precision(&[]), 0.0);
-    }
-
-    #[test]
-    fn scored_version_sorts_descending() {
-        let pairs = [(0.1, true), (0.9, true), (0.5, false)];
-        // Sorted: 0.9(T), 0.5(F), 0.1(T) => AP = (1 + 2/3) / 2.
-        let expect = (1.0 + 2.0 / 3.0) / 2.0;
-        assert!((average_precision_scored(&pairs) - expect).abs() < 1e-12);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Temporal train/test splitting and negative pair sampling (§V-E setup).
 
-use ehna_tgraph::{NodeId, TemporalEdge, TemporalGraph};
+use ehna_tgraph::{NodeId, TemporalGraph};
 use rand::Rng;
 use std::collections::HashSet;
 
@@ -77,19 +77,6 @@ pub fn sample_negative_pairs<R: Rng + ?Sized>(
         }
         seen.insert(key);
         out.push((NodeId(key.0), NodeId(key.1)));
-    }
-    out
-}
-
-/// Deduplicate a list of temporal edges to distinct node pairs (keeping
-/// first occurrence order).
-pub fn distinct_pairs(edges: &[TemporalEdge]) -> Vec<(NodeId, NodeId)> {
-    let mut seen: HashSet<(NodeId, NodeId)> = HashSet::with_capacity(edges.len());
-    let mut out = Vec::new();
-    for e in edges {
-        if seen.insert((e.src, e.dst)) {
-            out.push((e.src, e.dst));
-        }
     }
     out
 }
@@ -171,14 +158,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let negs = sample_negative_pairs(&g, 10, &mut rng);
         assert!(negs.is_empty());
-    }
-
-    #[test]
-    fn distinct_pairs_dedups() {
-        let g = sequence(5);
-        let mut edges = g.edges().to_vec();
-        edges.extend_from_slice(g.edges());
-        assert_eq!(distinct_pairs(&edges).len(), 5);
     }
 
     #[test]

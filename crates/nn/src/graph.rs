@@ -98,48 +98,21 @@ enum Op {
     Add(u32, u32),
     Sub(u32, u32),
     Mul(u32, u32),
-    Div(u32, u32),
     AddRowB(u32, u32),
-    SubRowB(u32, u32),
-    MulRowB(u32, u32),
-    DivRowB(u32, u32),
     MulColB(u32, u32),
     DivColB(u32, u32),
     Relu(u32),
-    Sigmoid(u32),
-    Tanh(u32),
-    Exp(u32),
-    Log(u32),
     Sqrt(u32),
     Square(u32),
-    Neg(u32),
     Scale(u32, f32),
     AddScalar(u32),
     SumAll(u32),
     MeanAll(u32),
     SumRows(u32),
-    SumCols(u32),
-    MeanRows(u32),
     MeanCols(u32),
     SoftmaxRows(u32),
     /// Fused Time2Vec encoding: value is `[sin(pre) | cos(pre)] / √(1/k)`.
     Time2Vec(u32),
-    /// Masked row softmax over ragged prefixes: row `r` softmaxes over its
-    /// first `lens[r]` columns, the rest are exactly 0.
-    SoftmaxRowsMasked {
-        x: u32,
-        lens: Vec<u32>,
-    },
-    /// Fused multi-head masked attention over per-unit key/value prefixes;
-    /// aux carries the attention weights for the backward pass.
-    MaskedAttention {
-        q: u32,
-        k: u32,
-        v: u32,
-        heads: usize,
-        lmax: usize,
-        lens: Vec<u32>,
-    },
     /// Fused factored temporal attention: keys/values are implicit blends
     /// `K = x·wk + tv·kt`, `V = x·wv + tv·vt` that are never materialized;
     /// aux carries attention weights plus factored query/summary vectors
@@ -390,11 +363,6 @@ impl Graph {
     pub fn constant(&mut self, rows: usize, cols: usize, value: Vec<f32>) -> Var {
         assert_eq!(value.len(), rows * cols, "constant shape mismatch");
         self.push(Op::Constant, rows, cols, value)
-    }
-
-    /// A scalar constant.
-    pub fn scalar(&mut self, x: f32) -> Var {
-        self.constant(1, 1, vec![x])
     }
 
     /// A differentiable leaf referencing the full value of parameter `id`.
@@ -669,12 +637,8 @@ impl Graph {
         self.elementwise(a, b, |x, y| x * y, Op::Mul(a.idx, b.idx))
     }
 
-    /// Elementwise quotient.
-    pub fn div(&mut self, a: Var, b: Var) -> Var {
-        self.elementwise(a, b, |x, y| x / y, Op::Div(a.idx, b.idx))
-    }
-
-    fn row_broadcast(&mut self, a: Var, b: Var, f: impl Fn(f32, f32) -> f32, op: Op) -> Var {
+    /// `a[i,j] + b[0,j]` — bias addition.
+    pub fn add_rowb(&mut self, a: Var, b: Var) -> Var {
         assert_eq!(b.rows(), 1, "row-broadcast rhs must be [1,n]");
         assert_eq!(a.cols(), b.cols(), "row-broadcast width mismatch");
         let (m, n) = (a.rows(), a.cols());
@@ -684,31 +648,11 @@ impl Graph {
             let bv = self.val(b);
             for i in 0..m {
                 for j in 0..n {
-                    value.push(f(av[i * n + j], bv[j]));
+                    value.push(av[i * n + j] + bv[j]);
                 }
             }
         }
-        self.push(op, m, n, value)
-    }
-
-    /// `a[i,j] + b[0,j]` — bias addition.
-    pub fn add_rowb(&mut self, a: Var, b: Var) -> Var {
-        self.row_broadcast(a, b, |x, y| x + y, Op::AddRowB(a.idx, b.idx))
-    }
-
-    /// `a[i,j] - b[0,j]` — e.g. centering by a column-mean row.
-    pub fn sub_rowb(&mut self, a: Var, b: Var) -> Var {
-        self.row_broadcast(a, b, |x, y| x - y, Op::SubRowB(a.idx, b.idx))
-    }
-
-    /// `a[i,j] * b[0,j]` — e.g. batch-norm gain.
-    pub fn mul_rowb(&mut self, a: Var, b: Var) -> Var {
-        self.row_broadcast(a, b, |x, y| x * y, Op::MulRowB(a.idx, b.idx))
-    }
-
-    /// `a[i,j] / b[0,j]` — e.g. batch-norm whitening.
-    pub fn div_rowb(&mut self, a: Var, b: Var) -> Var {
-        self.row_broadcast(a, b, |x, y| x / y, Op::DivRowB(a.idx, b.idx))
+        self.push(Op::AddRowB(a.idx, b.idx), m, n, value)
     }
 
     fn col_broadcast(&mut self, a: Var, c: Var, f: impl Fn(f32, f32) -> f32, op: Op) -> Var {
@@ -751,26 +695,6 @@ impl Graph {
         self.unary(a, |x| x.max(0.0), Op::Relu(a.idx))
     }
 
-    /// Logistic sigmoid.
-    pub fn sigmoid(&mut self, a: Var) -> Var {
-        self.unary(a, |x| 1.0 / (1.0 + (-x).exp()), Op::Sigmoid(a.idx))
-    }
-
-    /// Hyperbolic tangent.
-    pub fn tanh(&mut self, a: Var) -> Var {
-        self.unary(a, f32::tanh, Op::Tanh(a.idx))
-    }
-
-    /// Elementwise `exp`.
-    pub fn exp(&mut self, a: Var) -> Var {
-        self.unary(a, f32::exp, Op::Exp(a.idx))
-    }
-
-    /// Elementwise natural log.
-    pub fn log(&mut self, a: Var) -> Var {
-        self.unary(a, f32::ln, Op::Log(a.idx))
-    }
-
     /// Elementwise square root.
     pub fn sqrt(&mut self, a: Var) -> Var {
         self.unary(a, f32::sqrt, Op::Sqrt(a.idx))
@@ -779,11 +703,6 @@ impl Graph {
     /// Elementwise square.
     pub fn square(&mut self, a: Var) -> Var {
         self.unary(a, |x| x * x, Op::Square(a.idx))
-    }
-
-    /// Elementwise negation.
-    pub fn neg(&mut self, a: Var) -> Var {
-        self.unary(a, |x| -x, Op::Neg(a.idx))
     }
 
     /// Multiply by a compile-time constant.
@@ -811,18 +730,21 @@ impl Graph {
         self.push(Op::MeanAll(a.idx), 1, 1, vec![s / n])
     }
 
-    fn reduce_rows(&mut self, a: Var, scale: f32, op: Op) -> Var {
+    /// Row sums `[m,n] -> [m,1]`.
+    pub fn sum_rows(&mut self, a: Var) -> Var {
         let (m, n) = (a.rows(), a.cols());
         let mut value = self.alloc_empty(m);
         {
             let av = self.val(a);
-            value.extend((0..m).map(|i| av[i * n..(i + 1) * n].iter().sum::<f32>() * scale));
+            value.extend((0..m).map(|i| av[i * n..(i + 1) * n].iter().sum::<f32>()));
         }
-        self.push(op, m, 1, value)
+        self.push(Op::SumRows(a.idx), m, 1, value)
     }
 
-    fn reduce_cols(&mut self, a: Var, scale: f32, op: Op) -> Var {
+    /// Column means `[m,n] -> [1,n]`.
+    pub fn mean_cols(&mut self, a: Var) -> Var {
         let (m, n) = (a.rows(), a.cols());
+        let scale = 1.0 / m as f32;
         let mut value = self.alloc_zeroed(n);
         {
             let av = self.val(a);
@@ -833,29 +755,7 @@ impl Graph {
             }
         }
         value.iter_mut().for_each(|v| *v *= scale);
-        self.push(op, 1, n, value)
-    }
-
-    /// Row sums `[m,n] -> [m,1]`.
-    pub fn sum_rows(&mut self, a: Var) -> Var {
-        self.reduce_rows(a, 1.0, Op::SumRows(a.idx))
-    }
-
-    /// Column sums `[m,n] -> [1,n]`.
-    pub fn sum_cols(&mut self, a: Var) -> Var {
-        self.reduce_cols(a, 1.0, Op::SumCols(a.idx))
-    }
-
-    /// Row means `[m,n] -> [m,1]`.
-    pub fn mean_rows(&mut self, a: Var) -> Var {
-        let scale = 1.0 / a.cols() as f32;
-        self.reduce_rows(a, scale, Op::MeanRows(a.idx))
-    }
-
-    /// Column means `[m,n] -> [1,n]`.
-    pub fn mean_cols(&mut self, a: Var) -> Var {
-        let scale = 1.0 / a.rows() as f32;
-        self.reduce_cols(a, scale, Op::MeanCols(a.idx))
+        self.push(Op::MeanCols(a.idx), 1, n, value)
     }
 
     /// Numerically-stable softmax along each row. A degenerate all-`-inf`
@@ -880,69 +780,11 @@ impl Graph {
         self.push(Op::Time2Vec(pre.idx), m, 2 * k, value)
     }
 
-    /// Masked softmax along each row's first `lens[r]` columns; the
-    /// remaining columns are **exactly 0**, so padding positions carry no
-    /// attention weight and (through the product rule) route no gradient.
-    /// Degenerate and NaN behavior per
-    /// [`kernels::masked_softmax_rows_forward`].
-    ///
-    /// # Panics
-    /// Panics if `lens.len() != rows` or any `lens[r] > cols`.
-    pub fn softmax_rows_masked(&mut self, x: Var, lens: &[u32]) -> Var {
-        let (m, n) = (x.rows(), x.cols());
-        assert_eq!(lens.len(), m, "one prefix length per row");
-        let mut value = self.alloc_scratch(m * n);
-        kernels::masked_softmax_rows_forward(m, n, lens, self.val(x), &mut value);
-        self.push(Op::SoftmaxRowsMasked { x: x.idx, lens: lens.to_vec() }, m, n, value)
-    }
-
-    /// Fused multi-head scaled-dot-product attention over per-unit
-    /// key/value prefixes: `q` is `[units, d]`, `k`/`v` are
-    /// `[units·lmax, d]` unit-major (unit `u`'s step `t` in row
-    /// `u·lmax + t`), and `lens[u] ∈ [1, lmax]` is each unit's live
-    /// prefix — steps at or past the prefix get exactly zero attention
-    /// weight and zero gradient. Returns the concatenated head outputs
-    /// `[units, d]`. See [`kernels::masked_attention_forward`].
-    ///
-    /// # Panics
-    /// Panics on shape mismatches, `heads` not dividing `d`, a prefix
-    /// outside `[1, lmax]`, or aliased inputs (`q`, `k`, `v` must be
-    /// distinct tape nodes).
-    pub fn masked_attention(&mut self, q: Var, k: Var, v: Var, heads: usize, lens: &[u32]) -> Var {
-        let (units, d) = (q.rows(), q.cols());
-        assert_eq!(k.cols(), d, "key width must match query width");
-        assert_eq!(v.cols(), d, "value width must match query width");
-        assert_eq!(k.rows(), v.rows(), "key/value row mismatch");
-        assert_eq!(lens.len(), units, "one prefix length per unit");
-        assert!(k.rows() % units == 0, "key rows must be units · lmax");
-        assert!(
-            q.idx != k.idx && k.idx != v.idx && q.idx != v.idx,
-            "masked_attention inputs must be distinct nodes"
-        );
-        let lmax = k.rows() / units;
-        assert!(heads > 0 && d % heads == 0, "head count must divide width");
-        let mut value = self.alloc_scratch(units * d);
-        let mut aux = self.alloc_scratch(units * heads * lmax);
-        kernels::masked_attention_forward(
-            units,
-            lmax,
-            d,
-            heads,
-            lens,
-            self.val(q),
-            self.val(k),
-            self.val(v),
-            &mut value,
-            &mut aux,
-        );
-        let op =
-            Op::MaskedAttention { q: q.idx, k: k.idx, v: v.idx, heads, lmax, lens: lens.to_vec() };
-        self.push_aux(op, units, d, value, aux)
-    }
-
     /// Fused factored temporal attention — numerically equivalent to
     /// blending keys/values as `K = x·wk + tv·kt`, `V = x·wv + tv·vt` and
-    /// running [`Graph::masked_attention`] `(q, K, V)`, but the
+    /// running multi-head scaled-dot-product attention of `q` over each
+    /// unit's live prefix of `(K, V)` (steps at or past the prefix get
+    /// exactly zero weight and zero gradient), but the
     /// `[units·lmax, d]` key/value matrices are never materialized: the
     /// projections factor through the per-unit query and the
     /// attention-weighted input sums, so every GEMM-shaped step stays at
@@ -1263,65 +1105,9 @@ impl Graph {
                     fma_acc(&g, &av, &mut self.grads[b]);
                     self.nodes[a].value = av;
                 }
-                &Op::Div(a, b) => {
-                    let (a, b) = (a as usize, b as usize);
-                    let bv = std::mem::take(&mut self.nodes[b].value);
-                    for (j, &gj) in g.iter().enumerate() {
-                        self.grads[a][j] += gj / bv[j];
-                    }
-                    self.nodes[b].value = bv;
-                    // d/db (a/b) = -a/b² — reread both values immutably.
-                    for (j, &gj) in g.iter().enumerate() {
-                        let av = self.nodes[a].value[j];
-                        let bvj = self.nodes[b].value[j];
-                        self.grads[b][j] -= gj * av / (bvj * bvj);
-                    }
-                }
                 &Op::AddRowB(a, b) => {
                     acc(&mut self.grads[a as usize], &g, 1.0);
-                    row_reduce_acc(&g, rows, cols, &mut self.grads[b as usize], 1.0);
-                }
-                &Op::SubRowB(a, b) => {
-                    acc(&mut self.grads[a as usize], &g, 1.0);
-                    row_reduce_acc(&g, rows, cols, &mut self.grads[b as usize], -1.0);
-                }
-                &Op::MulRowB(a, b) => {
-                    let (a, b) = (a as usize, b as usize);
-                    let bv = std::mem::take(&mut self.nodes[b].value);
-                    for i2 in 0..rows {
-                        for j in 0..cols {
-                            self.grads[a][i2 * cols + j] += g[i2 * cols + j] * bv[j];
-                        }
-                    }
-                    self.nodes[b].value = bv;
-                    let av = std::mem::take(&mut self.nodes[a].value);
-                    for i2 in 0..rows {
-                        for j in 0..cols {
-                            self.grads[b][j] += g[i2 * cols + j] * av[i2 * cols + j];
-                        }
-                    }
-                    self.nodes[a].value = av;
-                }
-                &Op::DivRowB(a, b) => {
-                    let (a, b) = (a as usize, b as usize);
-                    let bv = std::mem::take(&mut self.nodes[b].value);
-                    for i2 in 0..rows {
-                        for j in 0..cols {
-                            self.grads[a][i2 * cols + j] += g[i2 * cols + j] / bv[j];
-                        }
-                    }
-                    self.nodes[b].value = bv;
-                    let av = std::mem::take(&mut self.nodes[a].value);
-                    {
-                        let bv = &self.nodes[b].value;
-                        for i2 in 0..rows {
-                            for j in 0..cols {
-                                self.grads[b][j] -=
-                                    g[i2 * cols + j] * av[i2 * cols + j] / (bv[j] * bv[j]);
-                            }
-                        }
-                    }
-                    self.nodes[a].value = av;
+                    row_reduce_acc(&g, rows, cols, &mut self.grads[b as usize]);
                 }
                 &Op::MulColB(a, c) => {
                     let (a, c) = (a as usize, c as usize);
@@ -1387,40 +1173,6 @@ impl Graph {
                     }
                     self.nodes[a].value = av;
                 }
-                &Op::Sigmoid(a) => {
-                    let out = &self.nodes[i].value;
-                    let ga = &mut self.grads[a as usize];
-                    for (j, &gj) in g.iter().enumerate() {
-                        let s = out[j];
-                        ga[j] += gj * s * (1.0 - s);
-                    }
-                }
-                &Op::Tanh(a) => {
-                    let out = &self.nodes[i].value;
-                    let ga = &mut self.grads[a as usize];
-                    for (j, &gj) in g.iter().enumerate() {
-                        let t = out[j];
-                        ga[j] += gj * (1.0 - t * t);
-                    }
-                }
-                &Op::Exp(a) => {
-                    let out = &self.nodes[i].value;
-                    let ga = &mut self.grads[a as usize];
-                    for (j, &gj) in g.iter().enumerate() {
-                        ga[j] += gj * out[j];
-                    }
-                }
-                &Op::Log(a) => {
-                    let a = a as usize;
-                    let av = std::mem::take(&mut self.nodes[a].value);
-                    {
-                        let ga = &mut self.grads[a];
-                        for (j, &gj) in g.iter().enumerate() {
-                            ga[j] += gj / av[j];
-                        }
-                    }
-                    self.nodes[a].value = av;
-                }
                 &Op::Sqrt(a) => {
                     let out = &self.nodes[i].value;
                     let ga = &mut self.grads[a as usize];
@@ -1439,7 +1191,6 @@ impl Graph {
                     }
                     self.nodes[a].value = av;
                 }
-                &Op::Neg(a) => acc(&mut self.grads[a as usize], &g, -1.0),
                 &Op::Scale(a, k) => acc(&mut self.grads[a as usize], &g, k),
                 &Op::AddScalar(a) => acc(&mut self.grads[a as usize], &g, 1.0),
                 &Op::SumAll(a) => {
@@ -1451,23 +1202,18 @@ impl Graph {
                     let k = g[0] / ga.len() as f32;
                     ga.iter_mut().for_each(|x| *x += k);
                 }
-                &Op::SumRows(a) | &Op::MeanRows(a) => {
-                    let scale = if matches!(op, Op::MeanRows(_)) {
-                        1.0 / self.nodes[a as usize].cols as f32
-                    } else {
-                        1.0
-                    };
+                &Op::SumRows(a) => {
                     let n = self.nodes[a as usize].cols;
                     let ga = &mut self.grads[a as usize];
                     for (i2, &gi) in g.iter().enumerate() {
                         for x in &mut ga[i2 * n..(i2 + 1) * n] {
-                            *x += gi * scale;
+                            *x += gi;
                         }
                     }
                 }
-                &Op::SumCols(a) | &Op::MeanCols(a) => {
+                &Op::MeanCols(a) => {
                     let m = self.nodes[a as usize].rows;
-                    let scale = if matches!(op, Op::MeanCols(_)) { 1.0 / m as f32 } else { 1.0 };
+                    let scale = 1.0 / m as f32;
                     let n = self.nodes[a as usize].cols;
                     let ga = &mut self.grads[a as usize];
                     for i2 in 0..m {
@@ -1492,36 +1238,6 @@ impl Graph {
                     let pv = std::mem::take(&mut self.nodes[pre].value);
                     kernels::time2vec_backward(rows, k, &pv, &g, &mut self.grads[pre]);
                     self.nodes[pre].value = pv;
-                }
-                Op::SoftmaxRowsMasked { x, lens } => {
-                    let out = &self.nodes[i].value;
-                    kernels::masked_softmax_rows_backward(
-                        rows,
-                        cols,
-                        lens,
-                        out,
-                        &g,
-                        &mut self.grads[*x as usize],
-                    );
-                }
-                Op::MaskedAttention { q, k, v, heads, lmax, lens } => {
-                    let (qi, ki, vi) = (*q as usize, *k as usize, *v as usize);
-                    let (dq, dk, dv) = three_muts(&mut self.grads, qi, ki, vi);
-                    kernels::masked_attention_backward(
-                        rows,
-                        *lmax,
-                        cols,
-                        *heads,
-                        lens,
-                        &self.nodes[qi].value,
-                        &self.nodes[ki].value,
-                        &self.nodes[vi].value,
-                        &self.nodes[i].aux,
-                        &g,
-                        dq,
-                        dk,
-                        dv,
-                    );
                 }
                 Op::TemporalAttention { q, x, tv, wk, kt, wv, vt, heads, lmax, lens } => {
                     let (qi, xi, tvi) = (*q as usize, *x as usize, *tv as usize);
@@ -1746,12 +1462,12 @@ fn acc(dst: &mut [f32], src: &[f32], k: f32) {
     }
 }
 
-/// Column-sum `g` ([m,n]) into `dst` ([n]), scaled.
-fn row_reduce_acc(g: &[f32], rows: usize, cols: usize, dst: &mut [f32], k: f32) {
+/// Column-sum `g` ([m,n]) into `dst` ([n]).
+fn row_reduce_acc(g: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
     debug_assert_eq!(dst.len(), cols);
     for i in 0..rows {
         for j in 0..cols {
-            dst[j] += k * g[i * cols + j];
+            dst[j] += g[i * cols + j];
         }
     }
 }

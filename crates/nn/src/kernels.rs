@@ -342,7 +342,7 @@ fn dot_lanes(a: &[f32], b: &[f32]) -> f32 {
 ///
 /// Equivalently: `c[i][j] += Σ_p a[p][i] * b[p][j]` — the
 /// gradient-accumulation GEMM (`dW += Xᵀ·G`), whose reduction runs over
-/// the batch dimension `k`. The sum is split into fixed [`TN_CHUNK`]-row
+/// the batch dimension `k`. The sum is split into fixed `TN_CHUNK`-row
 /// chunks whenever `k > TN_CHUNK` (regardless of thread count); chunk
 /// partials are computed independently (in parallel when threads are
 /// available) and combined by a fixed-order pairwise tree, so the result
@@ -610,7 +610,7 @@ fn lstm_cell_row_backward(
 
 /// Fused LSTM cell forward over `b` rows with hidden width `h`: `pre`
 /// (`b × 4h`) and `c_prev` (`b × h`) in; the gates (`b × 5h`, see
-/// [`lstm_cell_row`]) and the new states `h_new`, `c_new` (`b × h`
+/// `lstm_cell_row`) and the new states `h_new`, `c_new` (`b × h`
 /// each) out.
 pub fn lstm_cell_forward(
     b: usize,
@@ -637,7 +637,7 @@ pub fn lstm_cell_forward(
 }
 
 /// Fused LSTM cell backward over `b` rows (see
-/// [`lstm_cell_row_backward`]); `d_cprev` is `None` when the previous
+/// `lstm_cell_row_backward`); `d_cprev` is `None` when the previous
 /// cell state is a structural zero whose gradient nobody reads.
 #[allow(clippy::too_many_arguments)]
 pub fn lstm_cell_backward(
@@ -987,346 +987,13 @@ pub fn time2vec_backward(m: usize, k: usize, pre: &[f32], g: &[f32], d_pre: &mut
     }
 }
 
-/// Row softmax over ragged prefixes: row `r` softmaxes over its first
-/// `lens[r]` columns and writes **exactly 0** to the rest, so padded
-/// positions carry zero attention weight and (through the product rule)
-/// route zero gradient into whatever fills the padding. Degenerate
-/// all-`-inf` prefixes get the uniform distribution `1/len` like
-/// [`softmax_rows_forward`]; NaN inside the prefix propagates. A zero
-/// `len` yields an all-zero row (no distribution over nothing).
-///
-/// # Panics
-/// Panics if any `lens[r] > n`.
-pub fn masked_softmax_rows_forward(m: usize, n: usize, lens: &[u32], x: &[f32], out: &mut [f32]) {
-    debug_assert_eq!(lens.len(), m);
-    debug_assert_eq!(x.len(), m * n);
-    debug_assert_eq!(out.len(), m * n);
-    for r in 0..m {
-        let len = lens[r] as usize;
-        assert!(len <= n, "masked softmax prefix {len} exceeds row width {n}");
-        let row = &x[r * n..r * n + len];
-        let orow = &mut out[r * n..(r + 1) * n];
-        orow[len..].iter_mut().for_each(|o| *o = 0.0);
-        if len == 0 {
-            continue;
-        }
-        let prefix = &mut orow[..len];
-        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let has_nan = row.iter().any(|v| v.is_nan());
-        if max == f32::NEG_INFINITY && !has_nan {
-            let u = 1.0 / len as f32;
-            prefix.iter_mut().for_each(|o| *o = u);
-            continue;
-        }
-        let mut total = 0.0f32;
-        for (o, &v) in prefix.iter_mut().zip(row) {
-            let e = fast_exp(v - max);
-            *o = e;
-            total += e;
-        }
-        let inv = 1.0 / total;
-        prefix.iter_mut().for_each(|o| *o *= inv);
-    }
-}
-
-/// Masked softmax backward: the usual row Jacobian
-/// `gx[r][j] += y[r][j]·(g[r][j] − Σ_{j<len} y·g)` restricted to each
-/// row's prefix. Padded columns have `y = 0`, contribute nothing to the
-/// dot product, and receive no gradient.
-pub fn masked_softmax_rows_backward(
-    m: usize,
-    n: usize,
-    lens: &[u32],
-    y: &[f32],
-    g: &[f32],
-    gx: &mut [f32],
-) {
-    debug_assert_eq!(lens.len(), m);
-    debug_assert_eq!(y.len(), m * n);
-    debug_assert_eq!(g.len(), m * n);
-    debug_assert_eq!(gx.len(), m * n);
-    for r in 0..m {
-        let len = lens[r] as usize;
-        let yr = &y[r * n..r * n + len];
-        let gr = &g[r * n..r * n + len];
-        let dot: f32 = yr.iter().zip(gr).map(|(&s, &gv)| s * gv).sum();
-        let gxr = &mut gx[r * n..r * n + len];
-        for ((gxv, &s), &gv) in gxr.iter_mut().zip(yr).zip(gr) {
-            *gxv += s * (gv - dot);
-        }
-    }
-}
-
-/// Minimum `units · lmax · d` before the attention kernels fan out to
+/// Minimum `units · lmax · (d + tk)` before the attention kernels fan out to
 /// worker threads (each unit is tiny; only batches of them pay for a
 /// thread spawn).
 const ATTN_PAR_FLOOR: usize = 1 << 14;
 
 /// How many contiguous units each attention worker gets at minimum.
 const ATTN_MIN_UNITS: usize = 8;
-
-/// Fused multi-head scaled-dot-product attention over per-unit key/value
-/// prefixes.
-///
-/// Layout: `q` is `units × d` (one query row per unit); `k` and `v` are
-/// `(units·lmax) × d` **unit-major** (unit `u`'s step `t` lives in row
-/// `u·lmax + t`); `lens[u] ∈ [1, lmax]` is unit `u`'s live prefix. With
-/// `dh = d / heads`, head `h` of unit `u` scores
-/// `s_t = (q_h · k_{t,h}) / √dh` for `t < len`, softmaxes over the
-/// prefix (same degenerate/NaN contract as
-/// [`masked_softmax_rows_forward`]), and emits `out_h = Σ_t α_t·v_{t,h}`;
-/// heads are concatenated into `out` (`units × d`). `alpha`
-/// (`units × heads·lmax`, unit-major, head-major within a unit) receives
-/// the attention weights for the backward pass, zero past each prefix.
-///
-/// Units are independent (disjoint output rows, no cross-unit
-/// reductions), so the worker partition over units cannot change
-/// results: bit-identical at any thread count.
-#[allow(clippy::too_many_arguments)]
-pub fn masked_attention_forward(
-    units: usize,
-    lmax: usize,
-    d: usize,
-    heads: usize,
-    lens: &[u32],
-    q: &[f32],
-    k: &[f32],
-    v: &[f32],
-    out: &mut [f32],
-    alpha: &mut [f32],
-) {
-    debug_assert_eq!(lens.len(), units);
-    debug_assert_eq!(q.len(), units * d);
-    debug_assert_eq!(k.len(), units * lmax * d);
-    debug_assert_eq!(v.len(), units * lmax * d);
-    debug_assert_eq!(out.len(), units * d);
-    debug_assert_eq!(alpha.len(), units * heads * lmax);
-    assert!(heads > 0 && d % heads == 0, "head count must divide width");
-    let run = |u0: usize, nu: usize, out_part: &mut [f32], alpha_part: &mut [f32]| {
-        for i in 0..nu {
-            let u = u0 + i;
-            attn_unit_forward(
-                u,
-                lmax,
-                d,
-                heads,
-                lens[u] as usize,
-                q,
-                k,
-                v,
-                &mut out_part[i * d..(i + 1) * d],
-                &mut alpha_part[i * heads * lmax..(i + 1) * heads * lmax],
-            );
-        }
-    };
-    let t = threads();
-    let parts = if t <= 1 || units * lmax * d < ATTN_PAR_FLOOR {
-        1
-    } else {
-        t.min(units / ATTN_MIN_UNITS).max(1)
-    };
-    if parts <= 1 {
-        run(0, units, out, alpha);
-        return;
-    }
-    let base = units / parts;
-    let extra = units % parts;
-    std::thread::scope(|s| {
-        let mut out_rest = out;
-        let mut alpha_rest = alpha;
-        let mut u0 = 0usize;
-        let mut handles = Vec::with_capacity(parts);
-        for p in 0..parts {
-            let nu = base + usize::from(p < extra);
-            let (op, otail) = out_rest.split_at_mut(nu * d);
-            out_rest = otail;
-            let (ap, atail) = alpha_rest.split_at_mut(nu * heads * lmax);
-            alpha_rest = atail;
-            let start = u0;
-            u0 += nu;
-            let fr = &run;
-            handles.push(s.spawn(move || fr(start, nu, op, ap)));
-        }
-        for h in handles {
-            h.join().expect("kernel worker panicked");
-        }
-    });
-}
-
-/// One unit of [`masked_attention_forward`]: scores, masked softmax, and
-/// value mixdown for every head.
-#[allow(clippy::too_many_arguments)]
-fn attn_unit_forward(
-    u: usize,
-    lmax: usize,
-    d: usize,
-    heads: usize,
-    len: usize,
-    q: &[f32],
-    k: &[f32],
-    v: &[f32],
-    out_row: &mut [f32],
-    alpha_row: &mut [f32],
-) {
-    assert!(len >= 1 && len <= lmax, "unit prefix {len} outside [1, {lmax}]");
-    let dh = d / heads;
-    let inv_sqrt = 1.0 / (dh as f32).sqrt();
-    let qr = &q[u * d..(u + 1) * d];
-    for h in 0..heads {
-        let qh = &qr[h * dh..(h + 1) * dh];
-        let ar = &mut alpha_row[h * lmax..(h + 1) * lmax];
-        ar[len..].iter_mut().for_each(|a| *a = 0.0);
-        for (t, a) in ar[..len].iter_mut().enumerate() {
-            let kh = &k[(u * lmax + t) * d + h * dh..(u * lmax + t) * d + (h + 1) * dh];
-            let mut s = 0.0f32;
-            for (&qv, &kv) in qh.iter().zip(kh) {
-                s = qv.mul_add(kv, s);
-            }
-            *a = s * inv_sqrt;
-        }
-        // Stable softmax over the prefix, in place (same contract as
-        // `masked_softmax_rows_forward`).
-        let max = ar[..len].iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let has_nan = ar[..len].iter().any(|a| a.is_nan());
-        if max == f32::NEG_INFINITY && !has_nan {
-            let uw = 1.0 / len as f32;
-            ar[..len].iter_mut().for_each(|a| *a = uw);
-        } else {
-            let mut total = 0.0f32;
-            for a in ar[..len].iter_mut() {
-                let e = fast_exp(*a - max);
-                *a = e;
-                total += e;
-            }
-            let inv = 1.0 / total;
-            ar[..len].iter_mut().for_each(|a| *a *= inv);
-        }
-        let oh = &mut out_row[h * dh..(h + 1) * dh];
-        oh.iter_mut().for_each(|o| *o = 0.0);
-        for (t, &a) in ar[..len].iter().enumerate() {
-            let vh = &v[(u * lmax + t) * d + h * dh..(u * lmax + t) * d + (h + 1) * dh];
-            for (o, &vv) in oh.iter_mut().zip(vh) {
-                *o = a.mul_add(vv, *o);
-            }
-        }
-    }
-}
-
-/// Backward of [`masked_attention_forward`]. `alpha` is the forward's
-/// saved attention weights; `g_out` the upstream gradient of the
-/// concatenated head outputs. Accumulates (`+=`) into `dq`
-/// (`units × d`), `dk` and `dv` (`units·lmax × d`). Per unit and head:
-/// `dα_t = g_h·v_{t,h}`, softmax Jacobian over the prefix, then the
-/// score gradient fans into `dq_h += Σ_t ds_t·k_{t,h}`,
-/// `dk_{t,h} += ds_t·q_h`, and `dv_{t,h} += α_t·g_h`. Every gradient a
-/// unit writes lands in that unit's own rows, so the worker partition
-/// over units is race-free and bit-identical at any thread count.
-#[allow(clippy::too_many_arguments)]
-pub fn masked_attention_backward(
-    units: usize,
-    lmax: usize,
-    d: usize,
-    heads: usize,
-    lens: &[u32],
-    q: &[f32],
-    k: &[f32],
-    v: &[f32],
-    alpha: &[f32],
-    g_out: &[f32],
-    dq: &mut [f32],
-    dk: &mut [f32],
-    dv: &mut [f32],
-) {
-    debug_assert_eq!(lens.len(), units);
-    debug_assert_eq!(alpha.len(), units * heads * lmax);
-    debug_assert_eq!(g_out.len(), units * d);
-    debug_assert_eq!(dq.len(), units * d);
-    debug_assert_eq!(dk.len(), units * lmax * d);
-    debug_assert_eq!(dv.len(), units * lmax * d);
-    let dh = d / heads;
-    let inv_sqrt = 1.0 / (dh as f32).sqrt();
-    let run =
-        |u0: usize, nu: usize, dq_part: &mut [f32], dk_part: &mut [f32], dv_part: &mut [f32]| {
-            let mut ds = vec![0.0f32; lmax];
-            for i in 0..nu {
-                let u = u0 + i;
-                let len = lens[u] as usize;
-                let qr = &q[u * d..(u + 1) * d];
-                let gr = &g_out[u * d..(u + 1) * d];
-                let dqr = &mut dq_part[i * d..(i + 1) * d];
-                for h in 0..heads {
-                    let qh = &qr[h * dh..(h + 1) * dh];
-                    let gh = &gr[h * dh..(h + 1) * dh];
-                    let ar = &alpha[(u * heads + h) * lmax..(u * heads + h) * lmax + len];
-                    // dα_t = g_h · v_{t,h}; dv_{t,h} += α_t · g_h.
-                    for t in 0..len {
-                        let row = (u * lmax + t) * d + h * dh;
-                        let vh = &v[row..row + dh];
-                        let dvh = &mut dv_part
-                            [(i * lmax + t) * d + h * dh..(i * lmax + t) * d + (h + 1) * dh];
-                        let mut da = 0.0f32;
-                        for j in 0..dh {
-                            da = gh[j].mul_add(vh[j], da);
-                            dvh[j] = ar[t].mul_add(gh[j], dvh[j]);
-                        }
-                        ds[t] = da;
-                    }
-                    // Softmax Jacobian over the prefix, then the 1/√dh score scale.
-                    let dot: f32 = ar.iter().zip(&ds[..len]).map(|(&a, &da)| a * da).sum();
-                    for t in 0..len {
-                        ds[t] = ar[t] * (ds[t] - dot) * inv_sqrt;
-                    }
-                    // dq_h += Σ_t ds_t·k_{t,h}; dk_{t,h} += ds_t·q_h.
-                    let dqh = &mut dqr[h * dh..(h + 1) * dh];
-                    for t in 0..len {
-                        let row = (u * lmax + t) * d + h * dh;
-                        let kh = &k[row..row + dh];
-                        let dkh = &mut dk_part
-                            [(i * lmax + t) * d + h * dh..(i * lmax + t) * d + (h + 1) * dh];
-                        for j in 0..dh {
-                            dqh[j] = ds[t].mul_add(kh[j], dqh[j]);
-                            dkh[j] = ds[t].mul_add(qh[j], dkh[j]);
-                        }
-                    }
-                }
-            }
-        };
-    let t = threads();
-    let parts = if t <= 1 || units * lmax * d < ATTN_PAR_FLOOR {
-        1
-    } else {
-        t.min(units / ATTN_MIN_UNITS).max(1)
-    };
-    if parts <= 1 {
-        run(0, units, dq, dk, dv);
-        return;
-    }
-    let base = units / parts;
-    let extra = units % parts;
-    std::thread::scope(|s| {
-        let mut dq_rest = dq;
-        let mut dk_rest = dk;
-        let mut dv_rest = dv;
-        let mut u0 = 0usize;
-        let mut handles = Vec::with_capacity(parts);
-        for p in 0..parts {
-            let nu = base + usize::from(p < extra);
-            let (qp, qtail) = dq_rest.split_at_mut(nu * d);
-            dq_rest = qtail;
-            let (kp, ktail) = dk_rest.split_at_mut(nu * lmax * d);
-            dk_rest = ktail;
-            let (vp, vtail) = dv_rest.split_at_mut(nu * lmax * d);
-            dv_rest = vtail;
-            let start = u0;
-            u0 += nu;
-            let fr = &run;
-            handles.push(s.spawn(move || fr(start, nu, qp, kp, vp)));
-        }
-        for h in handles {
-            h.join().expect("kernel worker panicked");
-        }
-    });
-}
 
 /// Aux row width per unit saved by [`temporal_attention_forward`]:
 /// attention weights `α [H·L]`, factored queries `q̃ [H·d]` / `q̂ [H·tk]`,
@@ -1366,9 +1033,18 @@ pub fn temporal_attention_aux(lmax: usize, d: usize, tk: usize, heads: usize) ->
 /// (`units·lmax × tk`) are unit-major; `wk`/`wv` are `d × d` and
 /// `kt`/`vt` are `tk × d` (row-major, as in `K = x·wk + tv·kt`);
 /// `lens[u] ∈ [1, lmax]` is each unit's live prefix — slots at or past it
-/// get exactly zero attention weight and zero gradient. Softmax
-/// degenerate/NaN contract matches [`masked_softmax_rows_forward`]. `aux`
-/// is `units × temporal_attention_aux(..)`, unit-major.
+/// get exactly zero attention weight and zero gradient, and are never
+/// read, so whatever fills them (even NaN or ±inf) cannot reach the
+/// output or any gradient. `aux` is `units × temporal_attention_aux(..)`,
+/// unit-major.
+///
+/// Softmax contract, per unit and head over the live prefix: stable
+/// (max-subtracted) with [`fast_exp`]; a degenerate prefix whose scores
+/// are all `-inf` gets the uniform distribution `1/len` instead of
+/// `0/0 = NaN`; a NaN score turns every weight of that (unit, head) NaN,
+/// and with them that unit's head-`h` output columns — never another
+/// unit's output (a NaN in a live input row reaches every head's scores,
+/// so the whole unit's output row).
 ///
 /// Units are independent (disjoint output/aux rows, shared inputs only
 /// read), so the worker partition over units cannot change results:
@@ -1465,8 +1141,8 @@ pub fn temporal_attention_forward(
                         let tr = &tv[(u * lmax + t) * tk..(u * lmax + t + 1) * tk];
                         *a = (dot8(qt, xr) + dot8(qhat, tr)) * inv_sqrt;
                     }
-                    // Stable softmax over the prefix, in place (same
-                    // contract as `masked_softmax_rows_forward`).
+                    // Stable softmax over the prefix, in place (the
+                    // degenerate/NaN contract in the doc above).
                     let max = ar[..len].iter().copied().fold(f32::NEG_INFINITY, f32::max);
                     let has_nan = ar[..len].iter().any(|a| a.is_nan());
                     if max == f32::NEG_INFINITY && !has_nan {

@@ -16,9 +16,9 @@
 //!   replays the tape in reverse and [`Graph::write_grads`] scatters leaf
 //!   gradients back into the store (including sparse scatter for
 //!   [`Graph::gather`]-ed embedding rows).
-//! * [`layers`] builds `Linear`, `LstmCell`, `StackedLstm`, and
-//!   `BatchNorm1d` from those ops.
-//! * [`optim`] implements SGD and Adam with global-norm gradient clipping.
+//! * [`layers`] builds `Linear`, `LstmCell`, `StackedLstm`,
+//!   `BatchNorm1d` and `Time2Vec` from those ops.
+//! * [`optim`] implements Adam with global-norm gradient clipping.
 //!
 //! Gradient correctness for every op is enforced with central-difference
 //! checks in the test suite (`gradcheck` module).

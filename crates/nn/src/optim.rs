@@ -1,6 +1,5 @@
-//! Optimizers: SGD (+momentum) and Adam, with global-norm gradient
-//! clipping. The EHNA trainer uses Adam with clipping; SGD is kept for the
-//! simpler baselines (LINE, skip-gram) and ablations.
+//! The optimizer the EHNA trainer uses: Adam, with global-norm gradient
+//! clipping.
 
 use crate::store::ParamStore;
 use std::io::{self, Read, Write};
@@ -18,47 +17,6 @@ pub fn clip_grad_norm(store: &mut ParamStore, max_norm: f32) -> f32 {
         }
     }
     norm
-}
-
-/// Plain stochastic gradient descent with optional momentum.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f32,
-    /// Momentum factor (0 disables the velocity buffer).
-    pub momentum: f32,
-    velocity: Vec<Vec<f32>>,
-}
-
-impl Sgd {
-    /// New optimizer; allocates velocity lazily on first step.
-    pub fn new(lr: f32, momentum: f32) -> Self {
-        assert!(lr > 0.0, "lr must be positive");
-        Sgd { lr, momentum, velocity: Vec::new() }
-    }
-
-    /// Apply one update from the accumulated gradients, then zero them.
-    pub fn step(&mut self, store: &mut ParamStore) {
-        if self.velocity.len() != store.len() {
-            self.velocity = store.ids().map(|id| vec![0.0; store.value(id).len()]).collect();
-        }
-        for id in store.ids().collect::<Vec<_>>() {
-            let i = id.index();
-            let (params, grads) = store.value_and_grad_mut(id);
-            if self.momentum > 0.0 {
-                let vel = &mut self.velocity[i];
-                for ((v, &g), p) in vel.iter_mut().zip(grads).zip(params) {
-                    *v = self.momentum * *v + g;
-                    *p -= self.lr * *v;
-                }
-            } else {
-                for (p, &g) in params.iter_mut().zip(grads) {
-                    *p -= self.lr * g;
-                }
-            }
-        }
-        store.zero_grads();
-    }
 }
 
 /// Adam (Kingma & Ba, 2015) with bias correction.
@@ -217,20 +175,6 @@ mod tests {
             step(&mut store);
         }
         store.value(x)[0]
-    }
-
-    #[test]
-    fn sgd_converges() {
-        let mut opt = Sgd::new(0.1, 0.0);
-        let x = quadratic_descent(|s| opt.step(s));
-        assert!((x - 3.0).abs() < 1e-3, "sgd ended at {x}");
-    }
-
-    #[test]
-    fn sgd_momentum_converges() {
-        let mut opt = Sgd::new(0.05, 0.9);
-        let x = quadratic_descent(|s| opt.step(s));
-        assert!((x - 3.0).abs() < 1e-2, "sgd+momentum ended at {x}");
     }
 
     #[test]

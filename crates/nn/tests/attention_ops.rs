@@ -1,15 +1,14 @@
 //! Gradient and invariant coverage for the temporal-attention op family:
-//! Time2Vec, masked row softmax over ragged prefixes, and fused
-//! multi-head masked attention. Every op gets a finite-difference
-//! gradcheck; the fused attention additionally gets a naive-composition
-//! oracle and a thread-count bit-identity gate (matching the GEMM
-//! kernel gates).
+//! Time2Vec and the fused factored temporal attention. Both get a
+//! finite-difference gradcheck; the fused attention is also pinned to a
+//! naive f64 forward and backward oracle, to its padding and NaN contract,
+//! and to a thread-count bit-identity gate (matching the GEMM kernel
+//! gates).
 
 use ehna_nn::gradcheck::check_grads;
 use ehna_nn::kernels::set_threads;
 use ehna_nn::layers::Time2Vec;
-use ehna_nn::{Graph, ParamStore};
-use proptest::prelude::*;
+use ehna_nn::{Graph, ParamStore, Var};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Mutex;
@@ -62,120 +61,143 @@ fn time2vec_gradcheck_through_layer() {
     assert!(result.is_ok(), "{result:?}");
 }
 
-// ------------------------------------------------------- masked softmax
+// -------------------------------------------- fused temporal attention
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn masked_softmax_prefix_sums_to_one_suffix_exactly_zero(
-        m in 1usize..6, n in 1usize..8, seed in 0u64..1000
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xa5a5);
-        let lens: Vec<u32> = (0..m).map(|_| rng.gen_range(1..=n as u32)).collect();
-        let mut g = Graph::new();
-        let x = g.constant(m, n, rand_vec(m * n, seed, -30.0, 30.0));
-        let s = g.softmax_rows_masked(x, &lens);
-        for (r, row) in g.value(s).chunks(n).enumerate() {
-            let len = lens[r] as usize;
-            let total: f32 = row[..len].iter().sum();
-            prop_assert!((total - 1.0).abs() < 1e-4, "prefix sums to {total}");
-            prop_assert!(row[len..].iter().all(|&p| p == 0.0), "padding not exactly zero");
-        }
-    }
-
-    #[test]
-    fn masked_softmax_matches_full_softmax_on_full_rows(
-        m in 1usize..5, n in 1usize..7, seed in 0u64..1000
-    ) {
-        // lens[r] == n for every row ⇒ bit-identical to the unmasked op.
-        let lens = vec![n as u32; m];
-        let data = rand_vec(m * n, seed, -5.0, 5.0);
-        let mut g = Graph::new();
-        let x = g.constant(m, n, data.clone());
-        let masked = g.softmax_rows_masked(x, &lens);
-        let full = g.softmax_rows(x);
-        prop_assert_eq!(g.value(masked), g.value(full));
-    }
-}
-
-#[test]
-fn masked_softmax_gradcheck_and_zero_grad_past_prefix() {
-    let mut store = ParamStore::new();
-    let x = store.add_param("x", 3, 5, rand_vec(15, 21, -2.0, 2.0));
-    let lens = vec![2u32, 5, 3];
-    let mix = rand_vec(15, 22, -1.0, 1.0);
-    let result = check_grads(
-        &mut store,
-        |g, store| {
-            let xv = g.param(store, x);
-            let s = g.softmax_rows_masked(xv, &lens);
-            let w = g.constant(3, 5, mix.clone());
-            let prod = g.mul(s, w);
-            g.sum_all(prod)
-        },
-        1e-3,
-        3e-2,
-    );
-    assert!(result.is_ok(), "{result:?}");
-
-    // The padded logits must receive *exactly* zero gradient.
-    store.zero_grads();
-    let mut g = Graph::new();
-    let xv = g.param(&store, x);
-    let s = g.softmax_rows_masked(xv, &lens);
-    let w = g.constant(3, 5, mix);
-    let prod = g.mul(s, w);
-    let loss = g.sum_all(prod);
-    g.backward(loss);
-    g.write_grads(&mut store);
-    let grad = store.grad(x);
-    for (r, &len) in lens.iter().enumerate() {
-        for j in len as usize..5 {
-            assert_eq!(grad[r * 5 + j], 0.0, "padded logit ({r},{j}) got gradient");
-        }
-    }
-}
-
-// ------------------------------------------------- masked attention core
-
-/// Naive per-unit oracle composed from scalar ops: scores, stable
-/// softmax over the prefix, weighted value sum.
-#[allow(clippy::too_many_arguments)]
-fn naive_attention(
+/// One fused-op problem: shapes, live prefixes and the seven inputs in
+/// argument order (`q`, unit-major `x` and `tv`, `wk`, `kt`, `wv`, `vt`).
+#[derive(Clone)]
+struct Ta {
     units: usize,
     lmax: usize,
     d: usize,
+    tk: usize,
     heads: usize,
-    lens: &[u32],
-    q: &[f32],
-    k: &[f32],
-    v: &[f32],
-) -> Vec<f32> {
-    let dh = d / heads;
-    let mut out = vec![0.0f32; units * d];
-    for u in 0..units {
-        let len = lens[u] as usize;
-        for h in 0..heads {
-            let qh = &q[u * d + h * dh..u * d + (h + 1) * dh];
-            let mut scores: Vec<f64> = (0..len)
-                .map(|t| {
-                    let kh = &k[(u * lmax + t) * d + h * dh..(u * lmax + t) * d + (h + 1) * dh];
-                    let dot: f64 = qh.iter().zip(kh).map(|(&a, &b)| a as f64 * b as f64).sum();
-                    dot / (dh as f64).sqrt()
-                })
-                .collect();
-            let max = scores.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-            let mut total = 0.0f64;
-            for s in scores.iter_mut() {
-                *s = (*s - max).exp();
-                total += *s;
-            }
-            for t in 0..len {
-                let a = scores[t] / total;
-                let vh = &v[(u * lmax + t) * d + h * dh..(u * lmax + t) * d + (h + 1) * dh];
+    lens: Vec<u32>,
+    inputs: [Vec<f32>; 7],
+}
+
+impl Ta {
+    fn new(units: usize, lmax: usize, d: usize, tk: usize, heads: usize, seed: u64) -> Ta {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let lens = (0..units).map(|_| rng.gen_range(1..=lmax as u32)).collect();
+        let inputs = [
+            rand_vec(units * d, 71, -1.0, 1.0),
+            rand_vec(units * lmax * d, 72, -1.0, 1.0),
+            rand_vec(units * lmax * tk, 73, -1.0, 1.0),
+            rand_vec(d * d, 74, -0.5, 0.5),
+            rand_vec(tk * d, 75, -0.5, 0.5),
+            rand_vec(d * d, 76, -0.5, 0.5),
+            rand_vec(tk * d, 77, -0.5, 0.5),
+        ];
+        Ta { units, lmax, d, tk, heads, lens, inputs }
+    }
+
+    /// `(rows, cols)` of each input, in argument order.
+    fn shapes(&self) -> [(usize, usize); 7] {
+        let (ul, d, tk) = (self.units * self.lmax, self.d, self.tk);
+        [(self.units, d), (ul, d), (ul, tk), (d, d), (tk, d), (d, d), (tk, d)]
+    }
+
+    /// Run the fused op on a fresh tape and backpropagate the loss
+    /// `Σ out ⊙ mix`; returns the tape, the output and the seven inputs.
+    fn run(&self, mix: &[f32]) -> (Graph, Var, [Var; 7]) {
+        let mut g = Graph::new();
+        let shapes = self.shapes();
+        let vars: [Var; 7] =
+            std::array::from_fn(|i| g.constant(shapes[i].0, shapes[i].1, self.inputs[i].clone()));
+        let [q, x, tv, wk, kt, wv, vt] = vars;
+        let out = g.temporal_attention(q, x, tv, wk, kt, wv, vt, self.heads, &self.lens);
+        let w = g.constant(self.units, self.d, mix.to_vec());
+        let prod = g.mul(out, w);
+        let loss = g.sum_all(prod);
+        g.backward(loss);
+        (g, out, vars)
+    }
+
+    /// Output and the seven input gradients of [`Ta::run`], as bits.
+    fn bits(&self, mix: &[f32]) -> Vec<Vec<u32>> {
+        let (g, out, vars) = self.run(mix);
+        std::iter::once(g.value(out)).chain(vars.map(|v| g.grad(v))).map(bits).collect()
+    }
+}
+
+fn bits(s: &[f32]) -> Vec<u32> {
+    s.iter().map(|x| x.to_bits()).collect()
+}
+
+// Naive f64 oracle: materialize `K = x·wk + tv·kt` and `V = x·wv + tv·vt`
+// (which the fused op never does), attend per (unit, head) over each live
+// prefix, and pull the upstream gradient back by hand.
+
+fn f64s(v: &[f32]) -> Vec<f64> {
+    v.iter().map(|&x| x as f64).collect()
+}
+
+/// `a (m×k) · b (k×n)`.
+fn mm(m: usize, k: usize, n: usize, a: &[f64], b: &[f64]) -> Vec<f64> {
+    let mut c = vec![0.0; m * n];
+    for i in 0..m {
+        for j in 0..n {
+            c[i * n + j] = (0..k).map(|p| a[i * k + p] * b[p * n + j]).sum();
+        }
+    }
+    c
+}
+
+/// `a (m×k) · bᵀ` with `b` stored `n×k`.
+fn mm_nt(m: usize, k: usize, n: usize, a: &[f64], b: &[f64]) -> Vec<f64> {
+    let mut c = vec![0.0; m * n];
+    for i in 0..m {
+        for j in 0..n {
+            c[i * n + j] = (0..k).map(|p| a[i * k + p] * b[j * k + p]).sum();
+        }
+    }
+    c
+}
+
+/// `aᵀ · b (k×n)` with `a` stored `k×m`.
+fn mm_tn(m: usize, k: usize, n: usize, a: &[f64], b: &[f64]) -> Vec<f64> {
+    let mut c = vec![0.0; m * n];
+    for i in 0..m {
+        for j in 0..n {
+            c[i * n + j] = (0..k).map(|p| a[p * m + i] * b[p * n + j]).sum();
+        }
+    }
+    c
+}
+
+fn vsum(a: Vec<f64>, b: Vec<f64>) -> Vec<f64> {
+    a.iter().zip(&b).map(|(x, y)| x + y).collect()
+}
+
+/// Attention weights of unit `u`, head `h` over its live prefix: scaled
+/// dot-product scores, then a max-subtracted softmax.
+fn naive_weights(ta: &Ta, u: usize, h: usize, q: &[f64], k: &[f64]) -> Vec<f64> {
+    let (d, dh) = (ta.d, ta.d / ta.heads);
+    let qh = &q[u * d + h * dh..u * d + (h + 1) * dh];
+    let scores: Vec<f64> = (0..ta.lens[u] as usize)
+        .map(|t| {
+            let row = (u * ta.lmax + t) * d + h * dh;
+            let dot: f64 = qh.iter().zip(&k[row..row + dh]).map(|(a, b)| a * b).sum();
+            dot / (dh as f64).sqrt()
+        })
+        .collect();
+    let max = scores.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+    let exps: Vec<f64> = scores.iter().map(|s| (s - max).exp()).collect();
+    let total: f64 = exps.iter().sum();
+    exps.iter().map(|e| e / total).collect()
+}
+
+/// Per-unit multi-head attention of `q` over the live prefixes of `k`/`v`.
+fn naive_attention(ta: &Ta, q: &[f64], k: &[f64], v: &[f64]) -> Vec<f64> {
+    let (d, dh) = (ta.d, ta.d / ta.heads);
+    let mut out = vec![0.0f64; ta.units * d];
+    for u in 0..ta.units {
+        for h in 0..ta.heads {
+            for (t, a) in naive_weights(ta, u, h, q, k).into_iter().enumerate() {
+                let row = (u * ta.lmax + t) * d + h * dh;
                 for j in 0..dh {
-                    out[u * d + h * dh + j] += (a * vh[j] as f64) as f32;
+                    out[u * d + h * dh + j] += a * v[row + j];
                 }
             }
         }
@@ -183,172 +205,126 @@ fn naive_attention(
     out
 }
 
-#[test]
-fn masked_attention_matches_naive_oracle() {
-    let (units, lmax, d, heads) = (5usize, 4usize, 8usize, 2usize);
-    let mut rng = StdRng::seed_from_u64(31);
-    let lens: Vec<u32> = (0..units).map(|_| rng.gen_range(1..=lmax as u32)).collect();
-    let qd = rand_vec(units * d, 32, -1.0, 1.0);
-    let kd = rand_vec(units * lmax * d, 33, -1.0, 1.0);
-    let vd = rand_vec(units * lmax * d, 34, -1.0, 1.0);
-    let mut g = Graph::new();
-    let q = g.constant(units, d, qd.clone());
-    let k = g.constant(units * lmax, d, kd.clone());
-    let v = g.constant(units * lmax, d, vd.clone());
-    let out = g.masked_attention(q, k, v, heads, &lens);
-    let oracle = naive_attention(units, lmax, d, heads, &lens, &qd, &kd, &vd);
-    for (i, (&a, &b)) in g.value(out).iter().zip(&oracle).enumerate() {
-        assert!((a - b).abs() < 1e-3, "element {i}: fused {a} vs naive {b}");
-    }
-}
-
-#[test]
-fn masked_attention_gradcheck() {
-    let (units, lmax, d, heads) = (3usize, 3usize, 4usize, 2usize);
-    let lens = vec![1u32, 3, 2];
-    let mut store = ParamStore::new();
-    let q = store.add_param("q", units, d, rand_vec(units * d, 41, -1.0, 1.0));
-    let k = store.add_param("k", units * lmax, d, rand_vec(units * lmax * d, 42, -1.0, 1.0));
-    let v = store.add_param("v", units * lmax, d, rand_vec(units * lmax * d, 43, -1.0, 1.0));
-    let mix = rand_vec(units * d, 44, -1.0, 1.0);
-    let result = check_grads(
-        &mut store,
-        |g, store| {
-            let qv = g.param(store, q);
-            let kv = g.param(store, k);
-            let vv = g.param(store, v);
-            let out = g.masked_attention(qv, kv, vv, heads, &lens);
-            let w = g.constant(units, d, mix.clone());
-            let prod = g.mul(out, w);
-            g.sum_all(prod)
-        },
-        1e-2,
-        3e-2,
-    );
-    assert!(result.is_ok(), "{result:?}");
-}
-
-#[test]
-fn masked_attention_padding_gets_zero_gradient() {
-    // Keys/values past each unit's prefix must receive exactly zero
-    // gradient: that is what makes node-0 padding in the aggregator safe.
-    let (units, lmax, d, heads) = (2usize, 3usize, 4usize, 2usize);
-    let lens = vec![1u32, 2];
-    let mut store = ParamStore::new();
-    let k = store.add_param("k", units * lmax, d, rand_vec(units * lmax * d, 51, -1.0, 1.0));
-    let v = store.add_param("v", units * lmax, d, rand_vec(units * lmax * d, 52, -1.0, 1.0));
-    let mut g = Graph::new();
-    let qv = g.constant(units, d, rand_vec(units * d, 53, -1.0, 1.0));
-    let kv = g.param(&store, k);
-    let vv = g.param(&store, v);
-    let out = g.masked_attention(qv, kv, vv, heads, &lens);
-    let loss = g.sum_all(out);
-    g.backward(loss);
-    g.write_grads(&mut store);
-    for (name, grad) in [("k", store.grad(k)), ("v", store.grad(v))] {
-        for u in 0..units {
-            for t in lens[u] as usize..lmax {
-                let row = &grad[(u * lmax + t) * d..(u * lmax + t + 1) * d];
-                assert!(
-                    row.iter().all(|&gv| gv == 0.0),
-                    "{name} unit {u} padded step {t} got gradient {row:?}"
-                );
+/// Backward of [`naive_attention`] for upstream gradient `g`: per unit
+/// and head, `dα_t = g_h·v_t`, the softmax Jacobian over the prefix
+/// `ds_t = α_t·(dα_t − Σ α·dα)`, then `dq_h += Σ ds_t·k_t/√dh`,
+/// `dk_t += ds_t·q_h/√dh` and `dv_t += α_t·g_h`.
+fn naive_attention_backward(ta: &Ta, q: &[f64], k: &[f64], v: &[f64], g: &[f64]) -> [Vec<f64>; 3] {
+    let (d, dh) = (ta.d, ta.d / ta.heads);
+    let scale = 1.0 / (dh as f64).sqrt();
+    let (mut dq, mut dk, mut dv) = (vec![0.0; q.len()], vec![0.0; k.len()], vec![0.0; v.len()]);
+    for u in 0..ta.units {
+        for h in 0..ta.heads {
+            let col = u * d + h * dh;
+            let rows: Vec<usize> =
+                (0..ta.lens[u] as usize).map(|t| (u * ta.lmax + t) * d + h * dh).collect();
+            let alpha = naive_weights(ta, u, h, q, k);
+            let dalpha: Vec<f64> =
+                rows.iter().map(|&r| (0..dh).map(|j| g[col + j] * v[r + j]).sum()).collect();
+            let dot: f64 = alpha.iter().zip(&dalpha).map(|(a, da)| a * da).sum();
+            for (t, &r) in rows.iter().enumerate() {
+                let ds = alpha[t] * (dalpha[t] - dot) * scale;
+                for j in 0..dh {
+                    dq[col + j] += ds * k[r + j];
+                    dk[r + j] += ds * q[col + j];
+                    dv[r + j] += alpha[t] * g[col + j];
+                }
             }
         }
     }
+    [dq, dk, dv]
 }
 
-// -------------------------------------------- fused temporal attention
-
-/// The seven inputs of the fused op, as fresh constants on `g`.
-struct TaInputs {
-    q: ehna_nn::Var,
-    x: ehna_nn::Var,
-    tv: ehna_nn::Var,
-    wk: ehna_nn::Var,
-    kt: ehna_nn::Var,
-    wv: ehna_nn::Var,
-    vt: ehna_nn::Var,
-}
-
-fn ta_inputs(g: &mut Graph, units: usize, lmax: usize, d: usize, tk: usize) -> TaInputs {
-    TaInputs {
-        q: g.constant(units, d, rand_vec(units * d, 71, -1.0, 1.0)),
-        x: g.constant(units * lmax, d, rand_vec(units * lmax * d, 72, -1.0, 1.0)),
-        tv: g.constant(units * lmax, tk, rand_vec(units * lmax * tk, 73, -1.0, 1.0)),
-        wk: g.constant(d, d, rand_vec(d * d, 74, -0.5, 0.5)),
-        kt: g.constant(tk, d, rand_vec(tk * d, 75, -0.5, 0.5)),
-        wv: g.constant(d, d, rand_vec(d * d, 76, -0.5, 0.5)),
-        vt: g.constant(tk, d, rand_vec(tk * d, 77, -0.5, 0.5)),
-    }
+/// The fused op's output and the gradients of its seven inputs under the
+/// loss `Σ out ⊙ mix`, all in f64: the attention oracle above, chained
+/// through both projections.
+fn naive_temporal_attention(ta: &Ta, mix: &[f32]) -> (Vec<f64>, [Vec<f64>; 7]) {
+    let [q, x, tv, wk, kt, wv, vt]: [Vec<f64>; 7] = std::array::from_fn(|i| f64s(&ta.inputs[i]));
+    let (ul, d, tk) = (ta.units * ta.lmax, ta.d, ta.tk);
+    let k = vsum(mm(ul, d, d, &x, &wk), mm(ul, tk, d, &tv, &kt));
+    let v = vsum(mm(ul, d, d, &x, &wv), mm(ul, tk, d, &tv, &vt));
+    let out = naive_attention(ta, &q, &k, &v);
+    let [dq, dk, dv] = naive_attention_backward(ta, &q, &k, &v, &f64s(mix));
+    let dx = vsum(mm_nt(ul, d, d, &dk, &wk), mm_nt(ul, d, d, &dv, &wv));
+    let dtv = vsum(mm_nt(ul, d, tk, &dk, &kt), mm_nt(ul, d, tk, &dv, &vt));
+    let grads = [
+        dq,
+        dx,
+        dtv,
+        mm_tn(d, ul, d, &x, &dk),
+        mm_tn(tk, ul, d, &tv, &dk),
+        mm_tn(d, ul, d, &x, &dv),
+        mm_tn(tk, ul, d, &tv, &dv),
+    ];
+    (out, grads)
 }
 
 #[test]
 fn temporal_attention_matches_composed_projection_path() {
     // The fused op must agree (to rounding) with what it factors away:
-    // materialize K = x·wk + tv·kt and V = x·wv + tv·vt, then run the
-    // already-oracle-checked masked_attention over them.
-    let (units, lmax, d, tk, heads) = (6usize, 4usize, 8usize, 6usize, 2usize);
-    let mut rng = StdRng::seed_from_u64(79);
-    let lens: Vec<u32> = (0..units).map(|_| rng.gen_range(1..=lmax as u32)).collect();
-    let mut g = Graph::new();
-    let i = ta_inputs(&mut g, units, lmax, d, tk);
-    let fused = g.temporal_attention(i.q, i.x, i.tv, i.wk, i.kt, i.wv, i.vt, heads, &lens);
-    let kx = g.matmul(i.x, i.wk);
-    let ktv = g.matmul(i.tv, i.kt);
-    let k = g.add(kx, ktv);
-    let vx = g.matmul(i.x, i.wv);
-    let vtv = g.matmul(i.tv, i.vt);
-    let v = g.add(vx, vtv);
-    let composed = g.masked_attention(i.q, k, v, heads, &lens);
-    for (idx, (&a, &b)) in g.value(fused).iter().zip(g.value(composed)).enumerate() {
-        assert!((a - b).abs() < 1e-4, "element {idx}: fused {a} vs composed {b}");
+    // K and V materialized in f64, then plain attention over them.
+    let ta = Ta::new(6, 4, 8, 6, 2, 79);
+    let mix = rand_vec(ta.units * ta.d, 80, -1.0, 1.0);
+    let (g, out, _) = ta.run(&mix);
+    let (oracle, _) = naive_temporal_attention(&ta, &mix);
+    for (idx, (&a, &b)) in g.value(out).iter().zip(&oracle).enumerate() {
+        assert!((a as f64 - b).abs() < 1e-4, "element {idx}: fused {a} vs naive {b}");
     }
 }
 
 #[test]
 fn temporal_attention_backward_matches_composed_projection_path() {
-    // Same pair of formulations, gradients this time: two tapes, one loss
-    // each, every input's gradient must agree to rounding.
-    let (units, lmax, d, tk, heads) = (5usize, 3usize, 8usize, 4usize, 2usize);
-    let mut rng = StdRng::seed_from_u64(83);
-    let lens: Vec<u32> = (0..units).map(|_| rng.gen_range(1..=lmax as u32)).collect();
-    let mix = rand_vec(units * d, 84, -1.0, 1.0);
+    // Gradients this time: every input's gradient must agree with the
+    // hand-derived f64 backward to rounding. Most prefixes span several
+    // slots: a one-slot softmax passes no gradient to its score.
+    let mut ta = Ta::new(5, 3, 8, 4, 2, 83);
+    ta.lens = vec![3, 1, 2, 3, 2];
+    let mix = rand_vec(ta.units * ta.d, 84, -1.0, 1.0);
+    let (g, _, vars) = ta.run(&mix);
+    let (_, oracle) = naive_temporal_attention(&ta, &mix);
+    let names = ["q", "x", "tv", "wk", "kt", "wv", "vt"];
+    for ((name, var), want) in names.iter().zip(vars).zip(&oracle) {
+        for (idx, (&a, &b)) in g.grad(var).iter().zip(want).enumerate() {
+            assert!((a as f64 - b).abs() < 1e-3, "d{name}[{idx}]: fused {a} vs naive {b}");
+        }
+    }
+}
 
-    let mut gf = Graph::new();
-    let fi = ta_inputs(&mut gf, units, lmax, d, tk);
-    let fused = gf.temporal_attention(fi.q, fi.x, fi.tv, fi.wk, fi.kt, fi.wv, fi.vt, heads, &lens);
-    let w = gf.constant(units, d, mix.clone());
-    let prod = gf.mul(fused, w);
-    let loss = gf.sum_all(prod);
-    gf.backward(loss);
+#[test]
+fn temporal_attention_padding_is_inert_and_nan_stays_in_its_unit() {
+    let mut clean = Ta::new(6, 4, 8, 6, 2, 0);
+    clean.lens = vec![1, 4, 2, 3, 1, 4];
+    let (lmax, d, tk) = (clean.lmax, clean.d, clean.tk);
+    let mix = rand_vec(clean.units * d, 122, -1.0, 1.0);
+    // Every padded slot of `x` and `tv`: zeros in one copy, NaN and ±inf
+    // in the other. Output and every gradient must match bit for bit.
+    let mut poisoned = clean.clone();
+    let junk = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+    for (u, &len) in clean.lens.iter().enumerate() {
+        for t in len as usize..lmax {
+            let slot = u * lmax + t;
+            for (input, w) in [(1, d), (2, tk)] {
+                let span = slot * w..(slot + 1) * w;
+                clean.inputs[input][span.clone()].fill(0.0);
+                for (j, v) in poisoned.inputs[input][span].iter_mut().enumerate() {
+                    *v = junk[j % 3];
+                }
+            }
+        }
+    }
+    assert_eq!(clean.bits(&mix), poisoned.bits(&mix), "padding reached the output or a gradient");
 
-    let mut gc = Graph::new();
-    let ci = ta_inputs(&mut gc, units, lmax, d, tk);
-    let kx = gc.matmul(ci.x, ci.wk);
-    let ktv = gc.matmul(ci.tv, ci.kt);
-    let k = gc.add(kx, ktv);
-    let vx = gc.matmul(ci.x, ci.wv);
-    let vtv = gc.matmul(ci.tv, ci.vt);
-    let v = gc.add(vx, vtv);
-    let composed = gc.masked_attention(ci.q, k, v, heads, &lens);
-    let w = gc.constant(units, d, mix);
-    let prod = gc.mul(composed, w);
-    let loss = gc.sum_all(prod);
-    gc.backward(loss);
-
-    let pairs = [
-        ("q", fi.q, ci.q),
-        ("x", fi.x, ci.x),
-        ("tv", fi.tv, ci.tv),
-        ("wk", fi.wk, ci.wk),
-        ("kt", fi.kt, ci.kt),
-        ("wv", fi.wv, ci.wv),
-        ("vt", fi.vt, ci.vt),
-    ];
-    for (name, fv, cv) in pairs {
-        for (idx, (&a, &b)) in gf.grad(fv).iter().zip(gc.grad(cv)).enumerate() {
-            assert!((a - b).abs() < 1e-3, "d{name}[{idx}]: fused {a} vs composed {b}");
+    // A NaN in one unit's live slot poisons that unit's output only.
+    let sick = 2;
+    let mut nan = clean.clone();
+    nan.inputs[1][(sick * lmax + 1) * d] = f32::NAN;
+    let (gc, oc, _) = clean.run(&mix);
+    let (gn, on, _) = nan.run(&mix);
+    for (u, (rc, rn)) in gc.value(oc).chunks(d).zip(gn.value(on).chunks(d)).enumerate() {
+        if u == sick {
+            assert!(rn.iter().all(|v| v.is_nan()), "unit {u} output {rn:?} hid a live NaN");
+        } else {
+            assert_eq!(bits(rc), bits(rn), "NaN in unit {sick} leaked into unit {u}");
         }
     }
 }
@@ -419,62 +395,13 @@ fn temporal_attention_padding_gets_zero_gradient() {
 #[test]
 fn temporal_attention_bit_identical_across_thread_counts() {
     let _guard = THREAD_LOCK.lock().unwrap();
-    let (units, lmax, d, tk, heads) = (64usize, 6usize, 16usize, 8usize, 4usize);
-    let mut rng = StdRng::seed_from_u64(111);
-    let lens: Vec<u32> = (0..units).map(|_| rng.gen_range(1..=lmax as u32)).collect();
-    let mut runs: Vec<Vec<Vec<u32>>> = Vec::new();
+    let ta = Ta::new(64, 6, 16, 8, 4, 111);
+    let mix = vec![1.0; ta.units * ta.d];
+    let mut runs = Vec::new();
     for &t in &[1usize, 4] {
         set_threads(t);
-        let mut g = Graph::new();
-        let i = ta_inputs(&mut g, units, lmax, d, tk);
-        let out = g.temporal_attention(i.q, i.x, i.tv, i.wk, i.kt, i.wv, i.vt, heads, &lens);
-        let loss = g.sum_all(out);
-        g.backward(loss);
-        let bits = |s: &[f32]| s.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
-        runs.push(
-            [
-                g.value(out),
-                g.grad(i.q),
-                g.grad(i.x),
-                g.grad(i.tv),
-                g.grad(i.wk),
-                g.grad(i.kt),
-                g.grad(i.wv),
-                g.grad(i.vt),
-            ]
-            .map(bits)
-            .to_vec(),
-        );
+        runs.push(ta.bits(&mix));
         set_threads(1);
     }
     assert_eq!(runs[0], runs[1], "temporal attention results changed with thread count");
-}
-
-#[test]
-fn masked_attention_bit_identical_across_thread_counts() {
-    let _guard = THREAD_LOCK.lock().unwrap();
-    // Large enough to clear the parallelism floor so the threaded path
-    // actually runs.
-    let (units, lmax, d, heads) = (64usize, 6usize, 16usize, 4usize);
-    let mut rng = StdRng::seed_from_u64(61);
-    let lens: Vec<u32> = (0..units).map(|_| rng.gen_range(1..=lmax as u32)).collect();
-    let qd = rand_vec(units * d, 62, -1.0, 1.0);
-    let kd = rand_vec(units * lmax * d, 63, -1.0, 1.0);
-    let vd = rand_vec(units * lmax * d, 64, -1.0, 1.0);
-    type RunBits = (Vec<u32>, Vec<u32>, Vec<u32>, Vec<u32>);
-    let mut runs: Vec<RunBits> = Vec::new();
-    for &t in &[1usize, 4] {
-        set_threads(t);
-        let mut g = Graph::new();
-        let q = g.constant(units, d, qd.clone());
-        let k = g.constant(units * lmax, d, kd.clone());
-        let v = g.constant(units * lmax, d, vd.clone());
-        let out = g.masked_attention(q, k, v, heads, &lens);
-        let loss = g.sum_all(out);
-        g.backward(loss);
-        let bits = |s: &[f32]| s.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
-        runs.push((bits(g.value(out)), bits(g.grad(q)), bits(g.grad(k)), bits(g.grad(v))));
-        set_threads(1);
-    }
-    assert_eq!(runs[0], runs[1], "attention results changed with thread count");
 }

@@ -78,9 +78,9 @@ proptest! {
         let r = g.sum_rows(x);
         let r_sum = g.sum_all(r);
         let via_rows = g.value(r_sum)[0];
-        let c = g.sum_cols(x);
+        let c = g.mean_cols(x);
         let c_sum = g.sum_all(c);
-        let via_cols = g.value(c_sum)[0];
+        let via_cols = g.value(c_sum)[0] * m as f32;
         prop_assert!((total - via_rows).abs() < 1e-3);
         prop_assert!((total - via_cols).abs() < 1e-3);
         let mean_node = g.mean_all(x);
@@ -102,8 +102,7 @@ proptest! {
                 let wv = g.param(s, w);
                 let h = g.matmul(av, wv);
                 let sm = g.softmax_rows(h);
-                let t = g.tanh(sm);
-                let sq = g.square(t);
+                let sq = g.square(sm);
                 g.sum_all(sq)
             },
             1e-2,
@@ -126,10 +125,12 @@ proptest! {
                 let xv = g.param(s, x);
                 let rv = g.param(s, row);
                 let cv = g.param(s, col);
-                let a = g.mul_rowb(xv, rv);
-                let b = g.div_colb(a, cv);
-                let c = g.sigmoid(b);
-                g.mean_all(c)
+                let a = g.add_rowb(xv, rv);
+                let b = g.mul_colb(a, cv);
+                let sm = g.softmax_rows(b);
+                let c = g.div_colb(sm, cv);
+                let sq = g.square(c);
+                g.mean_all(sq)
             },
             1e-2,
             5e-2,

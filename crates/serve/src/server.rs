@@ -36,7 +36,7 @@
 //!   the work and allocation a single request can demand.
 //!
 //! Shedding, timeouts, and malformed/over-limit requests are all
-//! counted in [`EngineStats`](crate::EngineStats) and exposed through
+//! counted in [`EngineStats`] and exposed through
 //! the `stats` op.
 //!
 //! # Shutdown

@@ -80,7 +80,7 @@ pub trait RowSource: Send + Sync + std::fmt::Debug {
 
 /// Squared-euclidean distance from one fixed query to any row, following
 /// the pinned accumulation contract of
-/// [`sq_dist_f64`](ehna_tgraph::quant::sq_dist_f64).
+/// [`sq_dist_f64`].
 pub trait RowDistance: Send + Sync {
     /// Distance from the query to row `idx`.
     fn dist(&self, idx: usize) -> f64;

@@ -1,5 +1,5 @@
 //! Graph algorithms used for analysis and validation: Definition 2
-//! temporal reachability, connected components, and BFS distances.
+//! temporal reachability, connected components, and bipartiteness.
 
 use crate::{NodeId, TemporalGraph, Timestamp};
 use std::collections::VecDeque;
@@ -105,25 +105,6 @@ pub fn is_bipartite(graph: &TemporalGraph) -> bool {
     true
 }
 
-/// BFS hop distances from `source` over the static projection;
-/// `usize::MAX` for unreachable nodes.
-pub fn bfs_distances(graph: &TemporalGraph, source: NodeId) -> Vec<usize> {
-    let mut dist = vec![usize::MAX; graph.num_nodes()];
-    dist[source.index()] = 0;
-    let mut queue = VecDeque::new();
-    queue.push_back(source);
-    while let Some(v) = queue.pop_front() {
-        let d = dist[v.index()];
-        for nb in graph.neighbors(v) {
-            if dist[nb.node.index()] == usize::MAX {
-                dist[nb.node.index()] = d + 1;
-                queue.push_back(nb.node);
-            }
-        }
-    }
-    dist
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,7 +171,7 @@ mod tests {
     }
 
     #[test]
-    fn components_and_bfs() {
+    fn connected_components_partition() {
         let mut b = GraphBuilder::with_num_nodes(7);
         b.add_edge(0, 1, 1, 1.0).unwrap();
         b.add_edge(1, 2, 2, 1.0).unwrap();
@@ -201,11 +182,6 @@ mod tests {
         assert_eq!(comp[0], comp[2]);
         assert_ne!(comp[0], comp[3]);
         assert_ne!(comp[5], comp[6]);
-
-        let dist = bfs_distances(&g, NodeId(0));
-        assert_eq!(dist[2], 2);
-        assert_eq!(dist[1], 1);
-        assert_eq!(dist[4], usize::MAX);
     }
 
     #[test]

@@ -87,16 +87,6 @@ impl GraphBuilder {
         Ok(())
     }
 
-    /// Convenience: add an unweighted (`w = 1`) interaction.
-    pub fn add_unweighted(
-        &mut self,
-        a: impl Into<NodeId>,
-        b: impl Into<NodeId>,
-        t: impl Into<Timestamp>,
-    ) -> Result<(), GraphError> {
-        self.add_edge(a, b, t, 1.0)
-    }
-
     /// Add a batch of edges, validating each one like
     /// [`add_edge`](Self::add_edge).
     ///

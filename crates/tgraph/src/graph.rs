@@ -121,14 +121,6 @@ impl TemporalGraph {
         &nbrs[..cut]
     }
 
-    /// Interactions of `v` in the half-open time window `[t0, t1)`.
-    pub fn neighbors_in(&self, v: NodeId, t0: Timestamp, t1: Timestamp) -> &[NeighborEntry] {
-        let nbrs = self.neighbors(v);
-        let lo = nbrs.partition_point(|n| n.t < t0);
-        let hi = nbrs.partition_point(|n| n.t < t1);
-        &nbrs[lo..hi]
-    }
-
     /// The most recent interaction of `v`, if any.
     pub fn latest_interaction(&self, v: NodeId) -> Option<&NeighborEntry> {
         self.neighbors(v).last()
@@ -170,25 +162,6 @@ impl TemporalGraph {
             return None;
         }
         Some(TemporalGraph::from_sorted_edges(self.num_nodes, self.edges[..n].to_vec()))
-    }
-
-    /// Distinct neighbor count of `v` (deduplicated multi-edges).
-    pub fn distinct_neighbors(&self, v: NodeId) -> usize {
-        let ids = &self.nbr_ids[self.offsets[v.index()]..self.offsets[v.index() + 1]];
-        let mut count = 0;
-        let mut last: Option<NodeId> = None;
-        for &id in ids {
-            if last != Some(id) {
-                count += 1;
-                last = Some(id);
-            }
-        }
-        count
-    }
-
-    /// Sum of weights of interactions of `v`.
-    pub fn weighted_degree(&self, v: NodeId) -> f64 {
-        self.neighbors(v).iter().map(|n| n.w).sum()
     }
 
     /// A copy of this graph with capacity for at least `n` node ids.
@@ -315,15 +288,6 @@ mod tests {
     }
 
     #[test]
-    fn neighbors_in_window() {
-        let g = figure1_graph();
-        let win = g.neighbors_in(NodeId(1), Timestamp(2012), Timestamp(2017));
-        let nodes: Vec<_> = win.iter().map(|n| n.node.0).collect();
-        assert_eq!(nodes, vec![3, 4, 6]);
-        assert!(g.neighbors_in(NodeId(1), Timestamp(2019), Timestamp(2030)).is_empty());
-    }
-
-    #[test]
     fn has_edge_matches_adjacency() {
         let g = figure1_graph();
         assert!(g.has_edge(NodeId(1), NodeId(2)));
@@ -352,15 +316,13 @@ mod tests {
     }
 
     #[test]
-    fn distinct_vs_temporal_degree() {
+    fn repeated_interactions_count_toward_degree() {
         let mut b = GraphBuilder::new();
         b.add_edge(0, 1, 1, 1.0).unwrap();
         b.add_edge(0, 1, 2, 1.0).unwrap();
         b.add_edge(0, 2, 3, 2.5).unwrap();
         let g = b.build().unwrap();
         assert_eq!(g.degree(NodeId(0)), 3);
-        assert_eq!(g.distinct_neighbors(NodeId(0)), 2);
-        assert!((g.weighted_degree(NodeId(0)) - 4.5).abs() < 1e-12);
     }
 
     #[test]

@@ -41,7 +41,6 @@ mod ids;
 mod io;
 pub mod mmapbuf;
 mod names;
-pub mod prep;
 pub mod quant;
 mod stats;
 mod view;

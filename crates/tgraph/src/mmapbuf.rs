@@ -50,13 +50,6 @@ impl AlignedBuf {
         AlignedBuf { ptr, len }
     }
 
-    /// Read exactly `len` bytes from `r` into a fresh aligned buffer.
-    pub fn read_exact_from<R: Read>(r: &mut R, len: usize) -> io::Result<Self> {
-        let mut buf = AlignedBuf::zeroed(len);
-        r.read_exact(buf.as_mut())?;
-        Ok(buf)
-    }
-
     fn as_mut(&mut self) -> &mut [u8] {
         // SAFETY: ptr covers len initialized (zeroed) bytes.
         unsafe { std::slice::from_raw_parts_mut(self.ptr.as_ptr(), self.len) }
@@ -219,9 +212,11 @@ mod tests {
     #[test]
     fn aligned_buf_reads_exactly() {
         let data = [7u8; 130];
-        let buf = AlignedBuf::read_exact_from(&mut &data[..], 130).unwrap();
+        let mut buf = AlignedBuf::zeroed(130);
+        AlignedBuf::read_into(&mut &data[..], &mut buf, 0).unwrap();
         assert_eq!(&*buf, &data[..]);
-        assert!(AlignedBuf::read_exact_from(&mut &data[..], 131).is_err(), "short read");
+        let mut long = AlignedBuf::zeroed(131);
+        assert!(AlignedBuf::read_into(&mut &data[..], &mut long, 0).is_err(), "short read");
     }
 
     #[cfg(unix)]

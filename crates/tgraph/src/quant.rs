@@ -433,11 +433,6 @@ impl QuantFormat {
         }
     }
 
-    /// Whether decoding loses precision relative to f32.
-    pub fn is_lossy(self) -> bool {
-        self != QuantFormat::F32
-    }
-
     fn code_bytes_per_node(self, dim: usize, pq_m: usize) -> usize {
         match self {
             QuantFormat::F32 => dim * 4,

@@ -63,11 +63,6 @@ impl GraphStats {
             degree_gini: gini(&mut degrees),
         }
     }
-
-    /// Time span covered by the network.
-    pub fn time_span(&self) -> i64 {
-        self.max_time - self.min_time
-    }
 }
 
 /// Gini coefficient of a non-negative sample. `0` = perfectly equal,
@@ -117,7 +112,7 @@ mod tests {
         assert_eq!(s.num_temporal_edges, 3);
         assert_eq!(s.num_static_edges, 2);
         assert_eq!(s.max_degree, 3);
-        assert_eq!(s.time_span(), 20);
+        assert_eq!((s.min_time, s.max_time), (10, 30));
         assert!((s.mean_degree - 2.0).abs() < 1e-12);
     }
 

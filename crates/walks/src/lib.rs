@@ -48,7 +48,6 @@ pub mod decay;
 pub mod neighborhood;
 pub mod node2vec;
 pub mod prefetch;
-pub mod stats;
 pub mod temporal;
 
 pub use alias::AliasTable;

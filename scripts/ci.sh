@@ -10,6 +10,10 @@ cargo fmt --all -- --check
 echo "== cargo clippy (workspace, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== cargo doc (workspace, rustdoc warnings are errors)"
+# Catches doc links left dangling by renamed or deleted items.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "== cargo bench --no-run (benches must compile)"
 cargo bench --workspace --no-run
 
@@ -132,10 +136,12 @@ timeout --kill-after=10 120 \
 echo "== aggregator gates (wall-clock bounded)"
 # The pluggable node-stage subsystem's contracts: the LSTM aggregator is
 # pinned bit-for-bit to the pre-trait loss trace (aggregator_golden), the
-# fused temporal-attention op matches its composed-graph oracle forward
-# and backward and passes gradcheck with padding rows provably at zero
-# gradient (attention_ops), and an attn train -> export -> serve -> query
-# journey runs the real CLI end to end. Hard timeouts so a wedged kernel
+# fused temporal-attention op matches a naive f64 oracle (K and V
+# materialized, hand-derived backward) forward and backward, passes
+# gradcheck with padding rows provably at zero gradient, and keeps NaN
+# and padding junk out of other units (attention_ops), and an attn
+# train -> export -> serve -> query journey runs the real CLI end to
+# end. Hard timeouts so a wedged kernel
 # thread-scope fails fast. (threaded_determinism above already covers
 # both aggregators' 1-vs-4-thread bit-identity.)
 cargo test -p ehna-core --test aggregator_golden --no-run -q

@@ -9,7 +9,7 @@
 //! | [`tgraph`] | `ehna-tgraph` | temporal graph storage, snapshots, IO, stats, embeddings |
 //! | [`datasets`] | `ehna-datasets` | seeded synthetic digg/yelp/tmall/dblp-like generators |
 //! | [`walks`] | `ehna-walks` | temporal / node2vec / CTDNE walk engines, alias sampling |
-//! | [`nn`] | `ehna-nn` | reverse-mode autodiff, LSTM/BN/Linear layers, SGD/Adam |
+//! | [`nn`] | `ehna-nn` | reverse-mode autodiff, LSTM/BN/Linear/Time2Vec layers, Adam |
 //! | [`core`] | `ehna-core` | the EHNA model: attention, aggregation, training, ablations |
 //! | [`baselines`] | `ehna-baselines` | Node2Vec, CTDNE, LINE, HTNE |
 //! | [`eval`] | `ehna-eval` | reconstruction & link-prediction pipelines, metrics |
