@@ -10,6 +10,7 @@
 //! cargo run --release -p ehna-bench --bin ext_nodeclass -- --scale tiny
 //! ```
 
+use ehna_bench::methods::train;
 use ehna_bench::table::{f4, Table};
 use ehna_bench::{Args, PAPER_METHOD_ORDER};
 use ehna_datasets::CommunityConfig;
@@ -39,7 +40,7 @@ fn main() {
     let nc_cfg = NodeClassificationConfig { seed: args.seed, ..Default::default() };
     for m in PAPER_METHOD_ORDER {
         eprintln!("[nodeclass] {} ...", m.name());
-        let emb = m.train(&graph, args.dim, args.seed, args.budget);
+        let emb = train(m, &graph, args.dim, args.seed, args.budget);
         let r = evaluate(&emb, &labels, &nc_cfg);
         table.row([m.name().to_string(), f4(r.accuracy), f4(r.macro_f1)]);
     }

@@ -11,6 +11,7 @@
 //! cargo run --release -p ehna-bench --bin fig4_reconstruction -- --scale tiny
 //! ```
 
+use ehna_bench::methods::train;
 use ehna_bench::table::{f4, Table};
 use ehna_bench::{Args, PAPER_METHOD_ORDER};
 use ehna_datasets::{generate, ALL_DATASETS};
@@ -40,7 +41,7 @@ fn main() {
         let mut columns: Vec<Vec<f64>> = Vec::new();
         for m in PAPER_METHOD_ORDER {
             eprintln!("[fig4] {} / {} ...", d.name(), m.name());
-            let emb = m.train(&graph, args.dim, args.seed, args.budget);
+            let emb = train(m, &graph, args.dim, args.seed, args.budget);
             let mut rng = StdRng::seed_from_u64(args.seed ^ 0xF164);
             columns.push(precision_at(&graph, &emb, &ps, &cfg, &mut rng));
         }

@@ -10,6 +10,7 @@
 //! cargo run --release -p ehna-bench --bin table3_6_linkpred -- --scale tiny
 //! ```
 
+use ehna_bench::methods::train;
 use ehna_bench::table::{f4, pct, Table};
 use ehna_bench::{Args, PAPER_METHOD_ORDER};
 use ehna_datasets::{generate, Dataset, ALL_DATASETS};
@@ -46,9 +47,9 @@ fn run_dataset(args: &Args, d: Dataset) {
     // Train every method once on the pre-cutoff network.
     let embs: Vec<NodeEmbeddings> = PAPER_METHOD_ORDER
         .iter()
-        .map(|m| {
+        .map(|&m| {
             eprintln!("[linkpred] {} / {} ...", d.name(), m.name());
-            m.train(task.train_graph(), args.dim, args.seed, args.budget)
+            train(m, task.train_graph(), args.dim, args.seed, args.budget)
         })
         .collect();
 

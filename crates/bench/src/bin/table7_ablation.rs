@@ -8,9 +8,10 @@
 //! cargo run --release -p ehna-bench --bin table7_ablation -- --scale tiny
 //! ```
 
-use ehna_bench::methods::Method;
+use ehna_bench::methods::train;
 use ehna_bench::table::{f4, Table};
 use ehna_bench::Args;
+use ehna_cli::method::MethodName;
 use ehna_core::variants::ALL_VARIANTS;
 use ehna_datasets::{generate, ALL_DATASETS};
 use ehna_eval::{EdgeOperator, LinkPredictionConfig, LinkPredictionTask};
@@ -36,8 +37,13 @@ fn main() {
         );
         for (vi, &variant) in ALL_VARIANTS.iter().enumerate() {
             eprintln!("[ablation] {} / {} ...", d.name(), variant.name());
-            let emb =
-                Method::Ehna(variant).train(task.train_graph(), args.dim, args.seed, args.budget);
+            let emb = train(
+                MethodName::Ehna(variant),
+                task.train_graph(),
+                args.dim,
+                args.seed,
+                args.budget,
+            );
             let m = task.evaluate(&emb, EdgeOperator::WeightedL2);
             rows[vi].push(f4(m.f1));
         }

@@ -21,4 +21,5 @@ pub mod methods;
 pub mod table;
 
 pub use cli::Args;
-pub use methods::{Method, TrainBudget, PAPER_METHOD_ORDER};
+pub use ehna_cli::method::PAPER_METHOD_ORDER;
+pub use methods::TrainBudget;

@@ -1,11 +1,13 @@
-//! The five compared methods (paper §V-B plus EHNA itself) behind one
-//! dispatch type, with two training budgets.
+//! The harnesses' training policy for the compared methods: two budgets
+//! and the hyperparameters each method gets under them. The method set
+//! itself, its display names and the paper's column order are
+//! [`ehna_cli::method`]'s.
 
 use ehna_baselines::{Ctdne, EmbeddingMethod, Htne, Line, Node2Vec, SkipGramConfig};
-use ehna_core::{EhnaConfig, EhnaVariant, Trainer};
+use ehna_cli::method::MethodName;
+use ehna_core::{EhnaConfig, Trainer};
 use ehna_tgraph::{NodeEmbeddings, TemporalGraph};
 use ehna_walks::{CtdneConfig, Node2VecConfig};
-use std::fmt;
 use std::str::FromStr;
 
 /// How much compute to spend per method.
@@ -32,93 +34,48 @@ impl FromStr for TrainBudget {
     }
 }
 
-/// One of the compared embedding methods.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Method {
-    /// LINE (1st+2nd order, concatenated).
-    Line,
-    /// Node2Vec (static p/q walks + SGNS).
-    Node2Vec,
-    /// CTDNE (forward temporal walks + SGNS).
-    Ctdne,
-    /// HTNE (Hawkes neighborhood formation).
-    Htne,
-    /// EHNA — optionally one of its ablation variants.
-    Ehna(EhnaVariant),
-}
-
-/// Column order of Tables III–VI.
-pub const PAPER_METHOD_ORDER: [Method; 5] =
-    [Method::Line, Method::Node2Vec, Method::Ctdne, Method::Htne, Method::Ehna(EhnaVariant::Full)];
-
-impl Method {
-    /// Table column label.
-    pub fn name(self) -> &'static str {
-        match self {
-            Method::Line => "LINE",
-            Method::Node2Vec => "Node2Vec",
-            Method::Ctdne => "CTDNE",
-            Method::Htne => "HTNE",
-            Method::Ehna(v) => v.name(),
+/// Train `method` on `graph` under `budget`.
+pub fn train(
+    method: MethodName,
+    graph: &TemporalGraph,
+    dim: usize,
+    seed: u64,
+    budget: TrainBudget,
+) -> NodeEmbeddings {
+    let quick = budget == TrainBudget::Quick;
+    match method {
+        MethodName::Line => {
+            Line { dim, samples_per_edge: if quick { 30 } else { 50 }, ..Default::default() }
+                .embed(graph, seed)
         }
-    }
-
-    /// Whether this is the proposed method (for error-reduction rows).
-    pub fn is_ours(self) -> bool {
-        matches!(self, Method::Ehna(_))
-    }
-
-    /// Train this method on `graph`.
-    pub fn train(
-        self,
-        graph: &TemporalGraph,
-        dim: usize,
-        seed: u64,
-        budget: TrainBudget,
-    ) -> NodeEmbeddings {
-        let quick = budget == TrainBudget::Quick;
-        match self {
-            Method::Line => {
-                Line { dim, samples_per_edge: if quick { 30 } else { 50 }, ..Default::default() }
-                    .embed(graph, seed)
-            }
-            Method::Node2Vec => Node2Vec {
-                walks: Node2VecConfig {
-                    length: if quick { 20 } else { 80 },
-                    walks_per_node: if quick { 4 } else { 10 },
-                    ..Default::default()
-                },
-                sgns: SkipGramConfig {
-                    dim,
-                    epochs: if quick { 1 } else { 2 },
-                    ..Default::default()
-                },
-                threads: 1,
-            }
-            .embed(graph, seed),
-            Method::Ctdne => Ctdne {
-                walks: CtdneConfig { length: if quick { 20 } else { 80 }, ..Default::default() },
+        MethodName::Node2Vec => Node2Vec {
+            walks: Node2VecConfig {
+                length: if quick { 20 } else { 80 },
                 walks_per_node: if quick { 4 } else { 10 },
-                sgns: SkipGramConfig {
-                    dim,
-                    epochs: if quick { 1 } else { 2 },
-                    ..Default::default()
-                },
-                threads: 1,
-            }
+                ..Default::default()
+            },
+            sgns: SkipGramConfig { dim, epochs: if quick { 1 } else { 2 }, ..Default::default() },
+            threads: 1,
+        }
+        .embed(graph, seed),
+        MethodName::Ctdne => Ctdne {
+            walks: CtdneConfig { length: if quick { 20 } else { 80 }, ..Default::default() },
+            walks_per_node: if quick { 4 } else { 10 },
+            sgns: SkipGramConfig { dim, epochs: if quick { 1 } else { 2 }, ..Default::default() },
+            threads: 1,
+        }
+        .embed(graph, seed),
+        MethodName::Htne => Htne { dim, epochs: if quick { 3 } else { 10 }, ..Default::default() }
             .embed(graph, seed),
-            Method::Htne => Htne { dim, epochs: if quick { 3 } else { 10 }, ..Default::default() }
-                .embed(graph, seed),
-            Method::Ehna(variant) => {
-                // §IV-D: bipartite (user–item) networks need the
-                // bidirectional objective Eq. 7.
-                let bidirectional = ehna_tgraph::algo::is_bipartite(graph);
-                let config = variant
-                    .configure(EhnaConfig { bidirectional, ..ehna_config(dim, seed, budget) });
-                let mut trainer = Trainer::new(graph, config).expect("valid EHNA config");
-                trainer.train();
-                trainer.into_embeddings()
-            }
+        MethodName::Ehna(variant) => {
+            // §IV-D: bipartite (user–item) networks need the
+            // bidirectional objective Eq. 7.
+            let bidirectional = ehna_tgraph::algo::is_bipartite(graph);
+            let config =
+                variant.configure(EhnaConfig { bidirectional, ..ehna_config(dim, seed, budget) });
+            let mut trainer = Trainer::new(graph, config).expect("valid EHNA config");
+            trainer.train();
+            trainer.into_embeddings()
         }
     }
 }
@@ -149,34 +106,22 @@ pub fn ehna_config(dim: usize, seed: u64, budget: TrainBudget) -> EhnaConfig {
     }
 }
 
-impl fmt::Display for Method {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ehna_cli::method::PAPER_METHOD_ORDER;
     use ehna_datasets::{generate, Dataset, Scale};
 
     #[test]
     fn every_method_trains_on_tiny_graph() {
         let g = generate(Dataset::DiggLike, Scale::Tiny, 1);
         for m in PAPER_METHOD_ORDER {
-            let e = m.train(&g, 16, 3, TrainBudget::Quick);
-            assert_eq!(e.num_nodes(), g.num_nodes(), "{m}");
-            assert_eq!(e.dim(), 16, "{m}");
-            assert!(e.as_slice().iter().all(|v| v.is_finite()), "{m}");
+            let e = train(m, &g, 16, 3, TrainBudget::Quick);
+            let name = m.name();
+            assert_eq!(e.num_nodes(), g.num_nodes(), "{name}");
+            assert_eq!(e.dim(), 16, "{name}");
+            assert!(e.as_slice().iter().all(|v| v.is_finite()), "{name}");
         }
-    }
-
-    #[test]
-    fn names_in_paper_order() {
-        let names: Vec<&str> = PAPER_METHOD_ORDER.iter().map(|m| m.name()).collect();
-        assert_eq!(names, vec!["LINE", "Node2Vec", "CTDNE", "HTNE", "EHNA"]);
-        assert!(Method::Ehna(EhnaVariant::Full).is_ours());
-        assert!(!Method::Line.is_ours());
     }
 
     #[test]

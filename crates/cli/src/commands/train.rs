@@ -429,14 +429,6 @@ mod tests {
     }
 
     #[test]
-    fn method_list_in_help_matches() {
-        use crate::method::METHOD_NAMES;
-        for name in METHOD_NAMES {
-            assert!(HELP.contains(name), "{name} missing from help");
-        }
-    }
-
-    #[test]
     fn rejects_unknown_flag() {
         let input = tiny_file("ehna_cli_train_in2.txt");
         let args: Vec<String> =

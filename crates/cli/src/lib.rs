@@ -90,7 +90,8 @@ commands:
   generate     synthesize a dataset preset into an edge-list file
   stats        print statistics of a temporal edge list
   train        train embeddings (ehna | ehna-na | ehna-rw | ehna-sl |
-               node2vec | ctdne | line | htne) and save a snapshot
+               ehna-attn | node2vec | ctdne | line | htne) and save a
+               snapshot
   export       convert an embedding snapshot to TSV
   linkpred     run the future-link-prediction evaluation
   reconstruct  run the network-reconstruction evaluation
@@ -141,5 +142,19 @@ mod tests {
     fn help_prints_usage() {
         let out = run_str(&["help"]).unwrap();
         assert!(out.contains("linkpred"));
+    }
+
+    #[test]
+    fn every_method_name_is_in_the_help_texts() {
+        let train_help = run_str(&["train", "--help"]).unwrap_err().message;
+        for (what, text) in
+            [("ehna help", run_str(&["help"]).unwrap()), ("train --help", train_help)]
+        {
+            let words: Vec<&str> =
+                text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')).collect();
+            for name in method::METHOD_NAMES {
+                assert!(words.contains(&name), "`{name}` missing from `{what}`");
+            }
+        }
     }
 }

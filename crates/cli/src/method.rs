@@ -135,6 +135,16 @@ pub enum MethodName {
 pub const METHOD_NAMES: [&str; 9] =
     ["ehna", "ehna-na", "ehna-rw", "ehna-sl", "ehna-attn", "node2vec", "ctdne", "line", "htne"];
 
+/// The compared methods (paper §V-B plus EHNA itself) in the column
+/// order of Tables III–VI.
+pub const PAPER_METHOD_ORDER: [MethodName; 5] = [
+    MethodName::Line,
+    MethodName::Node2Vec,
+    MethodName::Ctdne,
+    MethodName::Htne,
+    MethodName::Ehna(EhnaVariant::Full),
+];
+
 impl MethodName {
     /// Parse a CLI method name.
     pub fn parse(s: &str) -> Result<Self, CliError> {
@@ -293,6 +303,12 @@ mod tests {
             assert!(MethodName::parse(name).is_ok(), "{name}");
         }
         assert!(MethodName::parse("gcn").is_err());
+    }
+
+    #[test]
+    fn names_in_paper_order() {
+        let names: Vec<&str> = PAPER_METHOD_ORDER.iter().map(|m| m.name()).collect();
+        assert_eq!(names, vec!["LINE", "Node2Vec", "CTDNE", "HTNE", "EHNA"]);
     }
 
     #[test]

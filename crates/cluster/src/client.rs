@@ -14,13 +14,13 @@
 //! arrives, is discarded by id).
 
 use crate::proto::{read_msg, write_msg, write_preamble, ProtoError, Request, Response};
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
-use parking_lot::Mutex;
+use ehna_serve::lock;
 use std::collections::HashMap;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -51,7 +51,7 @@ struct ClientShared {
     /// In-flight calls awaiting a response, keyed by request id.
     /// Dropping a sender (draining on reader death) disconnects its
     /// receiver, failing that caller fast.
-    pending: Mutex<HashMap<u64, Sender<Response>>>,
+    pending: Mutex<HashMap<u64, SyncSender<Response>>>,
     dead: AtomicBool,
     dead_reason: Mutex<String>,
 }
@@ -59,9 +59,9 @@ struct ClientShared {
 impl ClientShared {
     fn mark_dead(&self, reason: String) {
         if !self.dead.swap(true, Ordering::SeqCst) {
-            *self.dead_reason.lock() = reason;
+            *lock(self.dead_reason.lock()) = reason;
         }
-        self.pending.lock().clear();
+        lock(self.pending.lock()).clear();
     }
 }
 
@@ -88,7 +88,7 @@ impl PendingReply {
             Ok(resp) => Ok(resp),
             Err(RecvTimeoutError::Timeout) => Err(CallError::Timeout(timeout)),
             Err(RecvTimeoutError::Disconnected) => {
-                Err(CallError::Dead(self.shared.dead_reason.lock().clone()))
+                Err(CallError::Dead(lock(self.shared.dead_reason.lock()).clone()))
             }
         }
         // Drop removes the pending id: a no-op when the reader already
@@ -98,7 +98,7 @@ impl PendingReply {
 
 impl Drop for PendingReply {
     fn drop(&mut self) {
-        self.shared.pending.lock().remove(&self.id);
+        lock(self.shared.pending.lock()).remove(&self.id);
     }
 }
 
@@ -173,16 +173,16 @@ impl MuxClient {
     /// failed or the reader died).
     pub fn begin(&self, req: &Request) -> Result<PendingReply, CallError> {
         if self.is_dead() {
-            return Err(CallError::Dead(self.shared.dead_reason.lock().clone()));
+            return Err(CallError::Dead(lock(self.shared.dead_reason.lock()).clone()));
         }
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = bounded(1);
-        self.shared.pending.lock().insert(id, tx);
+        let (tx, rx) = sync_channel(1);
+        lock(self.shared.pending.lock()).insert(id, tx);
         {
-            let mut w = self.writer.lock();
+            let mut w = lock(self.writer.lock());
             if let Err(e) = write_msg(&mut *w, id, req).and_then(|()| w.flush()) {
                 drop(w);
-                self.shared.pending.lock().remove(&id);
+                lock(self.shared.pending.lock()).remove(&id);
                 self.shared.mark_dead(format!("write failed: {e}"));
                 return Err(CallError::Dead(e.to_string()));
             }
@@ -191,8 +191,8 @@ impl MuxClient {
         // liveness check above and our insert, leaving this call's entry
         // orphaned — re-check before handing out a waitable handle.
         if self.is_dead() {
-            self.shared.pending.lock().remove(&id);
-            return Err(CallError::Dead(self.shared.dead_reason.lock().clone()));
+            lock(self.shared.pending.lock()).remove(&id);
+            return Err(CallError::Dead(lock(self.shared.dead_reason.lock()).clone()));
         }
         Ok(PendingReply { shared: Arc::clone(&self.shared), id, rx })
     }
@@ -224,7 +224,7 @@ fn reader_loop(stream: TcpStream, shared: &ClientShared) {
             Ok((id, resp)) => {
                 // An absent id means the caller already timed out; the
                 // late response is dropped on the floor.
-                if let Some(tx) = shared.pending.lock().remove(&id) {
+                if let Some(tx) = lock(shared.pending.lock()).remove(&id) {
                     let _ = tx.try_send(resp);
                 }
             }

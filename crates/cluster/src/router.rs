@@ -65,11 +65,10 @@ use crate::manifest::{global_of, owner_of, ClusterManifest};
 use crate::proto::{Request, Response};
 use crate::ClusterError;
 use ehna_serve::cache::LruCache;
-use ehna_serve::{op_counts_json, EngineStats, Json, LineHandler, RequestLimits, Role};
-use parking_lot::Mutex;
+use ehna_serve::{lock, op_counts_json, EngineStats, Json, LineHandler, RequestLimits, Role};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -201,7 +200,7 @@ impl Replica {
     }
 
     fn breaker_open(&self) -> bool {
-        matches!(*self.open_until.lock(), Some(until) if Instant::now() < until)
+        matches!(*lock(self.open_until.lock()), Some(until) if Instant::now() < until)
     }
 
     fn preferred(&self) -> bool {
@@ -210,14 +209,14 @@ impl Replica {
 
     fn record_success(&self) {
         self.failures.store(0, Ordering::Relaxed);
-        *self.open_until.lock() = None;
+        *lock(self.open_until.lock()) = None;
         self.healthy.store(true, Ordering::Relaxed);
     }
 
     fn record_failure(&self, config: &RouterConfig) {
         let f = self.failures.fetch_add(1, Ordering::Relaxed) + 1;
         if f >= config.breaker_threshold {
-            *self.open_until.lock() = Some(Instant::now() + config.breaker_cooldown);
+            *lock(self.open_until.lock()) = Some(Instant::now() + config.breaker_cooldown);
         }
         self.healthy.store(false, Ordering::Relaxed);
     }
@@ -229,15 +228,15 @@ impl Replica {
     /// no-thundering-redial property — one caller dials, the rest queue
     /// behind it and pick up the freshly installed connection.
     fn client(&self, config: &RouterConfig) -> Result<Arc<MuxClient>, String> {
-        if let Some(c) = self.conn.lock().as_ref() {
+        if let Some(c) = lock(self.conn.lock()).as_ref() {
             if !c.is_dead() {
                 return Ok(Arc::clone(c));
             }
         }
-        let _dialing = self.dial.lock();
+        let _dialing = lock(self.dial.lock());
         // Whoever held `dial` before us may have just installed a live
         // connection — take it instead of dialing again.
-        if let Some(c) = self.conn.lock().as_ref() {
+        if let Some(c) = lock(self.conn.lock()).as_ref() {
             if !c.is_dead() {
                 return Ok(Arc::clone(c));
             }
@@ -245,11 +244,11 @@ impl Replica {
         match MuxClient::connect(self.addr, config.connect_timeout, config.shard_timeout) {
             Ok(c) => {
                 let c = Arc::new(c);
-                *self.conn.lock() = Some(Arc::clone(&c));
+                *lock(self.conn.lock()) = Some(Arc::clone(&c));
                 Ok(c)
             }
             Err(e) => {
-                *self.conn.lock() = None;
+                *lock(self.conn.lock()) = None;
                 Err(format!("connect {}: {e}", self.addr))
             }
         }
@@ -258,7 +257,7 @@ impl Replica {
     /// Drop the cached connection iff it is still `client` (a concurrent
     /// caller may have already installed a fresh one).
     fn drop_conn_if(&self, client: &Arc<MuxClient>) {
-        let mut guard = self.conn.lock();
+        let mut guard = lock(self.conn.lock());
         if guard.as_ref().is_some_and(|c| Arc::ptr_eq(c, client)) {
             *guard = None;
         }
@@ -340,7 +339,7 @@ impl Replica {
             healthy: self.healthy.load(Ordering::Relaxed),
             breaker_open: self.breaker_open(),
             consecutive_failures: self.failures.load(Ordering::Relaxed),
-            connected: self.conn.lock().as_ref().is_some_and(|c| !c.is_dead()),
+            connected: lock(self.conn.lock()).as_ref().is_some_and(|c| !c.is_dead()),
             in_flight: self.in_flight.load(Ordering::Relaxed),
             snapshot_version: self.last_version.load(Ordering::Relaxed),
         }
@@ -508,7 +507,7 @@ impl Router {
 impl Drop for Router {
     fn drop(&mut self) {
         self.inner.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.probe.lock().take() {
+        if let Some(h) = lock(self.probe.lock()).take() {
             let _ = h.join();
         }
     }
@@ -764,11 +763,13 @@ impl Inner {
     /// outage, and the standalone server re-answers unknown keys cheaply
     /// anyway).
     fn resolve_cached(&self, key: &str, versions: &VersionVec) -> Result<(u32, Vec<f32>), String> {
-        if let Some(hit) = self.resolve_cache.lock().get(&(key.to_string(), versions.clone())) {
+        if let Some(hit) = lock(self.resolve_cache.lock()).get(&(key.to_string(), versions.clone()))
+        {
             return Ok(hit.clone());
         }
         let resolved = self.resolve_global(key)?;
-        self.resolve_cache.lock().insert((key.to_string(), versions.clone()), resolved.clone());
+        lock(self.resolve_cache.lock())
+            .insert((key.to_string(), versions.clone()), resolved.clone());
         Ok(resolved)
     }
 
@@ -860,7 +861,9 @@ impl Inner {
                 // aliased spellings of one node share an entry, exactly
                 // like the standalone engine's id-keyed hot-node cache.
                 if !explain {
-                    if let Some(hit) = self.knn_cache.lock().get(&(global, k, versions.clone())) {
+                    if let Some(hit) =
+                        lock(self.knn_cache.lock()).get(&(global, k, versions.clone()))
+                    {
                         self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
                         return Ok(knn_json(k, hit, true));
                     }
@@ -948,7 +951,7 @@ impl Inner {
             // start: if a reload landed mid-request, this entry's key is
             // already orphaned and can never answer a new-generation
             // query (the PR 5 version-keyed discipline).
-            self.knn_cache.lock().insert((global, k, versions), Arc::new(neighbors.clone()));
+            lock(self.knn_cache.lock()).insert((global, k, versions), Arc::new(neighbors.clone()));
         }
         Ok(knn_json(k, &neighbors, false))
     }

@@ -10,12 +10,11 @@ use crate::cache::LruCache;
 use crate::index::{BruteForceIndex, KnnIndex, Neighbor, SearchInfo};
 use crate::stats::{EngineStats, StatsSnapshot};
 use crate::store::EmbeddingStore;
-use crate::ServeError;
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use crate::{lock, ServeError};
 use ehna_tgraph::NodeId;
-use parking_lot::{Mutex, RwLock};
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
+use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -64,7 +63,7 @@ enum Response {
 struct Job {
     req: Request,
     started: Instant,
-    reply: Sender<Result<Response, ServeError>>,
+    reply: SyncSender<Result<Response, ServeError>>,
 }
 
 /// Cached k-NN answers, keyed by `(snapshot version, node id, k)` — the
@@ -96,7 +95,7 @@ struct Shared {
 
 impl Shared {
     fn snapshot(&self) -> Arc<Snapshot> {
-        Arc::clone(&self.snap.read())
+        lock(self.snap.read()).clone()
     }
 }
 
@@ -120,11 +119,12 @@ impl QueryEngine {
             stats: EngineStats::default(),
         });
         shared.stats.snapshot_version.store(1, Ordering::Relaxed);
-        let (tx, rx) = unbounded::<Job>();
+        let (tx, rx) = mpsc::channel::<Job>();
+        let rx = Arc::new(Mutex::new(rx));
         let batch_max = config.batch_max.max(1);
         let workers = (0..config.workers.max(1))
             .map(|_| {
-                let rx: Receiver<Job> = rx.clone();
+                let rx = Arc::clone(&rx);
                 let shared = Arc::clone(&shared);
                 std::thread::spawn(move || worker_loop(&rx, &shared, batch_max))
             })
@@ -156,7 +156,7 @@ impl QueryEngine {
         store: Arc<EmbeddingStore>,
         index: Box<dyn KnnIndex>,
     ) -> SnapshotVersion {
-        let mut guard = self.shared.snap.write();
+        let mut guard = lock(self.shared.snap.write());
         let next = Snapshot {
             version: guard.version + 1,
             oracle: BruteForceIndex::new(Arc::clone(&store)),
@@ -166,7 +166,7 @@ impl QueryEngine {
         let version = next.version;
         *guard = Arc::new(next);
         drop(guard);
-        self.shared.cache.lock().clear();
+        lock(self.shared.cache.lock()).clear();
         self.shared.stats.reloads.fetch_add(1, Ordering::Relaxed);
         let now = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
@@ -250,7 +250,7 @@ impl QueryEngine {
     }
 
     fn submit(&self, req: Request) -> Result<Response, ServeError> {
-        let (reply_tx, reply_rx) = bounded(1);
+        let (reply_tx, reply_rx) = mpsc::sync_channel(1);
         let job = Job { req, started: Instant::now(), reply: reply_tx };
         self.tx
             .as_ref()
@@ -280,15 +280,16 @@ impl std::fmt::Debug for QueryEngine {
     }
 }
 
-fn worker_loop(rx: &Receiver<Job>, shared: &Shared, batch_max: usize) {
-    while let Ok(first) = rx.recv() {
+fn worker_loop(rx: &Mutex<Receiver<Job>>, shared: &Shared, batch_max: usize) {
+    loop {
+        // The workers share one receiver: hold it only for the blocking
+        // receive and the drain of what is already queued behind it.
         let mut batch = Vec::with_capacity(batch_max);
-        batch.push(first);
-        while batch.len() < batch_max {
-            match rx.try_recv() {
-                Ok(job) => batch.push(job),
-                Err(_) => break,
-            }
+        {
+            let rx = lock(rx.lock());
+            let Ok(first) = rx.recv() else { return };
+            batch.push(first);
+            batch.extend(rx.try_iter().take(batch_max - 1));
         }
         shared.stats.batches.fetch_add(1, Ordering::Relaxed);
         for job in batch {
@@ -308,7 +309,7 @@ fn process(shared: &Shared, snap: &Snapshot, req: Request) -> Result<Response, S
     match req {
         Request::KnnNode { id, k, explain } => {
             if !explain {
-                if let Some(hit) = shared.cache.lock().get(&(snap.version, id.0, k)) {
+                if let Some(hit) = lock(shared.cache.lock()).get(&(snap.version, id.0, k)) {
                     shared.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
                     return Ok(Response::Knn(KnnResult {
                         neighbors: hit.as_ref().clone(),
@@ -324,9 +325,7 @@ fn process(shared: &Shared, snap: &Snapshot, req: Request) -> Result<Response, S
             let query = snap.store.row(id)?.to_vec();
             let mut result = knn(snap, &query, k, explain, Some(id));
             if !explain {
-                shared
-                    .cache
-                    .lock()
+                lock(shared.cache.lock())
                     .insert((snap.version, id.0, k), Arc::new(result.neighbors.clone()));
             }
             result.cached = false;

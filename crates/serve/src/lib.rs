@@ -53,6 +53,18 @@ pub use store::{canonical_node_id, EmbeddingStore, RowDistance, RowSource, MAX_N
 
 use std::fmt;
 use std::io;
+use std::sync::{LockResult, PoisonError};
+
+/// Take a `std::sync` lock guard — `lock(m.lock())`, `lock(rw.read())`,
+/// `lock(rw.write())` — recovering it if a thread panicked while holding
+/// the lock. Every lock in the serving and routing code guards data that
+/// each update leaves valid (a map insert or remove, a slot assignment,
+/// a cache insert, a queue receive), so the data behind a poisoned lock
+/// is still sound, and one failed thread must not wedge every later
+/// request.
+pub fn lock<G>(acquired: LockResult<G>) -> G {
+    acquired.unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Everything that can go wrong while serving.
 #[derive(Debug)]
@@ -103,5 +115,30 @@ impl std::error::Error for ServeError {
 impl From<io::Error> for ServeError {
     fn from(e: io::Error) -> Self {
         ServeError::Io(e)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::lock;
+    use std::sync::{Arc, Mutex, RwLock};
+
+    #[test]
+    fn lock_recovers_a_lock_poisoned_by_a_panicking_holder() {
+        let m = Arc::new(Mutex::new(0));
+        let rw = Arc::new(RwLock::new(0));
+        let (m2, rw2) = (Arc::clone(&m), Arc::clone(&rw));
+        let panicked = std::thread::spawn(move || {
+            let _m = lock(m2.lock());
+            let _w = lock(rw2.write());
+            panic!("poison both locks");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(m.is_poisoned() && rw.is_poisoned());
+        *lock(m.lock()) += 1;
+        *lock(rw.write()) += 2;
+        assert_eq!(*lock(m.lock()), 1);
+        assert_eq!(*lock(rw.read()), 2);
     }
 }

@@ -54,15 +54,14 @@ use crate::index::KnnIndex;
 use crate::json::Json;
 use crate::stats::EngineStats;
 use crate::store::EmbeddingStore;
-use crate::ServeError;
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
+use crate::{lock, ServeError};
 use ehna_tgraph::NodeId;
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -336,10 +335,11 @@ impl Server {
             conns: Mutex::new(HashMap::new()),
             next_conn_id: AtomicU64::new(0),
         });
-        let (tx, rx) = bounded::<TcpStream>(shared.config.max_connections.max(1));
+        let (tx, rx) = sync_channel::<TcpStream>(shared.config.max_connections.max(1));
+        let rx = Arc::new(Mutex::new(rx));
         let workers = (0..shared.config.conn_workers.max(1))
             .map(|_| {
-                let rx = rx.clone();
+                let rx = Arc::clone(&rx);
                 let shared = Arc::clone(&shared);
                 std::thread::spawn(move || conn_worker(&shared, &rx))
             })
@@ -359,7 +359,8 @@ impl Server {
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<ServerShared>,
-    rx: Receiver<TcpStream>,
+    /// The admitted-connection queue the workers share.
+    rx: Arc<Mutex<Receiver<TcpStream>>>,
     accept: Option<JoinHandle<io::Result<()>>>,
     workers: Option<Vec<JoinHandle<()>>>,
 }
@@ -394,13 +395,13 @@ impl ServerHandle {
         }
         // Connections admitted but never picked up by a worker are
         // dropped unserved.
-        while let Ok(stream) = self.rx.try_recv() {
+        for stream in lock(self.rx.lock()).try_iter() {
             drop(stream);
             self.shared.active.fetch_sub(1, Ordering::SeqCst);
         }
         // Wake workers blocked reading from idle connections; the
         // write half stays open so in-flight responses still go out.
-        for conn in self.shared.conns.lock().values() {
+        for conn in lock(self.shared.conns.lock()).values() {
             let _ = conn.shutdown(Shutdown::Read);
         }
         let deadline = Instant::now() + self.shared.config.drain_deadline;
@@ -408,7 +409,7 @@ impl ServerHandle {
             std::thread::sleep(DRAIN_POLL);
         }
         // Past the deadline: cut remaining sockets entirely.
-        for conn in self.shared.conns.lock().values() {
+        for conn in lock(self.shared.conns.lock()).values() {
             let _ = conn.shutdown(Shutdown::Both);
         }
         if let Some(workers) = self.workers.take() {
@@ -432,7 +433,7 @@ impl Drop for ServerHandle {
 fn accept_loop(
     listener: &TcpListener,
     shared: &Arc<ServerShared>,
-    tx: &Sender<TcpStream>,
+    tx: &SyncSender<TcpStream>,
 ) -> io::Result<()> {
     while !shared.stop.load(Ordering::SeqCst) {
         match listener.accept() {
@@ -452,7 +453,7 @@ fn accept_loop(
 /// Admission control: configure the socket, then either enqueue the
 /// connection for the worker pool or shed it with an `overloaded`
 /// response.
-fn admit(shared: &ServerShared, tx: &Sender<TcpStream>, stream: TcpStream) {
+fn admit(shared: &ServerShared, tx: &SyncSender<TcpStream>, stream: TcpStream) {
     // Accepted sockets must be blocking regardless of what the
     // non-blocking listener hands us (platform-dependent inheritance).
     let _ = stream.set_nonblocking(false);
@@ -487,12 +488,15 @@ fn shed(shared: &ServerShared, stream: &TcpStream) {
 
 /// One worker of the bounded pool: serve connections from the queue
 /// until shutdown.
-fn conn_worker(shared: &Arc<ServerShared>, rx: &Receiver<TcpStream>) {
+fn conn_worker(shared: &Arc<ServerShared>, rx: &Mutex<Receiver<TcpStream>>) {
     loop {
         if shared.stop.load(Ordering::SeqCst) {
             break;
         }
-        match rx.recv_timeout(POLL_INTERVAL) {
+        // The queue guard drops with this statement, before the
+        // connection is served.
+        let next = lock(rx.lock()).recv_timeout(POLL_INTERVAL);
+        match next {
             Ok(stream) => handle_connection(shared, &stream),
             Err(RecvTimeoutError::Timeout) => {}
             Err(RecvTimeoutError::Disconnected) => break,
@@ -507,14 +511,14 @@ fn handle_connection(shared: &ServerShared, stream: &TcpStream) {
         let conn_id = shared.next_conn_id.fetch_add(1, Ordering::Relaxed);
         let registered = match stream.try_clone() {
             Ok(clone) => {
-                shared.conns.lock().insert(conn_id, clone);
+                lock(shared.conns.lock()).insert(conn_id, clone);
                 true
             }
             Err(_) => false,
         };
         serve_connection(shared, stream);
         if registered {
-            shared.conns.lock().remove(&conn_id);
+            lock(shared.conns.lock()).remove(&conn_id);
         }
     }
     shared.active.fetch_sub(1, Ordering::SeqCst);
@@ -1068,6 +1072,7 @@ mod tests {
     use crate::index::BruteForceIndex;
     use crate::store::EmbeddingStore;
     use ehna_tgraph::{NameMap, NodeEmbeddings};
+    use std::io::Read;
 
     fn engine() -> Arc<QueryEngine> {
         let emb = NodeEmbeddings::from_vec(2, vec![0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 5.0, 5.0]);
@@ -1098,9 +1103,50 @@ mod tests {
         let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (stream, _) = listener.accept().unwrap();
         assert!(!stream.nodelay().unwrap(), "accepted sockets start with Nagle on");
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = sync_channel(1);
         admit(&shared, &tx, stream);
         assert!(rx.try_recv().unwrap().nodelay().unwrap());
+    }
+
+    #[test]
+    fn shutdown_drops_queued_connections_unserved() {
+        let drain_deadline = Duration::from_millis(500);
+        let config = ServerConfig { conn_workers: 1, drain_deadline, ..ServerConfig::default() };
+        let handle = Server::bind_with("127.0.0.1:0", engine(), config).unwrap().spawn().unwrap();
+        let ping = |mut stream: &TcpStream| stream.write_all(b"{\"op\":\"ping\"}\n").unwrap();
+
+        // The only worker serves `idle` and then blocks reading it.
+        let idle = TcpStream::connect(handle.addr()).unwrap();
+        ping(&idle);
+        let mut line = String::new();
+        BufReader::new(&idle).read_line(&mut line).unwrap();
+        assert!(line.contains(r#""ok":true"#), "{line}");
+
+        // Two more connections wait in the shared queue, requests sent.
+        let queued: Vec<TcpStream> =
+            (0..2).map(|_| TcpStream::connect(handle.addr()).unwrap()).collect();
+        for q in &queued {
+            ping(q);
+            q.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        }
+        let admitted = Instant::now();
+        while handle.shared.active.load(Ordering::SeqCst) < 3 {
+            assert!(admitted.elapsed() < Duration::from_secs(5), "queued conns never admitted");
+            std::thread::sleep(POLL_INTERVAL);
+        }
+
+        let started = Instant::now();
+        handle.shutdown();
+        let elapsed = started.elapsed();
+        assert!(elapsed < drain_deadline + Duration::from_secs(1), "shutdown took {elapsed:?}");
+        for mut q in &queued {
+            let mut rest = Vec::new();
+            match q.read_to_end(&mut rest) {
+                // Closed with the request unread: a reset is EOF too.
+                Ok(_) => assert!(rest.is_empty(), "{}", String::from_utf8_lossy(&rest)),
+                Err(e) => assert_eq!(e.kind(), io::ErrorKind::ConnectionReset, "{e}"),
+            }
+        }
     }
 
     #[test]

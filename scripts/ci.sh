@@ -25,9 +25,9 @@ echo "== fault-injection suite (wall-clock bounded)"
 # shutdown: if a hang is ever reintroduced, the hard timeout turns a
 # wedged CI run into a fast failure. Build first so the timeout budget
 # is spent on the tests, not the compiler.
-cargo test -p ehna-serve --test fault_injection --no-run -q
+cargo test --test fault_injection --no-run -q
 timeout --kill-after=10 120 \
-    cargo test -p ehna-serve --test fault_injection -q
+    cargo test --test fault_injection -q
 
 echo "== checkpoint/resume gates (wall-clock bounded)"
 # Resume determinism (train 2N uninterrupted == train N + checkpoint +
@@ -74,14 +74,14 @@ echo "== router gates (wall-clock bounded)"
 # client responses throughout). Hard timeouts so a wedged scatter or
 # probe loop fails fast instead of hanging CI.
 cargo test -p ehna-cluster --test proto_robustness --no-run -q
-cargo test -p ehna-cluster --test router_equivalence --no-run -q
-cargo test -p ehna-cluster --test cluster_faults --no-run -q
+cargo test --test router_equivalence --no-run -q
+cargo test --test cluster_faults --no-run -q
 timeout --kill-after=10 120 \
     cargo test -p ehna-cluster --test proto_robustness -q
 timeout --kill-after=10 180 \
-    cargo test -p ehna-cluster --test router_equivalence -q
+    cargo test --test router_equivalence -q
 timeout --kill-after=10 180 \
-    cargo test -p ehna-cluster --test cluster_faults -q
+    cargo test --test cluster_faults -q
 
 echo "== quant gates (wall-clock bounded)"
 # The EHNQ artifact family's load-bearing guarantees: format robustness
