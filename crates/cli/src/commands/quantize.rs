@@ -5,7 +5,7 @@
 use crate::commands::io_err;
 use crate::flags::Flags;
 use crate::CliError;
-use ehna_nn::ioutil::atomic_write_path;
+use ehna_tgraph::ioutil::atomic_write_path;
 use ehna_tgraph::{NodeEmbeddings, NodeId, QuantFormat, QuantSpec, QuantizedEmbeddings};
 use std::io::{Read, Write};
 use std::path::Path;

@@ -8,7 +8,7 @@ use crate::CliError;
 use ehna_core::load_checkpoint_path;
 use ehna_serve::{query_lines, Json};
 use ehna_stream::{EdgeLogReader, StreamOptions, StreamProcessor};
-use ehna_tgraph::read_edge_list_path;
+use ehna_tgraph::{ioutil::atomic_write_path, read_edge_list_path};
 use std::io::Write;
 use std::path::Path;
 
@@ -199,8 +199,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     }
 
     if let Some(path) = flags.get("checkpoint-out") {
-        ehna_nn::ioutil::atomic_write_path(Path::new(path), |w| proc.model().save_checkpoint(w))
-            .map_err(io_err)?;
+        atomic_write_path(Path::new(path), |w| proc.model().save_checkpoint(w)).map_err(io_err)?;
         writeln!(out, "wrote fine-tuned checkpoint to {path}").map_err(io_err)?;
     }
     writeln!(out, "processed {} batches; final snapshot at {snapshot}", proc.batches_done())
@@ -211,7 +210,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 /// Atomically rewrite the served snapshot (same discipline as `ehna
 /// train`: a torn write must never destroy the previous good snapshot).
 fn write_snapshot(path: &str, proc: &StreamProcessor) -> Result<(), CliError> {
-    ehna_nn::ioutil::atomic_write_path(Path::new(path), |w| {
+    atomic_write_path(Path::new(path), |w| {
         proc.embeddings().save(w).map_err(|e| std::io::Error::other(e.to_string()))
     })
     .map_err(io_err)

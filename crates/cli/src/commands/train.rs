@@ -107,7 +107,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let emb = outcome.embeddings;
     // The snapshot gets the same crash-safety discipline as checkpoints:
     // a torn write must never destroy a previous good snapshot.
-    ehna_nn::ioutil::atomic_write_path(std::path::Path::new(snapshot), |w| {
+    ehna_tgraph::ioutil::atomic_write_path(std::path::Path::new(snapshot), |w| {
         emb.save(w).map_err(|e| std::io::Error::other(e.to_string()))
     })
     .map_err(io_err)?;
@@ -291,7 +291,7 @@ mod tests {
         let dir = std::env::temp_dir();
         let snap = dir.join("ehna_cli_train_ckpt_out.bin");
         let ckpt = dir.join("ehna_cli_train_ckpt.ckpt");
-        let bak = ehna_nn::ioutil::backup_path(&ckpt);
+        let bak = ehna_tgraph::ioutil::backup_path(&ckpt);
         let _ = std::fs::remove_file(&ckpt);
         let _ = std::fs::remove_file(&bak);
         let common = ["--method", "ehna", "--dim", "8", "--walks", "2", "--walk-length", "3"];
@@ -326,7 +326,7 @@ mod tests {
         ]);
         let text = run_args(&second).unwrap();
         assert!(!text.contains("warning:"), "v2 resume must be warning-free: {text}");
-        for p in [&input, &snap, &ckpt, &bak, &ehna_nn::ioutil::backup_path(&snap)] {
+        for p in [&input, &snap, &ckpt, &bak, &ehna_tgraph::ioutil::backup_path(&snap)] {
             let _ = std::fs::remove_file(p);
         }
     }
@@ -371,15 +371,15 @@ mod tests {
         for p in [&input, &snap, &ckpt] {
             let _ = std::fs::remove_file(p);
         }
-        let _ = std::fs::remove_file(ehna_nn::ioutil::backup_path(&ckpt));
-        let _ = std::fs::remove_file(ehna_nn::ioutil::backup_path(&snap));
+        let _ = std::fs::remove_file(ehna_tgraph::ioutil::backup_path(&ckpt));
+        let _ = std::fs::remove_file(ehna_tgraph::ioutil::backup_path(&snap));
     }
 
     #[test]
     fn snapshot_writes_are_atomic_and_rotate() {
         let input = tiny_file("ehna_cli_train_atomic_in.txt");
         let snap = std::env::temp_dir().join("ehna_cli_train_atomic_out.bin");
-        let bak = ehna_nn::ioutil::backup_path(&snap);
+        let bak = ehna_tgraph::ioutil::backup_path(&snap);
         let _ = std::fs::remove_file(&snap);
         let _ = std::fs::remove_file(&bak);
         let args = [

@@ -6,7 +6,7 @@ use ehna_baselines::{Ctdne, EmbeddingMethod, Htne, Line, Node2Vec, SkipGramConfi
 use ehna_core::{
     load_checkpoint_path, AggregatorKind, EhnaConfig, EhnaVariant, Trainer, TrainingReport,
 };
-use ehna_nn::ioutil::backup_path;
+use ehna_tgraph::ioutil::backup_path;
 use ehna_tgraph::{NodeEmbeddings, TemporalGraph};
 use ehna_walks::{CtdneConfig, Node2VecConfig};
 use std::path::PathBuf;

@@ -20,14 +20,14 @@
 //! ```
 //!
 //! File names are stored relative to the manifest's directory so a shard
-//! directory can be moved or rsynced wholesale. The trailing digest is
-//! the same FNV-1a 64 the EHNL/EHNP formats use; [`ClusterManifest::verify`]
+//! directory can be moved or rsynced wholesale. The header and the
+//! trailing digest are the shared ones of [`ehna_tgraph::ioutil`] (the
+//! workspace's one [`fnv1a64`]); [`ClusterManifest::verify`]
 //! additionally re-hashes every referenced file so a truncated or
 //! swapped shard snapshot is caught before it serves a single query.
 
-use crate::proto::fnv1a64;
 use crate::ClusterError;
-use ehna_nn::ioutil::atomic_write_path;
+use ehna_tgraph::ioutil::{self, atomic_write_path, fnv1a64, put_string, Cursor, FormatError};
 use std::io::{Read, Write};
 use std::path::Path;
 
@@ -81,30 +81,22 @@ pub fn global_of(shard: u32, local: u32, num_shards: u32) -> u32 {
     local * num_shards + shard
 }
 
-fn put_string(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
 impl ClusterManifest {
     /// Serialize to the `EHNM` v1 byte format.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut payload = Vec::new();
-        payload.extend_from_slice(&self.num_shards.to_le_bytes());
-        payload.extend_from_slice(&self.total_nodes.to_le_bytes());
-        payload.extend_from_slice(&self.dim.to_le_bytes());
+        let mut buf = ioutil::header(MANIFEST_MAGIC, MANIFEST_VERSION).to_vec();
+        buf.extend_from_slice(&self.num_shards.to_le_bytes());
+        buf.extend_from_slice(&self.total_nodes.to_le_bytes());
+        buf.extend_from_slice(&self.dim.to_le_bytes());
         for s in &self.shards {
-            put_string(&mut payload, &s.snapshot);
-            put_string(&mut payload, &s.names);
-            payload.extend_from_slice(&s.nodes.to_le_bytes());
-            payload.extend_from_slice(&s.snapshot_fnv.to_le_bytes());
-            payload.extend_from_slice(&s.names_fnv.to_le_bytes());
+            put_string(&mut buf, &s.snapshot);
+            put_string(&mut buf, &s.names);
+            buf.extend_from_slice(&s.nodes.to_le_bytes());
+            buf.extend_from_slice(&s.snapshot_fnv.to_le_bytes());
+            buf.extend_from_slice(&s.names_fnv.to_le_bytes());
         }
-        let mut buf = Vec::with_capacity(8 + payload.len() + 8);
-        buf.extend_from_slice(&MANIFEST_MAGIC);
-        buf.extend_from_slice(&MANIFEST_VERSION.to_le_bytes());
-        buf.extend_from_slice(&payload);
-        buf.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
+        let digest = fnv1a64(&buf[ioutil::HEADER_LEN..]);
+        buf.extend_from_slice(&digest.to_le_bytes());
         buf
     }
 
@@ -114,37 +106,24 @@ impl ClusterManifest {
     /// [`ClusterError::Manifest`] on bad magic/version, truncation,
     /// checksum mismatch, or inconsistent shard counts.
     pub fn from_bytes(buf: &[u8]) -> Result<Self, ClusterError> {
-        let bad = |msg: String| ClusterError::Manifest(msg);
-        if buf.len() < 16 {
+        Self::parse(buf).map_err(|e| ClusterError::Manifest(e.to_string()))
+    }
+
+    fn parse(buf: &[u8]) -> Result<Self, FormatError> {
+        let bad = FormatError::Corrupt;
+        if buf.len() < ioutil::HEADER_LEN + 8 {
             return Err(bad(format!("manifest of {} bytes is too short", buf.len())));
         }
-        if buf[..4] != MANIFEST_MAGIC {
-            return Err(bad("bad magic (not an EHNM manifest)".into()));
-        }
-        let version = u32::from_le_bytes(buf[4..8].try_into().expect("4 bytes"));
-        if version != MANIFEST_VERSION {
-            return Err(bad(format!("unsupported manifest version {version}")));
-        }
-        let payload = &buf[8..buf.len() - 8];
-        let digest = u64::from_le_bytes(buf[buf.len() - 8..].try_into().expect("8 bytes"));
-        if digest != fnv1a64(payload) {
+        ioutil::check_header(buf, MANIFEST_MAGIC, MANIFEST_VERSION..=MANIFEST_VERSION)?;
+        let (payload, digest) =
+            buf[ioutil::HEADER_LEN..].split_at(buf.len() - ioutil::HEADER_LEN - 8);
+        if Cursor::new(digest).u64()? != fnv1a64(payload) {
             return Err(bad("checksum mismatch".into()));
         }
-        let mut pos = 0usize;
-        let take = |pos: &mut usize, n: usize| -> Result<&[u8], ClusterError> {
-            if payload.len() - *pos < n {
-                return Err(ClusterError::Manifest(format!(
-                    "payload truncated at offset {}",
-                    *pos
-                )));
-            }
-            let s = &payload[*pos..*pos + n];
-            *pos += n;
-            Ok(s)
-        };
-        let num_shards = u32::from_le_bytes(take(&mut pos, 4)?.try_into().expect("4"));
-        let total_nodes = u64::from_le_bytes(take(&mut pos, 8)?.try_into().expect("8"));
-        let dim = u32::from_le_bytes(take(&mut pos, 4)?.try_into().expect("4"));
+        let mut c = Cursor::new(payload);
+        let num_shards = c.u32()?;
+        let total_nodes = c.u64()?;
+        let dim = c.u32()?;
         if num_shards == 0 {
             return Err(bad("zero shards".into()));
         }
@@ -155,21 +134,15 @@ impl ClusterManifest {
         }
         let mut shards = Vec::with_capacity(num_shards as usize);
         for _ in 0..num_shards {
-            let string = |pos: &mut usize| -> Result<String, ClusterError> {
-                let len = u32::from_le_bytes(take(pos, 4)?.try_into().expect("4")) as usize;
-                String::from_utf8(take(pos, len)?.to_vec())
-                    .map_err(|_| ClusterError::Manifest("file name is not UTF-8".into()))
-            };
-            let snapshot = string(&mut pos)?;
-            let names = string(&mut pos)?;
-            let nodes = u64::from_le_bytes(take(&mut pos, 8)?.try_into().expect("8"));
-            let snapshot_fnv = u64::from_le_bytes(take(&mut pos, 8)?.try_into().expect("8"));
-            let names_fnv = u64::from_le_bytes(take(&mut pos, 8)?.try_into().expect("8"));
-            shards.push(ShardEntry { snapshot, names, nodes, snapshot_fnv, names_fnv });
+            shards.push(ShardEntry {
+                snapshot: c.string()?,
+                names: c.string()?,
+                nodes: c.u64()?,
+                snapshot_fnv: c.u64()?,
+                names_fnv: c.u64()?,
+            });
         }
-        if pos != payload.len() {
-            return Err(bad(format!("{} trailing bytes", payload.len() - pos)));
-        }
+        c.finish()?;
         let sum: u64 = shards.iter().map(|s| s.nodes).sum();
         if sum != total_nodes {
             return Err(bad(format!(

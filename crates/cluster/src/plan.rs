@@ -16,9 +16,8 @@
 //! neighbors exactly as a single-node server would.
 
 use crate::manifest::{owner_of, ClusterManifest, ShardEntry};
-use crate::proto::fnv1a64;
 use crate::ClusterError;
-use ehna_nn::ioutil::atomic_write_path;
+use ehna_tgraph::ioutil::{atomic_write_path, fnv1a64};
 use ehna_tgraph::{NameMap, NodeEmbeddings, NodeId, QuantizedEmbeddings};
 use std::io::Write;
 use std::path::Path;

@@ -20,19 +20,19 @@
 //! payload: req_id u64 LE | kind u8 | body
 //! ```
 //!
-//! The framing mirrors the EHNL edge log: same length prefix, same
-//! trailing FNV-1a 64 digest (via [`ehna_nn::ioutil::ChecksumWriter`],
-//! so the digest can never drift from the checkpoint formats), and the
-//! same discipline of checking `len` against [`MAX_FRAME_LEN`] *before*
-//! allocating, so a corrupted or hostile length field cannot drive an
-//! OOM. All multi-byte integers are little-endian; `f32`/`f64` travel as
-//! their LE bit patterns.
+//! A frame is the sealed record of [`ehna_tgraph::ioutil`], the framing
+//! the EHNL edge log uses too: the same length prefix, the same trailing
+//! digest (the workspace's one [`fnv1a64`](ehna_tgraph::ioutil::fnv1a64)),
+//! and the same discipline of checking `len` against [`MAX_FRAME_LEN`]
+//! *before* allocating, so a corrupted or hostile length field cannot
+//! drive an OOM. All multi-byte integers are little-endian; `f32`/`f64`
+//! travel as their LE bit patterns.
 //!
 //! Responses are self-describing (they carry their own kind byte rather
 //! than being keyed off the originating request), which keeps decode
 //! stateless and lets a multiplexing client route purely by `req_id`.
 
-use ehna_nn::ioutil::ChecksumWriter;
+use ehna_tgraph::ioutil::{self, put_f32s, put_string, Cursor, FormatError};
 use std::io::{self, Read, Write};
 
 /// Connection preamble magic.
@@ -44,7 +44,7 @@ pub const EHNP_MAGIC: [u8; 4] = *b"EHNP";
 /// version mismatch with a clear error instead of a misparse.
 pub const EHNP_VERSION: u32 = 2;
 /// Hard cap on one frame's payload, checked *before* allocating.
-pub const MAX_FRAME_LEN: u32 = 1 << 26;
+pub const MAX_FRAME_LEN: u32 = ioutil::MAX_SEALED_LEN;
 
 /// Errors reading or decoding EHNP traffic.
 #[derive(Debug)]
@@ -80,11 +80,10 @@ impl From<io::Error> for ProtoError {
     }
 }
 
-/// FNV-1a 64 digest, shared with the EHNL/EHNC formats.
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut cw = ChecksumWriter::new(io::sink());
-    cw.write_all(bytes).expect("sink never fails");
-    cw.digest()
+impl From<FormatError> for ProtoError {
+    fn from(e: FormatError) -> Self {
+        ProtoError::Corrupt(e.to_string())
+    }
 }
 
 /// A router→shard request.
@@ -180,89 +179,6 @@ pub trait Wire: Sized {
     /// # Errors
     /// [`ProtoError::Corrupt`] on unknown kinds or malformed bodies.
     fn decode(kind: u8, body: &[u8]) -> Result<Self, ProtoError>;
-}
-
-/// Bounds-checked little-endian reader over a frame body. Every length
-/// field is validated against the remaining bytes before any allocation,
-/// so a corrupt count cannot cause an OOM (the body itself is already
-/// capped at [`MAX_FRAME_LEN`]).
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Cursor { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ProtoError> {
-        if self.buf.len() - self.pos < n {
-            return Err(ProtoError::Corrupt(format!(
-                "body truncated: wanted {n} bytes at offset {}, have {}",
-                self.pos,
-                self.buf.len() - self.pos
-            )));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, ProtoError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, ProtoError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self) -> Result<u64, ProtoError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    fn f64(&mut self) -> Result<f64, ProtoError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    fn f32s(&mut self, n: usize) -> Result<Vec<f32>, ProtoError> {
-        let raw = self.take(
-            n.checked_mul(4)
-                .ok_or_else(|| ProtoError::Corrupt(format!("f32 count {n} overflows")))?,
-        )?;
-        Ok(raw
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")))
-            .collect())
-    }
-
-    fn string(&mut self) -> Result<String, ProtoError> {
-        let len = self.u32()? as usize;
-        let raw = self.take(len)?;
-        String::from_utf8(raw.to_vec())
-            .map_err(|_| ProtoError::Corrupt("string field is not UTF-8".into()))
-    }
-
-    fn finish(&self) -> Result<(), ProtoError> {
-        if self.pos != self.buf.len() {
-            return Err(ProtoError::Corrupt(format!(
-                "{} trailing bytes after body",
-                self.buf.len() - self.pos
-            )));
-        }
-        Ok(())
-    }
-}
-
-fn put_string(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_f32s(out: &mut Vec<u8>, xs: &[f32]) {
-    for &x in xs {
-        out.extend_from_slice(&x.to_le_bytes());
-    }
 }
 
 impl Wire for Request {
@@ -436,16 +352,14 @@ impl Wire for Response {
 }
 
 /// Encode one message into a complete frame (length prefix, payload,
-/// trailing digest).
+/// trailing digest) — one buffer, the payload written in place.
 pub fn encode_frame<M: Wire>(req_id: u64, msg: &M) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(16);
-    payload.extend_from_slice(&req_id.to_le_bytes());
-    payload.push(msg.kind());
-    msg.encode_body(&mut payload);
-    let mut frame = Vec::with_capacity(payload.len() + 12);
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&payload);
-    frame.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
+    let mut frame = Vec::with_capacity(32);
+    ioutil::seal(&mut frame, |payload| {
+        payload.extend_from_slice(&req_id.to_le_bytes());
+        payload.push(msg.kind());
+        msg.encode_body(payload);
+    });
     frame
 }
 
@@ -464,32 +378,11 @@ pub fn write_msg<W: Write, M: Wire>(w: &mut W, req_id: u64, msg: &M) -> io::Resu
 /// [`ProtoError::Corrupt`] on truncation, checksum mismatch, oversized
 /// length, or a malformed body.
 pub fn decode_frame<M: Wire>(buf: &[u8]) -> Result<((u64, M), usize), ProtoError> {
-    if buf.len() < 4 {
-        return Err(ProtoError::Corrupt("frame truncated before length".into()));
-    }
-    let len = u32::from_le_bytes(buf[..4].try_into().expect("4 bytes"));
-    if len > MAX_FRAME_LEN {
-        return Err(ProtoError::Corrupt(format!("frame length {len} exceeds cap {MAX_FRAME_LEN}")));
-    }
-    let len = len as usize;
-    let total = 4 + len + 8;
-    if buf.len() < total {
-        return Err(ProtoError::Corrupt(format!(
-            "frame truncated: need {total} bytes, have {}",
-            buf.len()
-        )));
-    }
-    let payload = &buf[4..4 + len];
-    let digest = u64::from_le_bytes(buf[4 + len..total].try_into().expect("8 bytes"));
-    if digest != fnv1a64(payload) {
-        return Err(ProtoError::Corrupt("checksum mismatch".into()));
-    }
-    if payload.len() < 9 {
-        return Err(ProtoError::Corrupt(format!("payload of {} bytes has no header", len)));
-    }
-    let req_id = u64::from_le_bytes(payload[..8].try_into().expect("8 bytes"));
-    let msg = M::decode(payload[8], &payload[9..])?;
-    Ok(((req_id, msg), total))
+    let (payload, total) = ioutil::open_sealed(buf)?;
+    let mut c = Cursor::new(payload);
+    let req_id = c.u64()?;
+    let kind = c.u8()?;
+    Ok(((req_id, M::decode(kind, &payload[c.offset()..])?), total))
 }
 
 /// Read one framed message from a stream. The length field is validated
@@ -515,26 +408,10 @@ pub fn read_msg_after_len<R: Read, M: Wire>(
     r: &mut R,
     len_buf: [u8; 4],
 ) -> Result<(u64, M), ProtoError> {
-    let len = u32::from_le_bytes(len_buf);
-    if len > MAX_FRAME_LEN {
-        return Err(ProtoError::Corrupt(format!("frame length {len} exceeds cap {MAX_FRAME_LEN}")));
-    }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
-    let mut digest_buf = [0u8; 8];
-    r.read_exact(&mut digest_buf)?;
-    if u64::from_le_bytes(digest_buf) != fnv1a64(&payload) {
-        return Err(ProtoError::Corrupt("checksum mismatch".into()));
-    }
-    if payload.len() < 9 {
-        return Err(ProtoError::Corrupt(format!(
-            "payload of {} bytes has no header",
-            payload.len()
-        )));
-    }
-    let req_id = u64::from_le_bytes(payload[..8].try_into().expect("8 bytes"));
-    let msg = M::decode(payload[8], &payload[9..])?;
-    Ok((req_id, msg))
+    let mut frame = vec![0u8; ioutil::sealed_len(len_buf)?];
+    frame[..4].copy_from_slice(&len_buf);
+    r.read_exact(&mut frame[4..])?;
+    decode_frame(&frame).map(|(msg, _)| msg)
 }
 
 /// Send the connection preamble (client side).
@@ -542,10 +419,7 @@ pub fn read_msg_after_len<R: Read, M: Wire>(
 /// # Errors
 /// IO failures.
 pub fn write_preamble<W: Write>(w: &mut W) -> io::Result<()> {
-    let mut buf = [0u8; 8];
-    buf[..4].copy_from_slice(&EHNP_MAGIC);
-    buf[4..].copy_from_slice(&EHNP_VERSION.to_le_bytes());
-    w.write_all(&buf)
+    w.write_all(&ioutil::header(EHNP_MAGIC, EHNP_VERSION))
 }
 
 /// Validate the connection preamble (server side).
@@ -554,15 +428,9 @@ pub fn write_preamble<W: Write>(w: &mut W) -> io::Result<()> {
 /// [`ProtoError::Corrupt`] when the peer does not speak this EHNP
 /// version.
 pub fn read_preamble<R: Read>(r: &mut R) -> Result<(), ProtoError> {
-    let mut buf = [0u8; 8];
+    let mut buf = [0u8; ioutil::HEADER_LEN];
     r.read_exact(&mut buf)?;
-    if buf[..4] != EHNP_MAGIC {
-        return Err(ProtoError::Corrupt("bad preamble magic (not an EHNP client?)".into()));
-    }
-    let version = u32::from_le_bytes(buf[4..].try_into().expect("4 bytes"));
-    if version != EHNP_VERSION {
-        return Err(ProtoError::Corrupt(format!("unsupported EHNP version {version}")));
-    }
+    ioutil::check_header(&buf, EHNP_MAGIC, EHNP_VERSION..=EHNP_VERSION)?;
     Ok(())
 }
 

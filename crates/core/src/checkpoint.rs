@@ -38,18 +38,19 @@
 
 use crate::config::{AggregatorKind, EhnaConfig, WalkStyle};
 use crate::model::EhnaModel;
-use ehna_nn::ioutil::{self, ChecksumReader, ChecksumWriter};
 use ehna_nn::optim::Adam;
 use ehna_nn::ParamStore;
+use ehna_tgraph::ioutil::{self, checked_u32, read_u32, read_u64, ChecksumReader, ChecksumWriter};
 use ehna_tgraph::TemporalGraph;
 use std::io::{self, Read, Write};
 use std::path::Path;
 
-/// Magic bytes ("EHNC").
+/// Magic: the `u32` 0x45484E43 ("EHNC" read big-endian), written
+/// little-endian, so the file opens with the bytes `CNHE`.
 const MAGIC: u32 = 0x45484E43;
 const VERSION_V1: u32 = 1;
 const VERSION_V2: u32 = 2;
-const VERSION: u32 = 3;
+pub(crate) const VERSION: u32 = 3;
 
 fn aggregator_code(kind: AggregatorKind) -> u32 {
     match kind {
@@ -62,28 +63,8 @@ fn bad(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
 }
 
-fn write_u32<W: Write>(w: &mut W, v: u32) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-
-fn read_u32<R: Read>(r: &mut R) -> io::Result<u32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-fn write_u64<W: Write>(w: &mut W, v: u64) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-
-fn read_u64<R: Read>(r: &mut R) -> io::Result<u64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
-}
-
 fn write_f32s<W: Write>(w: &mut W, xs: &[f32]) -> io::Result<()> {
-    write_u32(w, ioutil::checked_u32(xs.len(), "stat block length")?)?;
+    w.write_all(&checked_u32(xs.len(), "stat block length")?.to_le_bytes())?;
     ioutil::write_f32_block(w, xs)
 }
 
@@ -149,56 +130,66 @@ impl LoadedCheckpoint {
     }
 }
 
-/// Serialize a checkpoint. `state` carries the trainer's RNG position
-/// and optimizer for a bit-faithful resume; `None` writes a model-only
-/// v2 file (loadable everywhere, resume is optimizer-cold).
+/// Serialize a checkpoint in layout `version` (1–3). `state` carries the
+/// trainer's RNG position and optimizer for a bit-faithful resume; `None`
+/// writes a model-only file (loadable everywhere, resume is
+/// optimizer-cold). v1 has no room for state and no checksum.
 pub(crate) fn write_checkpoint<W: Write>(
     w: W,
     model: &EhnaModel,
     state: Option<(&Adam, [u64; 4])>,
+    version: u32,
 ) -> io::Result<()> {
     let mut w = ChecksumWriter::new(w);
-    write_u32(&mut w, MAGIC)?;
-    write_u32(&mut w, VERSION)?;
+    w.write_all(&ioutil::header(MAGIC.to_le_bytes(), version))?;
     // Architecture-defining fields (must match at load).
-    write_u32(&mut w, ioutil::checked_u32(model.num_nodes(), "node count")?)?;
-    write_u32(&mut w, ioutil::checked_u32(model.config.dim, "dim")?)?;
-    write_u32(&mut w, ioutil::checked_u32(model.config.lstm_layers, "lstm_layers")?)?;
-    write_u32(&mut w, u32::from(model.config.two_level))?;
-    write_u32(&mut w, u32::from(model.config.attention))?;
-    write_u32(
-        &mut w,
-        match model.config.walk_style {
+    let config = &model.config;
+    let mut arch = vec![
+        checked_u32(model.num_nodes(), "node count")?,
+        checked_u32(config.dim, "dim")?,
+        checked_u32(config.lstm_layers, "lstm_layers")?,
+        u32::from(config.two_level),
+        u32::from(config.attention),
+        match config.walk_style {
             WalkStyle::Temporal => 0,
             WalkStyle::Static => 1,
         },
-    )?;
-    write_u32(&mut w, aggregator_code(model.config.aggregator))?;
-    write_u32(&mut w, ioutil::checked_u32(model.config.heads, "heads")?)?;
+    ];
+    if version >= VERSION {
+        arch.extend([aggregator_code(config.aggregator), checked_u32(config.heads, "heads")?]);
+    }
+    for field in arch {
+        w.write_all(&field.to_le_bytes())?;
+    }
     // Batch-norm running statistics.
     for bn in [&model.bn_node, &model.bn_walk] {
         let (mean, var, init) = bn.running_stats();
-        write_u32(&mut w, u32::from(init))?;
+        w.write_all(&u32::from(init).to_le_bytes())?;
         write_f32s(&mut w, mean)?;
         write_f32s(&mut w, var)?;
     }
-    write_u64(&mut w, model.epochs_trained)?;
+    if version >= VERSION_V2 {
+        w.write_all(&model.epochs_trained.to_le_bytes())?;
+    }
     // Parameters.
     model.store.save(&mut w)?;
+    if version == VERSION_V1 {
+        return w.flush();
+    }
     // Trainer state.
     match state {
-        None => write_u32(&mut w, 0)?,
+        None => w.write_all(&0u32.to_le_bytes())?,
         Some((optimizer, rng_state)) => {
-            write_u32(&mut w, 1)?;
+            w.write_all(&1u32.to_le_bytes())?;
             for word in rng_state {
-                write_u64(&mut w, word)?;
+                w.write_all(&word.to_le_bytes())?;
             }
             optimizer.save(&mut w)?;
         }
     }
     let digest = w.digest();
     let mut w = w.into_inner();
-    write_u64(&mut w, digest)?;
+    w.write_all(&digest.to_le_bytes())?;
     w.flush()
 }
 
@@ -215,13 +206,7 @@ pub fn load_checkpoint_full<R: Read>(
     config: EhnaConfig,
 ) -> io::Result<LoadedCheckpoint> {
     let mut r = ChecksumReader::new(r);
-    if read_u32(&mut r)? != MAGIC {
-        return Err(bad("bad magic"));
-    }
-    let version = read_u32(&mut r)?;
-    if !(VERSION_V1..=VERSION).contains(&version) {
-        return Err(bad("unsupported version"));
-    }
+    let version = ioutil::read_header(&mut r, MAGIC.to_le_bytes(), VERSION_V1..=VERSION)?;
     let nodes = read_u32(&mut r)? as usize;
     if nodes != graph.num_nodes() {
         return Err(bad(&format!(
@@ -329,7 +314,7 @@ pub fn load_checkpoint_full<R: Read>(
 }
 
 /// Load a checkpoint from `path`, falling back to the `.bak` sibling
-/// [`ehna_nn::ioutil::atomic_write_path`] rotates (a crash between its
+/// [`ehna_tgraph::ioutil::atomic_write_path`] rotates (a crash between its
 /// two renames can leave only the backup in place). Returns the
 /// checkpoint and whether the backup was used (callers should surface
 /// that to the operator).
@@ -362,7 +347,7 @@ impl EhnaModel {
     /// # Errors
     /// IO failures, or counts that overflow the format's fields.
     pub fn save_checkpoint<W: Write>(&self, w: W) -> io::Result<()> {
-        write_checkpoint(w, self, None)
+        write_checkpoint(w, self, None, VERSION)
     }
 
     /// Restore a checkpoint saved by [`EhnaModel::save_checkpoint`] or
@@ -388,30 +373,10 @@ impl EhnaModel {
 
 /// Write a checkpoint in the legacy v1 layout (no checksum, no trainer
 /// state, no epoch count). Exists so compatibility tests can produce
-/// genuine v1 bytes; production code always writes v2.
+/// genuine v1 bytes; production code always writes v3.
 #[doc(hidden)]
-pub fn write_checkpoint_v1_for_tests<W: Write>(model: &EhnaModel, mut w: W) -> io::Result<()> {
-    write_u32(&mut w, MAGIC)?;
-    write_u32(&mut w, VERSION_V1)?;
-    write_u32(&mut w, model.num_nodes() as u32)?;
-    write_u32(&mut w, model.config.dim as u32)?;
-    write_u32(&mut w, model.config.lstm_layers as u32)?;
-    write_u32(&mut w, u32::from(model.config.two_level))?;
-    write_u32(&mut w, u32::from(model.config.attention))?;
-    write_u32(
-        &mut w,
-        match model.config.walk_style {
-            WalkStyle::Temporal => 0,
-            WalkStyle::Static => 1,
-        },
-    )?;
-    for bn in [&model.bn_node, &model.bn_walk] {
-        let (mean, var, init) = bn.running_stats();
-        write_u32(&mut w, u32::from(init))?;
-        write_f32s(&mut w, mean)?;
-        write_f32s(&mut w, var)?;
-    }
-    model.store.save(&mut w)
+pub fn write_checkpoint_v1_for_tests<W: Write>(model: &EhnaModel, w: W) -> io::Result<()> {
+    write_checkpoint(w, model, None, VERSION_V1)
 }
 
 /// Write a checkpoint in the v2 layout (checksummed, no aggregator
@@ -419,34 +384,7 @@ pub fn write_checkpoint_v1_for_tests<W: Write>(model: &EhnaModel, mut w: W) -> i
 /// production code always writes v3.
 #[doc(hidden)]
 pub fn write_checkpoint_v2_for_tests<W: Write>(model: &EhnaModel, w: W) -> io::Result<()> {
-    let mut w = ChecksumWriter::new(w);
-    write_u32(&mut w, MAGIC)?;
-    write_u32(&mut w, VERSION_V2)?;
-    write_u32(&mut w, model.num_nodes() as u32)?;
-    write_u32(&mut w, model.config.dim as u32)?;
-    write_u32(&mut w, model.config.lstm_layers as u32)?;
-    write_u32(&mut w, u32::from(model.config.two_level))?;
-    write_u32(&mut w, u32::from(model.config.attention))?;
-    write_u32(
-        &mut w,
-        match model.config.walk_style {
-            WalkStyle::Temporal => 0,
-            WalkStyle::Static => 1,
-        },
-    )?;
-    for bn in [&model.bn_node, &model.bn_walk] {
-        let (mean, var, init) = bn.running_stats();
-        write_u32(&mut w, u32::from(init))?;
-        write_f32s(&mut w, mean)?;
-        write_f32s(&mut w, var)?;
-    }
-    write_u64(&mut w, model.epochs_trained)?;
-    model.store.save(&mut w)?;
-    write_u32(&mut w, 0)?;
-    let digest = w.digest();
-    let mut w = w.into_inner();
-    write_u64(&mut w, digest)?;
-    w.flush()
+    write_checkpoint(w, model, None, VERSION_V2)
 }
 
 #[cfg(test)]

@@ -208,19 +208,20 @@ impl<'g> Trainer<'g> {
     /// # Errors
     /// IO failures, or counts that overflow the format's fields.
     pub fn save_checkpoint<W: Write>(&self, w: W) -> std::io::Result<()> {
-        checkpoint::write_checkpoint(w, &self.model, Some((&self.optimizer, self.rng.state())))
+        let state = Some((&self.optimizer, self.rng.state()));
+        checkpoint::write_checkpoint(w, &self.model, state, checkpoint::VERSION)
     }
 
     /// [`Trainer::save_checkpoint`] through the crash-safe persistence
     /// discipline: tmp file + fsync + `.bak` rotation + atomic rename
-    /// ([`ehna_nn::ioutil::atomic_write_path`]), so a crash at any byte
+    /// ([`ehna_tgraph::ioutil::atomic_write_path`]), so a crash at any byte
     /// leaves a loadable file for
     /// [`checkpoint::load_checkpoint_path`](crate::load_checkpoint_path).
     ///
     /// # Errors
     /// IO failures; the previous checkpoint (if any) survives them.
     pub fn checkpoint_to_path(&self, path: &Path) -> std::io::Result<()> {
-        ehna_nn::ioutil::atomic_write_path(path, |w| self.save_checkpoint(w))
+        ehna_tgraph::ioutil::atomic_write_path(path, |w| self.save_checkpoint(w))
     }
 
     /// Train for the configured number of epochs, firing the checkpoint

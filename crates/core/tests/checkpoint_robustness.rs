@@ -5,7 +5,7 @@
 //! be interrupted in and asserts each still yields a loadable file.
 
 use ehna_core::{load_checkpoint_full, load_checkpoint_path, EhnaConfig, Trainer};
-use ehna_nn::ioutil::backup_path;
+use ehna_tgraph::ioutil::backup_path;
 use ehna_tgraph::{GraphBuilder, TemporalGraph};
 use proptest::prelude::*;
 use std::fs;

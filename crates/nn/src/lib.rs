@@ -44,7 +44,6 @@
 pub mod gradcheck;
 mod graph;
 pub mod init;
-pub mod ioutil;
 pub mod kernels;
 pub mod layers;
 pub mod optim;

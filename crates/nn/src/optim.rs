@@ -2,6 +2,7 @@
 //! clipping.
 
 use crate::store::ParamStore;
+use ehna_tgraph::ioutil::{read_f32_block, read_u32, read_u64, write_f32_block};
 use std::io::{self, Read, Write};
 
 /// Clip all gradients in `store` so their global L2 norm is at most
@@ -96,8 +97,8 @@ impl Adam {
         w.write_all(&(self.m.len() as u64).to_le_bytes())?;
         for (m, v) in self.m.iter().zip(&self.v) {
             w.write_all(&(m.len() as u64).to_le_bytes())?;
-            crate::ioutil::write_f32_block(&mut w, m)?;
-            crate::ioutil::write_f32_block(&mut w, v)?;
+            write_f32_block(&mut w, m)?;
+            write_f32_block(&mut w, v)?;
         }
         Ok(())
     }
@@ -110,38 +111,31 @@ impl Adam {
     /// `InvalidData` on bad magic, implausible sizes, or truncation.
     pub fn load<R: Read>(mut r: R) -> io::Result<Adam> {
         let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
-        let mut b4 = [0u8; 4];
-        let mut b8 = [0u8; 8];
-        r.read_exact(&mut b4)?;
-        if u32::from_le_bytes(b4) != ADAM_MAGIC {
+        if read_u32(&mut r)? != ADAM_MAGIC {
             return Err(bad("bad optimizer magic"));
         }
         let mut hyper = [0f32; 4];
         for h in &mut hyper {
-            r.read_exact(&mut b4)?;
-            *h = f32::from_le_bytes(b4);
+            *h = f32::from_bits(read_u32(&mut r)?);
         }
         let [lr, beta1, beta2, eps] = hyper;
         if !(lr.is_finite() && lr > 0.0 && beta1.is_finite() && beta2.is_finite()) {
             return Err(bad("implausible optimizer hyperparameters"));
         }
-        r.read_exact(&mut b8)?;
-        let t = u64::from_le_bytes(b8);
-        r.read_exact(&mut b8)?;
-        let slots = u64::from_le_bytes(b8);
+        let t = read_u64(&mut r)?;
+        let slots = read_u64(&mut r)?;
         if slots > MAX_OPTIM_SLOTS {
             return Err(bad("implausible optimizer slot count"));
         }
         let mut m = Vec::with_capacity(slots as usize);
         let mut v = Vec::with_capacity(slots as usize);
         for _ in 0..slots {
-            r.read_exact(&mut b8)?;
-            let len = u64::from_le_bytes(b8);
+            let len = read_u64(&mut r)?;
             if len > MAX_OPTIM_SLOT_SCALARS {
                 return Err(bad("implausible moment buffer length"));
             }
-            m.push(crate::ioutil::read_f32_block(&mut r, len as usize)?);
-            v.push(crate::ioutil::read_f32_block(&mut r, len as usize)?);
+            m.push(read_f32_block(&mut r, len as usize)?);
+            v.push(read_f32_block(&mut r, len as usize)?);
         }
         Ok(Adam { lr, beta1, beta2, eps, t, m, v })
     }

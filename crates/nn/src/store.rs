@@ -1,10 +1,12 @@
 //! Persistent trainable parameters.
 
-use crate::ioutil::checked_u32;
+use ehna_tgraph::ioutil::{self, checked_u32, read_u32};
 use std::fmt;
 use std::io::{self, Read, Write};
 
-/// Magic bytes of the parameter snapshot format ("EHNP" + version 1).
+/// Magic of the parameter snapshot format: the `u32` 0x45484E50
+/// ("EHNP" read big-endian), written little-endian, so the file opens
+/// with the bytes `PNHE`. Unrelated to the EHNP wire protocol.
 const MAGIC: u32 = 0x45484E50;
 const VERSION: u32 = 1;
 
@@ -139,8 +141,7 @@ impl ParamStore {
     /// `u32` range (instead of silently truncating and corrupting the
     /// stream), plus ordinary IO failures.
     pub fn save<W: Write>(&self, mut w: W) -> io::Result<()> {
-        w.write_all(&MAGIC.to_le_bytes())?;
-        w.write_all(&VERSION.to_le_bytes())?;
+        w.write_all(&ioutil::header(MAGIC.to_le_bytes(), VERSION))?;
         w.write_all(&checked_u32(self.params.len(), "param count")?.to_le_bytes())?;
         for p in &self.params {
             let name = p.name.as_bytes();
@@ -148,7 +149,7 @@ impl ParamStore {
             w.write_all(name)?;
             w.write_all(&checked_u32(p.rows, "param rows")?.to_le_bytes())?;
             w.write_all(&checked_u32(p.cols, "param cols")?.to_le_bytes())?;
-            crate::ioutil::write_f32_block(&mut w, &p.value)?;
+            ioutil::write_f32_block(&mut w, &p.value)?;
         }
         Ok(())
     }
@@ -159,17 +160,7 @@ impl ParamStore {
     /// `InvalidData` on bad magic/version or truncated payloads.
     pub fn load<R: Read>(mut r: R) -> io::Result<Self> {
         let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_string());
-        let mut u32buf = [0u8; 4];
-        let mut read_u32 = |r: &mut R| -> io::Result<u32> {
-            r.read_exact(&mut u32buf)?;
-            Ok(u32::from_le_bytes(u32buf))
-        };
-        if read_u32(&mut r)? != MAGIC {
-            return Err(bad("bad magic"));
-        }
-        if read_u32(&mut r)? != VERSION {
-            return Err(bad("unsupported version"));
-        }
+        ioutil::read_header(&mut r, MAGIC.to_le_bytes(), VERSION..=VERSION)?;
         let count = read_u32(&mut r)? as usize;
         let mut store = ParamStore::new();
         for _ in 0..count {
@@ -188,7 +179,7 @@ impl ParamStore {
             let Some(scalars) = scalars else {
                 return Err(bad("implausible tensor shape"));
             };
-            let value = crate::ioutil::read_f32_block(&mut r, scalars)?;
+            let value = ioutil::read_f32_block(&mut r, scalars)?;
             store.add_param(name, rows, cols, value);
         }
         Ok(store)

@@ -8,10 +8,12 @@
 //! payload: count u32 LE | count × (src u32 | dst u32 | t i64 | w f64)  (all LE)
 //! ```
 //!
-//! The trailing checksum is the same FNV-1a 64 digest the checkpoint
-//! format uses ([`ehna_nn::ioutil::ChecksumWriter`]), folded over the
-//! payload only. One record is one ingest batch; replaying records in
-//! order reproduces the edge stream exactly.
+//! The header and the record framing are the shared ones of
+//! [`ehna_tgraph::ioutil`]: a record is a sealed record, its trailing
+//! checksum the workspace's one [`fnv1a64`](ehna_tgraph::ioutil::fnv1a64)
+//! folded over the payload only — the framing EHNP frames use too. One
+//! record is one ingest batch; replaying records in order reproduces the
+//! edge stream exactly.
 //!
 //! ## Crash semantics
 //!
@@ -25,7 +27,7 @@
 //! structural validation) is *not* recoverable tail loss and is reported
 //! as [`WalError::Corrupt`] instead of being silently dropped.
 
-use ehna_nn::ioutil::{checked_u32, ChecksumWriter};
+use ehna_tgraph::ioutil::{self, Cursor, FormatError};
 use ehna_tgraph::{NodeId, TemporalEdge, Timestamp};
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -37,10 +39,10 @@ pub const WAL_MAGIC: [u8; 4] = *b"EHNL";
 /// Current format version.
 pub const WAL_VERSION: u32 = 1;
 /// Header size in bytes (magic + version).
-pub const WAL_HEADER_LEN: u64 = 8;
+pub const WAL_HEADER_LEN: u64 = ioutil::HEADER_LEN as u64;
 /// Hard cap on one record's payload, checked *before* allocating, so a
 /// corrupted length field cannot drive an OOM.
-pub const MAX_RECORD_LEN: u32 = 1 << 26;
+pub const MAX_RECORD_LEN: u32 = ioutil::MAX_SEALED_LEN;
 
 const EDGE_BYTES: usize = 24;
 
@@ -98,45 +100,19 @@ impl From<WalError> for io::Error {
     }
 }
 
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    // Reuse the checkpoint format's digest implementation so the two
-    // formats can never drift apart.
-    let mut cw = ChecksumWriter::new(io::sink());
-    cw.write_all(bytes).expect("sink never fails");
-    cw.digest()
-}
-
-fn encode_payload(edges: &[TemporalEdge]) -> io::Result<Vec<u8>> {
-    let count = checked_u32(edges.len(), "edge count")?;
-    let mut payload = Vec::with_capacity(4 + edges.len() * EDGE_BYTES);
-    payload.extend_from_slice(&count.to_le_bytes());
-    for e in edges {
-        payload.extend_from_slice(&e.src.0.to_le_bytes());
-        payload.extend_from_slice(&e.dst.0.to_le_bytes());
-        payload.extend_from_slice(&e.t.raw().to_le_bytes());
-        payload.extend_from_slice(&e.w.to_le_bytes());
-    }
-    Ok(payload)
-}
-
-fn decode_payload(payload: &[u8], offset: u64) -> Result<Vec<TemporalEdge>, WalError> {
-    let corrupt = |msg: String| WalError::Corrupt { offset, msg };
-    if payload.len() < 4 {
-        return Err(corrupt(format!("payload of {} bytes has no count field", payload.len())));
-    }
-    let count = u32::from_le_bytes(payload[..4].try_into().expect("4 bytes")) as usize;
-    if payload.len() != 4 + count * EDGE_BYTES {
+fn decode_payload(payload: &[u8]) -> Result<Vec<TemporalEdge>, FormatError> {
+    let corrupt = FormatError::Corrupt;
+    let mut c = Cursor::new(payload);
+    let count = c.u32()? as usize;
+    if count.checked_mul(EDGE_BYTES) != Some(c.remaining()) {
         return Err(corrupt(format!(
             "count {count} inconsistent with payload length {}",
             payload.len()
         )));
     }
     let mut edges = Vec::with_capacity(count);
-    for chunk in payload[4..].chunks_exact(EDGE_BYTES) {
-        let src = u32::from_le_bytes(chunk[0..4].try_into().expect("4 bytes"));
-        let dst = u32::from_le_bytes(chunk[4..8].try_into().expect("4 bytes"));
-        let t = i64::from_le_bytes(chunk[8..16].try_into().expect("8 bytes"));
-        let w = f64::from_le_bytes(chunk[16..24].try_into().expect("8 bytes"));
+    for _ in 0..count {
+        let (src, dst, t, w) = (c.u32()?, c.u32()?, c.i64()?, c.f64()?);
         if src == dst {
             return Err(corrupt(format!("self-loop on node {src}")));
         }
@@ -176,16 +152,11 @@ impl EdgeLogReader {
     /// it.
     pub fn open_at<P: AsRef<Path>>(path: P, offset: u64) -> Result<Self, WalError> {
         let mut file = File::open(path)?;
-        let mut header = [0u8; WAL_HEADER_LEN as usize];
+        let mut header = [0u8; ioutil::HEADER_LEN];
         file.read_exact(&mut header)
             .map_err(|_| WalError::BadHeader("file shorter than header".into()))?;
-        if header[..4] != WAL_MAGIC {
-            return Err(WalError::BadHeader(format!("bad magic {:?}", &header[..4])));
-        }
-        let version = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
-        if version != WAL_VERSION {
-            return Err(WalError::BadHeader(format!("unsupported version {version}")));
-        }
+        ioutil::check_header(&header, WAL_MAGIC, WAL_VERSION..=WAL_VERSION)
+            .map_err(|e| WalError::BadHeader(e.to_string()))?;
         if offset < WAL_HEADER_LEN {
             return Err(WalError::BadHeader(format!("offset {offset} inside header")));
         }
@@ -226,42 +197,25 @@ impl EdgeLogReader {
             return Ok(None);
         }
         self.file.seek(SeekFrom::Start(self.pos))?;
+        let corrupt = |e: FormatError| WalError::Corrupt { offset: self.pos, msg: e.to_string() };
         let mut len_buf = [0u8; 4];
         self.file.read_exact(&mut len_buf)?;
-        let rec_len = u32::from_le_bytes(len_buf);
-        let total = 4 + u64::from(rec_len) + 8;
-        if file_len - self.pos < total {
-            // Could be a torn append of a valid record — but only if the
-            // claimed length is plausible at all.
-            if rec_len > MAX_RECORD_LEN {
-                return Err(WalError::Corrupt {
-                    offset: self.pos,
-                    msg: format!("record length {rec_len} exceeds cap {MAX_RECORD_LEN}"),
-                });
+        // The cap is checked first: a length no valid record can have is
+        // corruption, never a torn append still in flight.
+        let total = ioutil::sealed_len(len_buf).map_err(corrupt)?;
+        let mut record = vec![0u8; total.min((file_len - self.pos) as usize)];
+        record[..4].copy_from_slice(&len_buf);
+        self.file.read_exact(&mut record[4..])?;
+        let payload = match ioutil::open_sealed(&record) {
+            Ok((payload, _)) => payload,
+            Err(FormatError::Truncated { .. }) => {
+                self.tail_pending = true;
+                return Ok(None);
             }
-            self.tail_pending = true;
-            return Ok(None);
-        }
-        if rec_len > MAX_RECORD_LEN {
-            return Err(WalError::Corrupt {
-                offset: self.pos,
-                msg: format!("record length {rec_len} exceeds cap {MAX_RECORD_LEN}"),
-            });
-        }
-        let mut payload = vec![0u8; rec_len as usize];
-        self.file.read_exact(&mut payload)?;
-        let mut digest_buf = [0u8; 8];
-        self.file.read_exact(&mut digest_buf)?;
-        let stored = u64::from_le_bytes(digest_buf);
-        let computed = fnv1a64(&payload);
-        if stored != computed {
-            return Err(WalError::Corrupt {
-                offset: self.pos,
-                msg: format!("checksum mismatch: stored {stored:#x}, computed {computed:#x}"),
-            });
-        }
-        let edges = decode_payload(&payload, self.pos)?;
-        self.pos += total;
+            Err(e) => return Err(corrupt(e)),
+        };
+        let edges = decode_payload(payload).map_err(corrupt)?;
+        self.pos += total as u64;
         Ok(Some(edges))
     }
 
@@ -297,10 +251,7 @@ impl EdgeLogWriter {
         let path = path.as_ref().to_path_buf();
         let mut file =
             OpenOptions::new().read(true).write(true).create(true).truncate(true).open(&path)?;
-        let mut header = [0u8; WAL_HEADER_LEN as usize];
-        header[..4].copy_from_slice(&WAL_MAGIC);
-        header[4..].copy_from_slice(&WAL_VERSION.to_le_bytes());
-        file.write_all(&header)?;
+        file.write_all(&ioutil::header(WAL_MAGIC, WAL_VERSION))?;
         file.sync_all()?;
         Ok(EdgeLogWriter { file, path, end: WAL_HEADER_LEN, recovered_bytes: 0 })
     }
@@ -377,19 +328,23 @@ impl EdgeLogWriter {
                 ));
             }
         }
-        let payload = encode_payload(edges)?;
-        let rec_len = checked_u32(payload.len(), "record length")?;
-        if rec_len > MAX_RECORD_LEN {
+        let payload_len = 4 + edges.len() as u64 * EDGE_BYTES as u64;
+        if payload_len > u64::from(MAX_RECORD_LEN) {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
-                format!("record of {rec_len} bytes exceeds cap {MAX_RECORD_LEN}"),
+                format!("record of {payload_len} bytes exceeds cap {MAX_RECORD_LEN}"),
             ));
         }
-        let digest = fnv1a64(&payload);
-        let mut record = Vec::with_capacity(4 + payload.len() + 8);
-        record.extend_from_slice(&rec_len.to_le_bytes());
-        record.extend_from_slice(&payload);
-        record.extend_from_slice(&digest.to_le_bytes());
+        let mut record = Vec::with_capacity(payload_len as usize + ioutil::SEAL_OVERHEAD);
+        ioutil::seal(&mut record, |out| {
+            out.extend_from_slice(&(edges.len() as u32).to_le_bytes());
+            for e in edges {
+                out.extend_from_slice(&e.src.0.to_le_bytes());
+                out.extend_from_slice(&e.dst.0.to_le_bytes());
+                out.extend_from_slice(&e.t.raw().to_le_bytes());
+                out.extend_from_slice(&e.w.to_le_bytes());
+            }
+        });
         self.file.seek(SeekFrom::Start(self.end))?;
         self.file.write_all(&record)?;
         self.file.sync_data()?;

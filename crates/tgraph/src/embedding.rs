@@ -2,6 +2,7 @@
 //! embedding method in this workspace (EHNA and all baselines), and the
 //! common input type of the evaluation pipelines.
 
+use crate::ioutil::FormatError;
 use crate::{GraphError, NodeId};
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
@@ -113,25 +114,26 @@ impl NodeEmbeddings {
     /// Deserialize from the binary snapshot format.
     ///
     /// # Errors
-    /// [`GraphError::Parse`] on bad magic/version/size.
+    /// [`GraphError::Format`] on bad magic/version/size, including a
+    /// header whose `num_nodes x dim` overflows.
     pub fn from_bytes(buf: &[u8]) -> Result<Self, GraphError> {
-        let bad = |msg: &str| GraphError::Parse { line: 0, msg: msg.into() };
+        let bad = |msg: &str| GraphError::Format(FormatError::Corrupt(msg.into()));
         if buf.len() < 16 {
-            return Err(bad("snapshot too short"));
+            return Err(FormatError::Truncated { offset: 0, wanted: 16 }.into());
         }
         let field = |i: usize| u32::from_be_bytes(buf[4 * i..4 * i + 4].try_into().expect("4"));
         if field(0) != MAGIC {
-            return Err(bad("bad magic"));
+            return Err(bad("bad EHNA magic"));
         }
         if field(1) != VERSION {
-            return Err(bad("unsupported version"));
+            return Err(bad("unsupported EHNA version"));
         }
         let n = field(2) as usize;
         let dim = field(3) as usize;
         if dim == 0 {
             return Err(bad("zero dim"));
         }
-        if buf.len() - 16 != n * dim * 4 {
+        if n.checked_mul(dim).and_then(|x| x.checked_mul(4)) != Some(buf.len() - 16) {
             return Err(bad("payload size mismatch"));
         }
         let data = buf[16..]
@@ -215,6 +217,16 @@ mod tests {
         let e = NodeEmbeddings::zeros(2, 2);
         let mut bytes = e.to_bytes();
         bytes.truncate(bytes.len() - 1);
+        assert!(NodeEmbeddings::from_bytes(&bytes).is_err());
+    }
+
+    #[test]
+    fn overflowing_header_rejected() {
+        // num_nodes = dim = 2^31: `n * dim * 4` wraps to 0 in 64 bits,
+        // which an unchecked size test would take for an empty payload.
+        let mut bytes = NodeEmbeddings::zeros(0, 1).to_bytes();
+        bytes[8..12].copy_from_slice(&(1u32 << 31).to_be_bytes());
+        bytes[12..16].copy_from_slice(&(1u32 << 31).to_be_bytes());
         assert!(NodeEmbeddings::from_bytes(&bytes).is_err());
     }
 

@@ -1,5 +1,6 @@
 //! Error types for graph construction and IO.
 
+use crate::ioutil::FormatError;
 use std::fmt;
 use std::io;
 
@@ -33,6 +34,8 @@ pub enum GraphError {
         /// Description of what failed to parse.
         msg: String,
     },
+    /// A binary snapshot (EHNA, EHNQ) that does not parse.
+    Format(FormatError),
     /// An underlying IO failure.
     Io(io::Error),
 }
@@ -51,6 +54,7 @@ impl fmt::Display for GraphError {
             GraphError::Parse { line, msg } => {
                 write!(f, "edge list parse error at line {line}: {msg}")
             }
+            GraphError::Format(e) => write!(f, "binary format error: {e}"),
             GraphError::Io(e) => write!(f, "io error: {e}"),
         }
     }
@@ -60,6 +64,7 @@ impl std::error::Error for GraphError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             GraphError::Io(e) => Some(e),
+            GraphError::Format(e) => Some(e),
             _ => None,
         }
     }
@@ -68,6 +73,12 @@ impl std::error::Error for GraphError {
 impl From<io::Error> for GraphError {
     fn from(e: io::Error) -> Self {
         GraphError::Io(e)
+    }
+}
+
+impl From<FormatError> for GraphError {
+    fn from(e: FormatError) -> Self {
+        GraphError::Format(e)
     }
 }
 

@@ -39,6 +39,7 @@ mod error;
 mod graph;
 mod ids;
 mod io;
+pub mod ioutil;
 pub mod mmapbuf;
 mod names;
 pub mod quant;

@@ -62,6 +62,7 @@
 //! Inputs are assumed finite; quantizing non-finite values is unspecified
 //! (the training pipeline never emits them).
 
+use crate::ioutil::{f32s_from_le, fnv1a64, put_f32s, Cursor, FormatError};
 use crate::mmapbuf::{AlignedBuf, MmapBuf};
 use crate::{GraphError, NodeEmbeddings, NodeId};
 use std::borrow::Cow;
@@ -83,17 +84,6 @@ pub const PQ_KS: usize = 256;
 pub const MAX_DIM: usize = 65_536;
 /// Rows sampled (deterministically) for PQ codebook training.
 const PQ_TRAIN_CAP: usize = 4096;
-
-/// FNV-1a 64-bit — the house checksum (same constants as the cluster
-/// wire protocol and shard manifests).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
 
 fn align_up(x: usize) -> usize {
     (x + SECTION_ALIGN - 1) & !(SECTION_ALIGN - 1)
@@ -526,66 +516,67 @@ impl Header {
     /// a hostile header can never trigger an oversized allocation: the
     /// sizes a caller may allocate are exactly the ones derived below.
     fn parse(buf: &[u8]) -> Result<Self, GraphError> {
-        let bad = |msg: String| GraphError::Parse { line: 0, msg };
         if buf.len() < HEADER_LEN {
-            return Err(bad(format!(
+            return Err(corrupt(format!(
                 "EHNQ header truncated ({} of {HEADER_LEN} bytes)",
                 buf.len()
             )));
         }
-        let u16_at = |i: usize| u16::from_le_bytes(buf[i..i + 2].try_into().expect("2"));
-        let u32_at = |i: usize| u32::from_le_bytes(buf[i..i + 4].try_into().expect("4"));
-        let u64_at = |i: usize| u64::from_le_bytes(buf[i..i + 8].try_into().expect("8"));
-        if buf[0..4] != MAGIC {
-            return Err(bad("bad EHNQ magic".into()));
+        let mut c = Cursor::new(&buf[..HEADER_LEN]);
+        if c.take(4)? != MAGIC {
+            return Err(corrupt("bad EHNQ magic".into()));
         }
-        if fnv1a64(&buf[0..56]) != u64_at(56) {
-            return Err(bad("EHNQ header checksum mismatch".into()));
+        if fnv1a64(&buf[0..56]) != Cursor::new(&buf[56..HEADER_LEN]).u64()? {
+            return Err(corrupt("EHNQ header checksum mismatch".into()));
         }
-        let version = u16_at(4);
+        let version = c.u16()?;
         if version != VERSION {
-            return Err(bad(format!("unsupported EHNQ version {version}")));
+            return Err(corrupt(format!("unsupported EHNQ version {version}")));
         }
-        let format = QuantFormat::from_code(buf[6])
-            .ok_or_else(|| bad(format!("unknown EHNQ format code {}", buf[6])))?;
-        if buf[7] != FLAG_LE {
-            return Err(bad(format!("unsupported EHNQ flags {:#04x}", buf[7])));
+        let code = c.u8()?;
+        let format = QuantFormat::from_code(code)
+            .ok_or_else(|| corrupt(format!("unknown EHNQ format code {code}")))?;
+        let flags = c.u8()?;
+        if flags != FLAG_LE {
+            return Err(corrupt(format!("unsupported EHNQ flags {flags:#04x}")));
         }
-        let num_nodes = u64_at(8);
+        let num_nodes = c.u64()?;
         if num_nodes > u32::MAX as u64 {
-            return Err(bad(format!("EHNQ num_nodes {num_nodes} exceeds u32 range")));
+            return Err(corrupt(format!("EHNQ num_nodes {num_nodes} exceeds u32 range")));
         }
         let num_nodes = num_nodes as usize;
-        let dim = u32_at(16) as usize;
+        let dim = c.u32()? as usize;
         if dim == 0 || dim > MAX_DIM {
-            return Err(bad(format!("EHNQ dim {dim} outside 1..={MAX_DIM}")));
+            return Err(corrupt(format!("EHNQ dim {dim} outside 1..={MAX_DIM}")));
         }
-        let pq_m = u16_at(20) as usize;
-        let pq_ks = u16_at(22) as usize;
+        let pq_m = c.u16()? as usize;
+        let pq_ks = c.u16()? as usize;
         match format {
             QuantFormat::Pq => {
                 if pq_m == 0 || pq_m > dim || dim % pq_m != 0 {
-                    return Err(bad(format!("EHNQ pq_m {pq_m} does not divide dim {dim}")));
+                    return Err(corrupt(format!("EHNQ pq_m {pq_m} does not divide dim {dim}")));
                 }
                 if pq_ks != PQ_KS {
-                    return Err(bad(format!("EHNQ pq_ks {pq_ks} unsupported (expected {PQ_KS})")));
+                    return Err(corrupt(format!(
+                        "EHNQ pq_ks {pq_ks} unsupported (expected {PQ_KS})"
+                    )));
                 }
             }
             _ => {
                 if pq_m != 0 || pq_ks != 0 {
-                    return Err(bad("EHNQ pq fields set on non-pq format".into()));
+                    return Err(corrupt("EHNQ pq fields set on non-pq format".into()));
                 }
             }
         }
-        let meta_len = u64_at(24);
-        let code_len = u64_at(32);
+        let meta_len = c.u64()?;
+        let code_len = c.u64()?;
         let expect_meta = format.meta_len(dim, pq_m) as u64;
         if meta_len != expect_meta {
-            return Err(bad(format!("EHNQ meta_len {meta_len} != expected {expect_meta}")));
+            return Err(corrupt(format!("EHNQ meta_len {meta_len} != expected {expect_meta}")));
         }
         let expect_code = num_nodes as u64 * format.code_bytes_per_node(dim, pq_m) as u64;
         if code_len != expect_code {
-            return Err(bad(format!("EHNQ code_len {code_len} != expected {expect_code}")));
+            return Err(corrupt(format!("EHNQ code_len {code_len} != expected {expect_code}")));
         }
         Ok(Header {
             format,
@@ -594,10 +585,15 @@ impl Header {
             pq_m,
             meta_len: meta_len as usize,
             code_len: code_len as usize,
-            meta_fnv: u64_at(40),
-            code_fnv: u64_at(48),
+            meta_fnv: c.u64()?,
+            code_fnv: c.u64()?,
         })
     }
+}
+
+/// A [`GraphError::Format`] saying `msg`.
+fn corrupt(msg: String) -> GraphError {
+    GraphError::Format(FormatError::Corrupt(msg))
 }
 
 // -------------------------------------------------------------- storage
@@ -630,10 +626,6 @@ struct MetaCache {
     codebooks: Vec<f32>,
 }
 
-fn f32s_from_le(bytes: &[u8]) -> Vec<f32> {
-    bytes.chunks_exact(4).map(|c| f32::from_le_bytes(c.try_into().expect("4"))).collect()
-}
-
 // ------------------------------------------------------------ main type
 
 /// A quantized embedding table backed by a full EHNQ file image (heap
@@ -652,22 +644,21 @@ impl QuantizedEmbeddings {
     /// Quantize `emb` into a fresh EHNQ artifact.
     ///
     /// # Errors
-    /// [`GraphError::Parse`] when `spec` is invalid for the table shape
+    /// [`GraphError::Format`] when `spec` is invalid for the table shape
     /// (e.g. `pq_m` not dividing `dim`).
     pub fn encode(emb: &NodeEmbeddings, spec: &QuantSpec) -> Result<Self, GraphError> {
-        let bad = |msg: String| GraphError::Parse { line: 0, msg };
         let (n, dim) = (emb.num_nodes(), emb.dim());
         if dim > MAX_DIM {
-            return Err(bad(format!("dim {dim} exceeds EHNQ maximum {MAX_DIM}")));
+            return Err(corrupt(format!("dim {dim} exceeds EHNQ maximum {MAX_DIM}")));
         }
         if n > u32::MAX as usize {
-            return Err(bad(format!("num_nodes {n} exceeds EHNQ maximum {}", u32::MAX)));
+            return Err(corrupt(format!("num_nodes {n} exceeds EHNQ maximum {}", u32::MAX)));
         }
         let pq_m = match spec.format {
             QuantFormat::Pq => {
                 let m = spec.pq_m;
                 if m == 0 || m > dim || dim % m != 0 || m > u16::MAX as usize {
-                    return Err(bad(format!("pq_m {m} must divide dim {dim}")));
+                    return Err(corrupt(format!("pq_m {m} must divide dim {dim}")));
                 }
                 m
             }
@@ -721,7 +712,7 @@ impl QuantizedEmbeddings {
     /// buffer; all three checksums verified).
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, GraphError> {
         let header = Header::parse(bytes)?;
-        check_image_len(&header, bytes.len())?;
+        check_image_len(&header, bytes.len() as u64)?;
         let buf = AlignedBuf::from_bytes(bytes);
         let me = QuantizedEmbeddings {
             meta: decode_meta(&header, &buf),
@@ -748,18 +739,13 @@ impl QuantizedEmbeddings {
     /// malformed or truncated files fail early with a typed error and
     /// the only allocation made is bounded by the actual file size.
     pub fn open_path<P: AsRef<Path>>(path: P, mmap: bool) -> Result<Self, GraphError> {
-        let bad = |msg: String| GraphError::Parse { line: 0, msg };
         let mut file = std::fs::File::open(path)?;
         let file_len = file.metadata()?.len();
         let mut head = [0u8; HEADER_LEN];
-        let got = read_up_to(&mut file, &mut head)?;
+        let got = file_len.min(HEADER_LEN as u64) as usize;
+        file.read_exact(&mut head[..got])?;
         let header = Header::parse(&head[..got])?;
-        if file_len != header.file_len() as u64 {
-            return Err(bad(format!(
-                "EHNQ file is {file_len} bytes, header declares {}",
-                header.file_len()
-            )));
-        }
+        check_image_len(&header, file_len)?;
         if mmap && MmapBuf::supported() {
             let map = MmapBuf::map(&file, header.file_len()).map_err(GraphError::Io)?;
             let me = QuantizedEmbeddings {
@@ -792,7 +778,7 @@ impl QuantizedEmbeddings {
     fn verify_meta(&self) -> Result<(), GraphError> {
         let meta = &self.bytes[HEADER_LEN..self.header.code_off()];
         if fnv1a64(meta) != self.header.meta_fnv {
-            return Err(GraphError::Parse { line: 0, msg: "EHNQ meta checksum mismatch".into() });
+            return Err(corrupt("EHNQ meta checksum mismatch".into()));
         }
         Ok(())
     }
@@ -802,10 +788,7 @@ impl QuantizedEmbeddings {
     pub fn verify_payload(&self) -> Result<(), GraphError> {
         let codes = &self.bytes[self.header.code_off()..];
         if fnv1a64(codes) != self.header.code_fnv {
-            return Err(GraphError::Parse {
-                line: 0,
-                msg: "EHNQ code section checksum mismatch".into(),
-            });
+            return Err(corrupt("EHNQ code section checksum mismatch".into()));
         }
         Ok(())
     }
@@ -1011,16 +994,16 @@ impl QuantizedEmbeddings {
     /// property the sharded tier's router-equivalence gate relies on.
     ///
     /// # Errors
-    /// [`GraphError::Parse`] if any index is out of range.
+    /// [`GraphError::Format`] if any index is out of range.
     pub fn select_rows(&self, rows: &[usize]) -> Result<Vec<u8>, GraphError> {
         let cb = self.header.code_bytes_per_node();
         let mut codes = Vec::with_capacity(rows.len() * cb);
         for &r in rows {
             if r >= self.header.num_nodes {
-                return Err(GraphError::Parse {
-                    line: 0,
-                    msg: format!("select_rows index {r} out of range ({})", self.header.num_nodes),
-                });
+                return Err(corrupt(format!(
+                    "select_rows index {r} out of range ({})",
+                    self.header.num_nodes
+                )));
             }
             codes.extend_from_slice(self.code_row(r));
         }
@@ -1037,12 +1020,10 @@ impl QuantizedEmbeddings {
     }
 }
 
-fn check_image_len(header: &Header, len: usize) -> Result<(), GraphError> {
-    if len != header.file_len() {
-        return Err(GraphError::Parse {
-            line: 0,
-            msg: format!("EHNQ image is {len} bytes, header declares {}", header.file_len()),
-        });
+fn check_image_len(header: &Header, len: u64) -> Result<(), GraphError> {
+    if len != header.file_len() as u64 {
+        let declared = header.file_len();
+        return Err(corrupt(format!("EHNQ image is {len} bytes, header declares {declared}")));
     }
     Ok(())
 }
@@ -1062,18 +1043,6 @@ fn decode_meta(header: &Header, bytes: &[u8]) -> MetaCache {
 
 fn copy_into(buf: &mut AlignedBuf, off: usize, src: &[u8]) {
     buf.slice_mut(off, src.len()).copy_from_slice(src);
-}
-
-fn read_up_to<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<usize, GraphError> {
-    let mut got = 0;
-    while got < buf.len() {
-        let n = r.read(&mut buf[got..])?;
-        if n == 0 {
-            break;
-        }
-        got += n;
-    }
-    Ok(got)
 }
 
 // ------------------------------------------------------------- scorers
@@ -1165,10 +1134,8 @@ impl QuantScorer<'_> {
 // ------------------------------------------------------------- encoders
 
 fn encode_f32(emb: &NodeEmbeddings) -> Vec<u8> {
-    let mut codes = Vec::with_capacity(emb.as_slice().len() * 4);
-    for &x in emb.as_slice() {
-        codes.extend_from_slice(&x.to_le_bytes());
-    }
+    let mut codes = Vec::new();
+    put_f32s(&mut codes, emb.as_slice());
     codes
 }
 

@@ -112,6 +112,21 @@ timeout --kill-after=10 180 \
 timeout --kill-after=10 120 \
     cargo test -p ehna-cli quantize -q
 
+echo "== format gates (wall-clock bounded)"
+# The binary-format layer's contracts: one seeded artifact per format
+# (EHNA, EHNQ x4, ParamStore, Adam, EHNC v3, EHNL, EHNM, EHNP preamble
+# and every frame kind) hashes to committed constants, so no encoder
+# change moves a byte on disk or on the wire unnoticed (format_bytes),
+# and one sweep through every format's public loader refuses each strict
+# truncation and each single-byte flip (format_corruption). Hard
+# timeouts like the other gates.
+cargo test --test format_bytes --no-run -q
+cargo test --test format_corruption --no-run -q
+timeout --kill-after=10 120 \
+    cargo test --test format_bytes -q
+timeout --kill-after=10 120 \
+    cargo test --test format_corruption -q
+
 echo "== kernel gates (wall-clock bounded)"
 # The fused-kernel layer's contracts: blocked GEMMs match a naive oracle
 # on randomized shapes with NaN/Inf propagation (the bug class that
