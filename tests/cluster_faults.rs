@@ -12,17 +12,26 @@
 //! * a rolling reload under load hot-swaps every shard's snapshot
 //!   without a malformed response, invalidates the router's
 //!   version-keyed answer cache by construction, and post-reload
-//!   answers match a standalone oracle over the new table.
+//!   answers match a standalone oracle over the new table;
+//! * EHNP connection timing: a connection idling at a frame boundary
+//!   has no time limit, while a peer that stalls inside the preamble,
+//!   the length prefix, or a trickled frame is closed once the frame
+//!   deadline for the *whole* frame has passed, and is never answered.
 //!
 //! CI runs this suite as the fault gate (scripts/ci.sh).
 
-use ehna_cluster::{plan_shards, Router, RouterConfig, ShardConfig, ShardServer};
+use ehna_cluster::proto::{encode_frame, write_preamble};
+use ehna_cluster::{
+    plan_shards, MuxClient, Request, Response, Router, RouterConfig, ShardConfig, ShardHandle,
+    ShardServer,
+};
 use ehna_serve::{
     handle_line, query_lines, query_lines_timeout, BruteForceIndex, EmbeddingStore, EngineConfig,
     Json, KnnIndex, QueryEngine, Reloader, RequestLimits, Server, ServerConfig,
 };
 use ehna_tgraph::NodeEmbeddings;
-use std::net::SocketAddr;
+use std::io::{ErrorKind, Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -572,4 +581,123 @@ fn rolling_reload_under_load_swaps_every_shard() {
         h.shutdown();
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Frame deadline for the EHNP timing tests.
+const FRAME_DEADLINE: Duration = Duration::from_millis(300);
+
+/// How long after its first byte a stalled peer may stay connected.
+fn stall_limit() -> Duration {
+    FRAME_DEADLINE * 2 + Duration::from_secs(1)
+}
+
+/// One in-memory shard on an ephemeral port with `FRAME_DEADLINE`.
+fn timing_shard() -> ShardHandle {
+    let store = Arc::new(EmbeddingStore::new(table(8, 4, 3), None).unwrap());
+    let index: Box<dyn KnnIndex> = Box::new(BruteForceIndex::new(Arc::clone(&store)));
+    let engine = Arc::new(QueryEngine::new(
+        store,
+        index,
+        EngineConfig { workers: 1, cache_capacity: 0, ..Default::default() },
+    ));
+    let config = ShardConfig { frame_deadline: FRAME_DEADLINE, ..Default::default() };
+    ShardServer::bind("127.0.0.1:0", engine, RequestLimits::default(), None, config)
+        .unwrap()
+        .spawn()
+        .unwrap()
+}
+
+/// Whether a read result means the peer closed the connection (a FIN,
+/// or a reset when the shard hung up with our bytes unread).
+fn is_close(read: &std::io::Result<usize>) -> bool {
+    match read {
+        Ok(0) => true,
+        Ok(_) => false,
+        Err(e) => matches!(e.kind(), ErrorKind::ConnectionReset | ErrorKind::ConnectionAborted),
+    }
+}
+
+/// Write `first` to the shard, stall, and return how long after that
+/// first byte the shard closed the connection. Panics if it answers or
+/// keeps the connection open past `stall_limit()`.
+fn close_after_stall(addr: SocketAddr, first: &[u8]) -> Duration {
+    let mut conn = TcpStream::connect(addr).unwrap();
+    conn.set_read_timeout(Some(stall_limit())).unwrap();
+    conn.write_all(first).unwrap();
+    let sent = Instant::now();
+    let mut buf = [0u8; 64];
+    let read = conn.read(&mut buf);
+    let took = sent.elapsed();
+    assert!(is_close(&read), "shard did not close a stalled peer: {read:?} after {took:?}");
+    assert!(took <= stall_limit(), "stalled peer closed after {took:?}");
+    took
+}
+
+#[test]
+fn ehnp_idle_at_a_frame_boundary_has_no_time_limit() {
+    let shard = timing_shard();
+    let client =
+        MuxClient::connect(shard.addr(), Duration::from_secs(2), Duration::from_secs(2)).unwrap();
+    let t = Duration::from_secs(5);
+    assert!(matches!(client.call(&Request::Ping, t), Ok(Response::Pong { .. })));
+    // Idle for more than three frame deadlines between frames.
+    std::thread::sleep(Duration::from_secs(1));
+    assert!(
+        matches!(client.call(&Request::Ping, t), Ok(Response::Pong { .. })),
+        "an idle keep-alive connection was dropped"
+    );
+    drop(client);
+    shard.shutdown();
+}
+
+#[test]
+fn ehnp_peer_stalled_inside_the_preamble_is_closed() {
+    let shard = timing_shard();
+    let mut preamble = Vec::new();
+    write_preamble(&mut preamble).unwrap();
+    close_after_stall(shard.addr(), &preamble[..3]);
+    shard.shutdown();
+}
+
+#[test]
+fn ehnp_peer_stalled_inside_the_length_prefix_is_closed() {
+    let shard = timing_shard();
+    let mut bytes = Vec::new();
+    write_preamble(&mut bytes).unwrap();
+    bytes.extend_from_slice(&encode_frame(1, &Request::Ping)[..2]);
+    close_after_stall(shard.addr(), &bytes);
+    shard.shutdown();
+}
+
+#[test]
+fn ehnp_frame_deadline_covers_the_whole_frame() {
+    // A valid Ping trickled one byte per 120 ms: every read makes
+    // progress, but the frame as a whole takes ~2.5 s, far past the
+    // deadline, so the shard must hang up without answering.
+    let shard = timing_shard();
+    let mut conn = TcpStream::connect(shard.addr()).unwrap();
+    write_preamble(&mut conn).unwrap();
+    conn.set_read_timeout(Some(Duration::from_millis(120))).unwrap();
+    let frame = encode_frame(1, &Request::Ping);
+    let first = Instant::now();
+    let mut buf = [0u8; 64];
+    let mut closed = false;
+    for &byte in &frame {
+        if conn.write_all(&[byte]).is_err() {
+            closed = true; // the shard already hung up
+            break;
+        }
+        let read = conn.read(&mut buf);
+        if let Ok(n @ 1..) = read {
+            panic!("shard answered a trickled frame ({n} bytes)");
+        }
+        if is_close(&read) {
+            closed = true;
+            break;
+        }
+    }
+    let took = first.elapsed();
+    assert!(closed, "shard kept a trickling peer for the whole {}-byte frame", frame.len());
+    assert!(took <= stall_limit(), "trickling peer closed after {took:?}");
+    shard.shutdown();
 }
