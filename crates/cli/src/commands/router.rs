@@ -227,7 +227,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ehna_cluster::{plan_shards, ShardConfig, ShardServer};
+    use ehna_cluster::{plan_shards, ShardConfig, ShardHandle, ShardServer};
     use ehna_serve::{
         query_lines, BruteForceIndex, EmbeddingStore, EngineConfig, Json, KnnIndex, QueryEngine,
     };
@@ -238,8 +238,8 @@ mod tests {
     }
 
     /// Shard a 12-node table into `dir`, serve every shard over EHNP,
-    /// and return the replica addresses in shard order.
-    fn cluster(dir: &Path, shards: u32) -> Vec<SocketAddr> {
+    /// and return the running shards in shard order.
+    fn cluster(dir: &Path, shards: u32) -> Vec<ShardHandle> {
         std::fs::create_dir_all(dir).unwrap();
         let data: Vec<f32> = (0..12 * 4).map(|i| ((i * 7) % 5) as f32).collect();
         let emb = NodeEmbeddings::from_vec(4, data);
@@ -269,10 +269,7 @@ mod tests {
                     ShardConfig { shard_id: i as u32, ..Default::default() },
                 )
                 .unwrap();
-                let addr = shard.local_addr().unwrap();
-                // Detach: the test process exits with the shards running.
-                let _ = shard.spawn().unwrap();
-                addr
+                shard.spawn().unwrap()
             })
             .collect()
     }
@@ -281,16 +278,17 @@ mod tests {
     fn routes_queries_to_a_live_cluster() {
         let dir = std::env::temp_dir().join("ehna_cli_router_cmd");
         let _ = std::fs::remove_dir_all(&dir);
-        let addrs = cluster(&dir, 2);
+        // Held to the end of the test: dropping a handle stops its shard.
+        let shards = cluster(&dir, 2);
         let mut buf = Vec::new();
         let server = prepare(
             &args(&[
                 "--manifest",
                 dir.to_str().unwrap(),
                 "--shard",
-                &addrs[0].to_string(),
+                &shards[0].addr().to_string(),
                 "--shard",
-                &addrs[1].to_string(),
+                &shards[1].addr().to_string(),
                 "--addr",
                 "127.0.0.1:0",
                 "--probe-interval-ms",

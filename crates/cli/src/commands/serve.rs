@@ -6,8 +6,8 @@ use crate::flags::Flags;
 use crate::CliError;
 use ehna_cluster::{ShardConfig, ShardServer};
 use ehna_serve::{
-    BruteForceIndex, EmbeddingStore, EngineConfig, IvfConfig, IvfIndex, KnnIndex, QueryEngine,
-    Reloader, RequestLimits, Server, ServerConfig,
+    BruteForceIndex, EmbeddingStore, EngineConfig, EngineHandler, IvfConfig, IvfIndex, KnnIndex,
+    QueryEngine, Reloader, RequestLimits, Server, ServerConfig,
 };
 use std::io::Write;
 use std::sync::Arc;
@@ -234,7 +234,6 @@ pub fn prepare(args: &[String], out: &mut dyn Write) -> Result<PreparedServe, Cl
                 frame_deadline: Duration::from_millis(
                     flags.get_or("frame-deadline-ms", 10_000u64)?.max(1),
                 ),
-                ..Default::default()
             };
             let shard = ShardServer::bind(
                 ehnp_addr,
@@ -257,9 +256,10 @@ pub fn prepare(args: &[String], out: &mut dyn Write) -> Result<PreparedServe, Cl
     };
 
     let addr = flags.get("addr").unwrap_or("127.0.0.1:7878");
-    let server = Server::bind_with(addr, engine, server_config)
-        .map_err(|e| CliError::runtime(format!("cannot bind {addr}: {e}")))?
-        .with_reloader(reloader);
+    let handler =
+        Arc::new(EngineHandler::new(engine, server_config.limits.clone(), Some(reloader)));
+    let server = Server::bind_handler(addr, handler, server_config)
+        .map_err(|e| CliError::runtime(format!("cannot bind {addr}: {e}")))?;
     writeln!(out, "serving on {}", server.local_addr().map_err(io_err)?).map_err(io_err)?;
     Ok(PreparedServe { server, shard })
 }

@@ -221,6 +221,12 @@ fn reader_loop(stream: TcpStream, shared: &ClientShared) {
     let mut r = BufReader::new(stream);
     loop {
         match read_msg::<_, Response>(&mut r) {
+            // Id 0 is never a call's id: the shard refused this
+            // connection (it is past its admission cap).
+            Ok((0, Response::Error(msg))) => {
+                shared.mark_dead(format!("shard refused the connection: {msg}"));
+                return;
+            }
             Ok((id, resp)) => {
                 // An absent id means the caller already timed out; the
                 // late response is dropped on the floor.
@@ -377,6 +383,29 @@ mod tests {
         assert!(matches!(r, Err(CallError::Dead(_))), "got {r:?}");
         assert!(start.elapsed() < Duration::from_secs(10));
         assert!(client.is_dead());
+    }
+
+    #[test]
+    fn a_refusal_frame_names_the_reason() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let _ = read_preamble(&mut stream);
+            write_msg(&mut stream, 0, &Response::Error("overloaded".into())).unwrap();
+        });
+        let client =
+            MuxClient::connect(addr, Duration::from_secs(2), Duration::from_secs(2)).unwrap();
+        server.join().unwrap();
+        let start = std::time::Instant::now();
+        while !client.is_dead() {
+            assert!(start.elapsed() < Duration::from_secs(5), "refusal frame not read");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        match client.call(&Request::Ping, Duration::from_secs(5)) {
+            Err(CallError::Dead(msg)) => assert!(msg.contains("overloaded"), "msg: {msg}"),
+            other => panic!("expected a dead connection, got {other:?}"),
+        }
     }
 
     #[test]

@@ -31,6 +31,8 @@
 //! Responses are self-describing (they carry their own kind byte rather
 //! than being keyed off the originating request), which keeps decode
 //! stateless and lets a multiplexing client route purely by `req_id`.
+//! Clients number requests from 1; a shard past its admission cap sends
+//! one `Error("overloaded")` frame with `req_id` 0 and closes.
 
 use ehna_tgraph::ioutil::{self, put_f32s, put_string, Cursor, FormatError};
 use std::io::{self, Read, Write};
@@ -77,6 +79,15 @@ impl std::error::Error for ProtoError {
 impl From<io::Error> for ProtoError {
     fn from(e: io::Error) -> Self {
         ProtoError::Io(e)
+    }
+}
+
+impl From<ProtoError> for io::Error {
+    fn from(e: ProtoError) -> Self {
+        match e {
+            ProtoError::Io(e) => e,
+            corrupt => io::Error::new(io::ErrorKind::InvalidData, corrupt),
+        }
     }
 }
 

@@ -1206,11 +1206,7 @@ mod tests {
                 );
                 let index = Box::new(BruteForceIndex::new(Arc::clone(&store)));
                 let engine = Arc::new(QueryEngine::new(store, index, EngineConfig::default()));
-                let config = ShardConfig {
-                    shard_id: handles.len() as u32,
-                    poll: Duration::from_millis(10),
-                    ..Default::default()
-                };
+                let config = ShardConfig { shard_id: handles.len() as u32, ..Default::default() };
                 let handle = ShardServer::bind(
                     "127.0.0.1:0",
                     engine,
@@ -1393,11 +1389,7 @@ mod tests {
                 let index = Box::new(BruteForceIndex::new(Arc::clone(&store)));
                 Ok((store, index as Box<dyn ehna_serve::KnnIndex>))
             });
-            let config = ShardConfig {
-                shard_id: s as u32,
-                poll: Duration::from_millis(10),
-                ..Default::default()
-            };
+            let config = ShardConfig { shard_id: s as u32, ..Default::default() };
             let handle = ShardServer::bind(
                 "127.0.0.1:0",
                 engine,
@@ -1491,11 +1483,16 @@ mod tests {
             );
             let index = Box::new(BruteForceIndex::new(Arc::clone(&store)));
             let engine = Arc::new(QueryEngine::new(store, index, EngineConfig::default()));
-            let config = ShardConfig { poll: Duration::from_millis(10), ..Default::default() };
-            ShardServer::bind("127.0.0.1:0", engine, RequestLimits::default(), None, config)
-                .unwrap()
-                .spawn()
-                .unwrap()
+            ShardServer::bind(
+                "127.0.0.1:0",
+                engine,
+                RequestLimits::default(),
+                None,
+                ShardConfig::default(),
+            )
+            .unwrap()
+            .spawn()
+            .unwrap()
         };
         let a = mk_handle();
         let b = mk_handle();

@@ -6,23 +6,36 @@
 //! per-op counters, and hot-swapped snapshots stay coherent across
 //! protocols.
 //!
+//! The EHNP port is the same socket front end as the JSON port — accept
+//! loop, admission cap, worker pool, `overloads`/`timeouts` accounting,
+//! drain-then-cut shutdown — with an EHNP [`Protocol`] plugged in. It
+//! admits [`MAX_EHNP_CONNECTIONS`] connections and runs as many workers,
+//! because router connections are keep-alives that must never queue
+//! behind idle ones; a connection past the cap reads one
+//! `Error("overloaded")` frame and is closed.
+//!
 //! Connections are long-lived and multiplexed: a connection idling at a
 //! frame boundary is healthy keep-alive (the router holds one connection
-//! per replica for hours), while a connection that stalls *mid-frame*
-//! for longer than the frame deadline is dropped as wedged. The split is
-//! why frame reads go through `read_full` rather than a blanket socket
-//! timeout — a timeout inside `read_exact` can eat bytes and desync the
-//! framing.
+//! per replica for hours), while a peer that has started a frame (or the
+//! preamble) must finish it within the frame deadline, counted over the
+//! whole frame rather than per read, or it is dropped as wedged.
 
-use crate::proto::{decode_frame, write_msg, ProtoError, Request, Response, MAX_FRAME_LEN};
-use ehna_serve::{handle_line, QueryEngine, Reloader, RequestLimits, Role, ServeError};
+use crate::proto::{read_msg, read_preamble, write_msg, Request, Response};
+use ehna_serve::{
+    handle_line, EngineStats, Protocol, QueryEngine, Reloader, RequestLimits, Role, ServeError,
+    Server, ServerConfig, ServerHandle,
+};
 use ehna_tgraph::NodeId;
-use std::io::{self, BufWriter, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// Connections the EHNP port admits at once, and the workers it runs.
+/// Each router replica holds one keep-alive connection per shard
+/// replica, so this bounds the routers a shard serves.
+pub const MAX_EHNP_CONNECTIONS: usize = 32;
 
 /// Tuning for one shard endpoint.
 #[derive(Debug, Clone)]
@@ -32,52 +45,22 @@ pub struct ShardConfig {
     /// How long a peer may take to finish a frame it has started (or
     /// the preamble) before the connection is dropped as wedged.
     pub frame_deadline: Duration,
-    /// Poll granularity for the accept loop and idle reads; bounds
-    /// shutdown latency.
-    pub poll: Duration,
 }
 
 impl Default for ShardConfig {
     fn default() -> Self {
-        ShardConfig {
-            shard_id: 0,
-            frame_deadline: Duration::from_secs(10),
-            poll: Duration::from_millis(50),
-        }
+        ShardConfig { shard_id: 0, frame_deadline: Duration::from_secs(10) }
     }
 }
 
 /// A bound-but-not-yet-serving EHNP endpoint.
-pub struct ShardServer {
-    listener: TcpListener,
-    engine: Arc<QueryEngine>,
-    limits: RequestLimits,
-    reloader: Option<Reloader>,
-    config: ShardConfig,
-}
+#[derive(Debug)]
+pub struct ShardServer(Server);
 
-impl std::fmt::Debug for ShardServer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardServer")
-            .field("addr", &self.listener.local_addr().ok())
-            .field("config", &self.config)
-            .finish_non_exhaustive()
-    }
-}
-
-/// Handle to a running [`ShardServer`]; dropping it without calling
-/// [`shutdown`](ShardHandle::shutdown) leaves the threads detached.
-pub struct ShardHandle {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
-}
-
-impl std::fmt::Debug for ShardHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardHandle").field("addr", &self.addr).finish_non_exhaustive()
-    }
-}
+/// Handle to a running [`ShardServer`]: the socket front end's handle,
+/// which stops the endpoint on [`shutdown`](ServerHandle::shutdown) or
+/// drop.
+pub type ShardHandle = ServerHandle;
 
 impl ShardServer {
     /// Bind the EHNP endpoint and stamp the engine's identity as shard
@@ -92,9 +75,15 @@ impl ShardServer {
         reloader: Option<Reloader>,
         config: ShardConfig,
     ) -> io::Result<ShardServer> {
-        let listener = TcpListener::bind(addr)?;
+        let socket = ServerConfig {
+            conn_workers: MAX_EHNP_CONNECTIONS,
+            max_connections: MAX_EHNP_CONNECTIONS,
+            write_timeout: config.frame_deadline,
+            ..ServerConfig::default()
+        };
         engine.stats_raw().set_identity(Role::Shard, Some(config.shard_id));
-        Ok(ShardServer { listener, engine, limits, reloader, config })
+        let ehnp = Ehnp { engine, limits, reloader, frame_deadline: config.frame_deadline };
+        Ok(ShardServer(Server::bind_protocol(addr, Arc::new(ehnp), socket)?))
     }
 
     /// The bound address (useful with port 0 in tests).
@@ -102,7 +91,7 @@ impl ShardServer {
     /// # Errors
     /// If the socket has no local address.
     pub fn local_addr(&self) -> io::Result<SocketAddr> {
-        self.listener.local_addr()
+        self.0.local_addr()
     }
 
     /// Start accepting router connections.
@@ -110,285 +99,196 @@ impl ShardServer {
     /// # Errors
     /// If the listener cannot be made non-blocking.
     pub fn spawn(self) -> io::Result<ShardHandle> {
-        let addr = self.listener.local_addr()?;
-        self.listener.set_nonblocking(true)?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let accept = std::thread::Builder::new()
-            .name(format!("ehnp-shard-{}", self.config.shard_id))
-            .spawn(move || accept_loop(self, &stop2))
-            .expect("spawn shard accept loop");
-        Ok(ShardHandle { addr, stop, accept: Some(accept) })
+        self.0.spawn()
     }
 }
 
-impl ShardHandle {
-    /// The address the shard is serving EHNP on.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Stop accepting, wake idle connections, and join every thread.
-    pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-    }
+/// The EHNP protocol over one shard's engine.
+struct Ehnp {
+    engine: Arc<QueryEngine>,
+    limits: RequestLimits,
+    reloader: Option<Reloader>,
+    frame_deadline: Duration,
 }
 
-fn accept_loop(server: ShardServer, stop: &Arc<AtomicBool>) {
-    let ShardServer { listener, engine, limits, reloader, config } = server;
-    let mut conns: Vec<JoinHandle<()>> = Vec::new();
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let engine = Arc::clone(&engine);
-                let limits = limits.clone();
-                let reloader = reloader.clone();
-                let config = config.clone();
-                let stop = Arc::clone(stop);
-                conns.retain(|h| !h.is_finished());
-                conns.push(
-                    std::thread::Builder::new()
-                        .name("ehnp-conn".into())
-                        .spawn(move || {
-                            let _ = serve_conn(stream, &engine, &limits, &reloader, &config, &stop);
-                        })
-                        .expect("spawn shard connection"),
-                );
+impl Protocol for Ehnp {
+    fn serve(&self, stream: &TcpStream, _: &ServerConfig, stop: &AtomicBool) -> io::Result<()> {
+        let mut reader = BufReader::new(FrameClock { stream, due: None, blocking: false });
+        // The preamble must arrive promptly, and must be EHNP: a JSON
+        // client that dialed the wrong port gets a hangup, not a guess
+        // at a framing.
+        reader.get_mut().due = Some(Instant::now() + self.frame_deadline);
+        read_preamble(&mut reader)?;
+        let mut writer = BufWriter::new(stream);
+        loop {
+            // Idling at a frame boundary is healthy keep-alive; the
+            // deadline starts with the frame's first byte.
+            reader.get_mut().due = None;
+            if reader.fill_buf()?.is_empty() {
+                return Ok(());
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(config.poll);
-            }
-            Err(_) => std::thread::sleep(config.poll),
-        }
-    }
-    for h in conns {
-        let _ = h.join();
-    }
-}
-
-/// Outcome of one polled read.
-enum ReadOutcome {
-    /// The buffer was filled.
-    Full,
-    /// The peer closed cleanly before sending anything.
-    Closed,
-    /// The server is shutting down.
-    Stop,
-}
-
-/// Fill `buf` from `stream`, polling every `poll` so the stop flag stays
-/// responsive. When `idle_ok`, the peer may take forever to send the
-/// *first* byte (keep-alive at a frame boundary); once any byte arrives
-/// — or always, when `!idle_ok` — the rest must land within `deadline`.
-///
-/// Partial progress is kept in `buf` across polls, which is the whole
-/// point: a socket-level timeout inside `read_exact` would discard
-/// half-read bytes and desync the frame stream.
-fn read_full(
-    stream: &mut TcpStream,
-    buf: &mut [u8],
-    idle_ok: bool,
-    deadline: Duration,
-    stop: &AtomicBool,
-) -> io::Result<ReadOutcome> {
-    let mut filled = 0usize;
-    let mut started: Option<Instant> = if idle_ok { None } else { Some(Instant::now()) };
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            return Ok(ReadOutcome::Stop);
-        }
-        if let Some(t0) = started {
-            if t0.elapsed() > deadline {
-                return Err(io::Error::new(
-                    io::ErrorKind::TimedOut,
-                    format!("peer stalled mid-frame ({filled}/{} bytes)", buf.len()),
-                ));
-            }
-        }
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => {
-                if filled == 0 {
-                    return Ok(ReadOutcome::Closed);
-                }
-                return Err(io::ErrorKind::UnexpectedEof.into());
-            }
-            Ok(n) => {
-                if started.is_none() {
-                    started = Some(Instant::now());
-                }
-                filled += n;
-                if filled == buf.len() {
-                    return Ok(ReadOutcome::Full);
-                }
-            }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut
-                    || e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-fn serve_conn(
-    mut stream: TcpStream,
-    engine: &Arc<QueryEngine>,
-    limits: &RequestLimits,
-    reloader: &Option<Reloader>,
-    config: &ShardConfig,
-    stop: &AtomicBool,
-) -> io::Result<()> {
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(config.poll))?;
-    stream.set_write_timeout(Some(config.frame_deadline))?;
-
-    // Preamble: must arrive promptly, and must be EHNP (a JSON client
-    // that dialed the wrong port gets a hangup, not a hung read).
-    let mut preamble = [0u8; 8];
-    match read_full(&mut stream, &mut preamble, false, config.frame_deadline, stop)? {
-        ReadOutcome::Full => {}
-        ReadOutcome::Closed | ReadOutcome::Stop => return Ok(()),
-    }
-    if crate::proto::read_preamble(&mut &preamble[..]).is_err() {
-        return Ok(()); // wrong protocol: drop without guessing a framing
-    }
-
-    let mut writer = BufWriter::new(stream.try_clone()?);
-    loop {
-        // Frame length prefix: idling here is healthy keep-alive.
-        let mut len_buf = [0u8; 4];
-        match read_full(&mut stream, &mut len_buf, true, config.frame_deadline, stop)? {
-            ReadOutcome::Full => {}
-            ReadOutcome::Closed | ReadOutcome::Stop => return Ok(()),
-        }
-        let len = u32::from_le_bytes(len_buf);
-        if len > MAX_FRAME_LEN {
-            return Ok(()); // hostile or corrupt length: drop before allocating
-        }
-        // Rest of the frame: the peer has started, so it must finish.
-        let mut rest = vec![0u8; len as usize + 8];
-        match read_full(&mut stream, &mut rest, false, config.frame_deadline, stop)? {
-            ReadOutcome::Full => {}
-            ReadOutcome::Closed | ReadOutcome::Stop => return Ok(()),
-        }
-        let mut frame = Vec::with_capacity(4 + rest.len());
-        frame.extend_from_slice(&len_buf);
-        frame.extend_from_slice(&rest);
-        let (req_id, req) = match decode_frame::<Request>(&frame) {
-            Ok(((id, req), _)) => (id, req),
-            // Framing is lost (bad checksum / malformed payload): the
+            reader.get_mut().due = Some(Instant::now() + self.frame_deadline);
+            // A bad checksum or malformed payload loses the framing; the
             // only safe recovery is a fresh connection.
-            Err(ProtoError::Io(_) | ProtoError::Corrupt(_)) => return Ok(()),
-        };
-        let resp = answer(engine, limits, reloader, req);
-        write_msg(&mut writer, req_id, &resp)?;
-        writer.flush()?;
+            let (req_id, req) = read_msg::<_, Request>(&mut reader)?;
+            write_msg(&mut writer, req_id, &self.answer(req))?;
+            writer.flush()?;
+            if stop.load(Ordering::SeqCst) {
+                return Ok(());
+            }
+        }
+    }
+
+    fn overloaded(&self, mut stream: &TcpStream) -> io::Result<()> {
+        write_msg(&mut stream, 0, &Response::Error("overloaded".into()))
+    }
+
+    fn stats(&self) -> &EngineStats {
+        self.engine.stats_raw()
     }
 }
 
-/// Dispatch one EHNP request against the shared engine. Mirrors the JSON
-/// layer's accounting: every dispatched op lands in the per-op counters,
-/// failures come back as [`Response::Error`] without dropping the
-/// connection.
-fn answer(
-    engine: &Arc<QueryEngine>,
-    limits: &RequestLimits,
-    reloader: &Option<Reloader>,
-    req: Request,
-) -> Response {
-    let stats = engine.stats_raw();
-    match req {
-        Request::Ping => {
-            stats.ops.record("ping");
-            // Piggyback the snapshot version on every probe: the router
-            // keys its response cache on per-shard versions, so an
-            // out-of-band reload (operator hitting the shard directly)
-            // invalidates router entries within one probe interval.
-            Response::Pong { version: engine.snapshot_version().0 }
-        }
-        Request::Knn { k, explain, vector } => {
-            stats.ops.record("knn");
-            knn(engine, k, explain, vector).unwrap_or_else(|e| {
-                stats.rejected.fetch_add(1, Ordering::Relaxed);
-                Response::Error(e.to_string())
-            })
-        }
-        Request::Resolve { key } => {
-            stats.ops.record("resolve");
-            let store = engine.store();
-            let hit = store.resolve_name(&key).map(|id| {
-                let row = store.row(id).expect("resolved id is in range").to_vec();
-                (id.0, store.label(id), row)
-            });
-            Response::Resolved { hit }
-        }
-        Request::GetRow { local } => {
-            stats.ops.record("resolve");
-            let store = engine.store();
-            match store.row(NodeId(local)) {
-                Ok(row) => {
-                    Response::Row { local, label: store.label(NodeId(local)), row: row.to_vec() }
+/// A socket read under an optional deadline. Without one, a read blocks
+/// for as long as the peer idles (shutdown wakes it with
+/// `Shutdown::Read`); with one, each read gets only the time left, so a
+/// peer trickling a frame byte by byte is cut off when the whole frame
+/// is due, not after each byte.
+struct FrameClock<'a> {
+    stream: &'a TcpStream,
+    due: Option<Instant>,
+    /// Whether the socket currently has no read timeout.
+    blocking: bool,
+}
+
+impl Read for FrameClock<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        match self.due {
+            None if self.blocking => {}
+            None => {
+                self.stream.set_read_timeout(None)?;
+                self.blocking = true;
+            }
+            Some(due) => {
+                let left = due.saturating_duration_since(Instant::now());
+                if left.is_zero() {
+                    return Err(io::Error::new(io::ErrorKind::TimedOut, "peer stalled mid-frame"));
                 }
-                Err(e) => {
+                self.stream.set_read_timeout(Some(left))?;
+                self.blocking = false;
+            }
+        }
+        self.stream.read(buf)
+    }
+}
+
+impl Ehnp {
+    /// Dispatch one EHNP request against the shared engine. Mirrors the
+    /// JSON layer's accounting: every dispatched op lands in the per-op
+    /// counters, failures come back as [`Response::Error`] without
+    /// dropping the connection.
+    fn answer(&self, req: Request) -> Response {
+        let engine = &self.engine;
+        let stats = engine.stats_raw();
+        match req {
+            Request::Ping => {
+                stats.ops.record("ping");
+                // Piggyback the snapshot version on every probe: the
+                // router keys its response cache on per-shard versions,
+                // so an out-of-band reload (operator hitting the shard
+                // directly) invalidates router entries within one probe
+                // interval.
+                Response::Pong { version: engine.snapshot_version().0 }
+            }
+            Request::Knn { k, explain, vector } => {
+                stats.ops.record("knn");
+                self.knn(k, explain, vector).unwrap_or_else(|e| {
                     stats.rejected.fetch_add(1, Ordering::Relaxed);
                     Response::Error(e.to_string())
-                }
+                })
             }
-        }
-        Request::Stats => {
-            // Reuse the JSON stats document verbatim — one source of
-            // truth for the debug surface on both protocols.
-            Response::StatsText(handle_line(engine, limits, "{\"op\":\"stats\"}").to_string())
-        }
-        Request::Reload => {
-            stats.ops.record("reload");
-            match reloader {
-                None => {
-                    stats.rejected.fetch_add(1, Ordering::Relaxed);
-                    Response::Error("bad request: reload not configured".into())
-                }
-                Some(reload) => match reload() {
-                    Ok((store, index)) => {
-                        let nodes = store.num_nodes() as u64;
-                        let version = engine.swap_snapshot(store, index);
-                        Response::Reloaded { version: version.0, nodes }
-                    }
+            Request::Resolve { key } => {
+                stats.ops.record("resolve");
+                let store = engine.store();
+                let hit = store.resolve_name(&key).map(|id| {
+                    let row = store.row(id).expect("resolved id is in range").to_vec();
+                    (id.0, store.label(id), row)
+                });
+                Response::Resolved { hit }
+            }
+            Request::GetRow { local } => {
+                stats.ops.record("resolve");
+                let store = engine.store();
+                match store.row(NodeId(local)) {
+                    Ok(row) => Response::Row {
+                        local,
+                        label: store.label(NodeId(local)),
+                        row: row.to_vec(),
+                    },
                     Err(e) => {
                         stats.rejected.fetch_add(1, Ordering::Relaxed);
                         Response::Error(e.to_string())
                     }
-                },
+                }
+            }
+            Request::Stats => {
+                // Reuse the JSON stats document verbatim — one source of
+                // truth for the debug surface on both protocols.
+                Response::StatsText(
+                    handle_line(engine, &self.limits, "{\"op\":\"stats\"}").to_string(),
+                )
+            }
+            Request::Reload => {
+                stats.ops.record("reload");
+                match &self.reloader {
+                    None => {
+                        stats.rejected.fetch_add(1, Ordering::Relaxed);
+                        Response::Error("bad request: reload not configured".into())
+                    }
+                    Some(reload) => match reload() {
+                        Ok((store, index)) => {
+                            let nodes = store.num_nodes() as u64;
+                            let version = engine.swap_snapshot(store, index);
+                            Response::Reloaded { version: version.0, nodes }
+                        }
+                        Err(e) => {
+                            stats.rejected.fetch_add(1, Ordering::Relaxed);
+                            Response::Error(e.to_string())
+                        }
+                    },
+                }
             }
         }
     }
-}
 
-fn knn(
-    engine: &Arc<QueryEngine>,
-    k: u32,
-    explain: bool,
-    vector: Vec<f32>,
-) -> Result<Response, ServeError> {
-    if k == 0 {
-        return Err(ServeError::BadRequest("'k' must be at least 1".into()));
+    fn knn(&self, k: u32, explain: bool, vector: Vec<f32>) -> Result<Response, ServeError> {
+        let engine = &self.engine;
+        if k == 0 {
+            return Err(ServeError::BadRequest("'k' must be at least 1".into()));
+        }
+        // The router over-fetches one neighbor beyond a client's `k`
+        // (it drops the query node itself), so the shard allows
+        // `max_k + 1`.
+        let max_k = self.limits.max_k + 1;
+        if k as usize > max_k {
+            return Err(ServeError::BadRequest(format!(
+                "'k' exceeds the server limit of {max_k} (got {k})"
+            )));
+        }
+        // Cap at the shard's row count rather than erroring: the global
+        // over-fetch can exceed a small shard.
+        let k = (k as usize).min(engine.store().num_nodes());
+        let result = engine.knn_vector(vector, k, explain)?;
+        let store = engine.store();
+        let neighbors =
+            result.neighbors.iter().map(|nb| (nb.id.0, nb.dist, store.label(nb.id))).collect();
+        // nprobe 0 means "exact index" on the wire (brute force probes
+        // nothing); the router renders that as `null` in explain output.
+        let nprobe = engine.index_nprobe().unwrap_or(0) as u32;
+        let info = result
+            .info
+            .map(|i| (i.probed.iter().map(|&c| c as u32).collect(), i.scanned as u64, nprobe));
+        Ok(Response::Knn { neighbors, info })
     }
-    // Cap at the shard's row count rather than erroring: the router
-    // over-fetches k+1 globally, which can exceed a small shard.
-    let k = (k as usize).min(engine.store().num_nodes());
-    let result = engine.knn_vector(vector, k, explain)?;
-    let store = engine.store();
-    let neighbors =
-        result.neighbors.iter().map(|nb| (nb.id.0, nb.dist, store.label(nb.id))).collect();
-    // nprobe 0 means "exact index" on the wire (brute force probes
-    // nothing); the router renders that as `null` in explain output.
-    let nprobe = engine.index_nprobe().unwrap_or(0) as u32;
-    let info = result
-        .info
-        .map(|i| (i.probed.iter().map(|&c| c as u32).collect(), i.scanned as u64, nprobe));
-    Ok(Response::Knn { neighbors, info })
 }
 
 #[cfg(test)]
@@ -407,12 +307,12 @@ mod tests {
     }
 
     fn start(engine: Arc<QueryEngine>) -> ShardHandle {
-        let config =
-            ShardConfig { shard_id: 3, poll: Duration::from_millis(10), ..Default::default() };
-        ShardServer::bind("127.0.0.1:0", engine, RequestLimits::default(), None, config)
-            .unwrap()
-            .spawn()
-            .unwrap()
+        start_with(engine, RequestLimits::default())
+    }
+
+    fn start_with(engine: Arc<QueryEngine>, limits: RequestLimits) -> ShardHandle {
+        let config = ShardConfig { shard_id: 3, ..Default::default() };
+        ShardServer::bind("127.0.0.1:0", engine, limits, None, config).unwrap().spawn().unwrap()
     }
 
     #[test]
@@ -477,6 +377,32 @@ mod tests {
             other => panic!("reload got {other:?}"),
         }
 
+        drop(client);
+        handle.shutdown();
+    }
+
+    #[test]
+    fn knn_refuses_k_past_max_k_plus_one() {
+        let engine = shard_engine(20, 4);
+        let handle =
+            start_with(Arc::clone(&engine), RequestLimits { max_k: 2, ..Default::default() });
+        let client =
+            MuxClient::connect(handle.addr(), Duration::from_secs(2), Duration::from_secs(2))
+                .unwrap();
+        let t = Duration::from_secs(5);
+        let query = engine.store().row(NodeId(0)).unwrap().to_vec();
+        // k = max_k + 1 is the router's over-fetch and is answered.
+        let knn = |k| Request::Knn { k, explain: false, vector: query.clone() };
+        match client.call(&knn(3), t).unwrap() {
+            Response::Knn { neighbors, .. } => assert_eq!(neighbors.len(), 3),
+            other => panic!("k = 3 got {other:?}"),
+        }
+        assert_eq!(engine.stats().rejected, 0);
+        match client.call(&knn(4), t).unwrap() {
+            Response::Error(msg) => assert!(msg.contains("limit"), "msg: {msg}"),
+            other => panic!("k = 4 got {other:?}"),
+        }
+        assert_eq!(engine.stats().rejected, 1);
         drop(client);
         handle.shutdown();
     }

@@ -10,10 +10,12 @@
 //!   oracle for the approximate index.
 //! * [`QueryEngine`] — a batched multi-threaded query layer with a
 //!   hot-node LRU cache and latency counters.
-//! * [`Server`] — line-delimited JSON over TCP (std-only) behind a
-//!   bounded connection-worker pool with admission control, socket
-//!   timeouts, and capped request lines ([`ServerConfig`]), plus the
-//!   [`query_lines`] / [`query_lines_timeout`] one-shot clients.
+//! * [`Server`] — the one socket front end (std-only): a bounded
+//!   connection-worker pool with admission control and drain-then-cut
+//!   shutdown ([`ServerConfig`]) under any [`Protocol`]; line-delimited
+//!   JSON with socket timeouts and capped request lines for every
+//!   [`LineHandler`], plus the [`query_lines`] / [`query_lines_timeout`]
+//!   one-shot clients.
 //!
 //! All similarity is squared Euclidean distance — the model's native
 //! metric (paper Eq. 5) — so served rankings agree with `ehna-eval`.
@@ -46,7 +48,8 @@ pub use json::Json;
 pub use server::Reloader;
 pub use server::{
     handle_line, op_counts_json, query_lines, query_lines_detailed, query_lines_timeout,
-    EngineHandler, LineHandler, QueryError, RequestLimits, Server, ServerConfig, ServerHandle,
+    EngineHandler, LineHandler, Protocol, QueryError, RequestLimits, Server, ServerConfig,
+    ServerHandle,
 };
 pub use stats::{EngineStats, LatencyHistogram, OpCounters, OpCounts, Role, StatsSnapshot};
 pub use store::{canonical_node_id, EmbeddingStore, RowDistance, RowSource, MAX_NAME_LEN};

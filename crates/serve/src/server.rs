@@ -1,4 +1,4 @@
-//! Line-delimited JSON over TCP, std-only, hardened for hostile clients.
+//! The socket front end, and the line-delimited JSON protocol on it.
 //!
 //! One request per line, one response per line. Ops:
 //!
@@ -14,18 +14,25 @@
 //! Every response carries `"ok"`; failures add `"error"`. Scores and
 //! distances are squared Euclidean (Eq. 5) — lower = stronger link.
 //!
-//! # Architecture: bounded worker pool
+//! # Architecture: one front end, many protocols
+//!
+//! [`Server`] is the only socket layer in the system. It owns the accept
+//! loop, admission control, the worker pool, the connection registry and
+//! shutdown; a [`Protocol`] owns only what is said on one admitted
+//! connection. Every [`LineHandler`] (the engine, the cluster router)
+//! speaks the JSON line protocol; the cluster's EHNP shard port is the
+//! other protocol.
 //!
 //! Connections are NOT handled one-thread-per-socket. A non-blocking
 //! accept loop admits sockets into a bounded queue drained by a fixed
-//! pool of `ServerConfig::conn_workers` handler threads. Admission is
-//! gated on `ServerConfig::max_connections` (queued + in-flight): a
-//! client arriving past the cap receives a one-line
-//! `{"ok":false,"error":"overloaded"}` response and is disconnected,
-//! so a connection flood degrades into fast load-shedding instead of
-//! unbounded thread spawn.
+//! pool of `ServerConfig::conn_workers` handler threads, which block on
+//! the queue between connections. Admission is gated on
+//! `ServerConfig::max_connections` (queued + in-flight): a client
+//! arriving past the cap is told it is `overloaded` in its protocol's
+//! own error format and disconnected, so a connection flood degrades
+//! into fast load-shedding instead of unbounded thread spawn.
 //!
-//! Per-connection defenses:
+//! Per-connection defenses on the JSON protocol:
 //!
 //! * read/write socket timeouts (`read_timeout` / `write_timeout`) cut
 //!   off slow-loris clients that trickle or never complete a request;
@@ -41,13 +48,14 @@
 //!
 //! # Shutdown
 //!
-//! [`ServerHandle::shutdown`] is deterministic: the accept loop runs
-//! non-blocking and polls the stop flag (no self-connect hack), queued
-//! but unserved sockets are dropped, idle connections have their read
-//! half shut down so blocked reads wake immediately, and in-flight
-//! requests get up to `drain_deadline` to finish writing their
-//! responses before remaining sockets are force-closed and the workers
-//! joined.
+//! [`ServerHandle::shutdown`] (or dropping the handle) is deterministic:
+//! the accept loop runs non-blocking and polls the stop flag (no
+//! self-connect hack) and its exit drops the queue's sender, which wakes
+//! the idle workers; queued but unserved sockets are dropped, idle
+//! connections have their read half shut down so blocked reads wake
+//! immediately, and in-flight requests get up to `drain_deadline` to
+//! finish writing their responses before remaining sockets are
+//! force-closed and the workers joined.
 
 use crate::engine::QueryEngine;
 use crate::index::KnnIndex;
@@ -59,14 +67,14 @@ use ehna_tgraph::NodeId;
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How often the non-blocking accept loop and idle workers poll the
-/// stop flag.
+/// How often the non-blocking accept loop polls the stop flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(10);
 
 /// How often the shutdown drain re-checks the active-connection count.
@@ -134,14 +142,38 @@ impl Default for ServerConfig {
 pub type Reloader =
     Arc<dyn Fn() -> Result<(Arc<EmbeddingStore>, Box<dyn KnnIndex>), ServeError> + Send + Sync>;
 
-/// A protocol backend: turns one request line into one response document.
+/// One wire protocol behind [`Server`]: what is said on one admitted
+/// connection. The server does everything else — accepting, admission,
+/// the worker pool, the connection registry, and shutdown.
+pub trait Protocol: Send + Sync {
+    /// Serve one admitted connection until the peer leaves or an error
+    /// ends it. Once `stop` is set, close after the in-flight response
+    /// instead of waiting for another request. A returned timeout error
+    /// (`TimedOut` or `WouldBlock`) is counted in `timeouts`.
+    ///
+    /// # Errors
+    /// The IO error that ended the connection.
+    fn serve(&self, stream: &TcpStream, config: &ServerConfig, stop: &AtomicBool)
+        -> io::Result<()>;
+
+    /// Tell a client shed at admission that the server is overloaded.
+    ///
+    /// # Errors
+    /// Write failures (the server drops the socket either way).
+    fn overloaded(&self, stream: &TcpStream) -> io::Result<()>;
+
+    /// The counters the socket layer records shed connections and
+    /// socket timeouts against.
+    fn stats(&self) -> &EngineStats;
+}
+
+/// A JSON line protocol backend: turns one request line into one
+/// response document.
 ///
-/// [`Server`] owns everything about sockets — admission control, the
-/// bounded worker pool, read/write timeouts, line caps, and deterministic
-/// shutdown — while the handler decides what the lines *mean*. The
-/// standard engine-backed server ([`EngineHandler`]) and the cluster
-/// router are both `LineHandler`s, so the router inherits the whole
-/// hardened front end for free.
+/// Every `LineHandler` is a [`Protocol`]: the line loop reads requests
+/// with a capped reader and answers each with one line. The standard
+/// engine-backed server ([`EngineHandler`]) and the cluster router are
+/// both `LineHandler`s.
 pub trait LineHandler: Send + Sync {
     /// Answer one request line with one response document. Must not
     /// panic on malformed input — answer with `"ok":false` instead.
@@ -150,6 +182,65 @@ pub trait LineHandler: Send + Sync {
     /// The counters the socket layer records shed connections, socket
     /// timeouts, and oversized lines against.
     fn stats(&self) -> &EngineStats;
+}
+
+impl<H: LineHandler + ?Sized> LineHandler for Arc<H> {
+    fn handle_line(&self, line: &str) -> Json {
+        (**self).handle_line(line)
+    }
+
+    fn stats(&self) -> &EngineStats {
+        (**self).stats()
+    }
+}
+
+impl<H: LineHandler> Protocol for H {
+    fn serve(
+        &self,
+        stream: &TcpStream,
+        config: &ServerConfig,
+        stop: &AtomicBool,
+    ) -> io::Result<()> {
+        // The JSON line protocol's request/response loop.
+        let mut reader = BufReader::new(stream);
+        let mut writer = BufWriter::new(stream);
+        loop {
+            let line = match read_line_capped(&mut reader, config.max_line_bytes)? {
+                LineRead::Eof => return Ok(()),
+                LineRead::TooLong => {
+                    LineHandler::stats(self).rejected.fetch_add(1, Ordering::Relaxed);
+                    let resp = error_response(&format!(
+                        "request line exceeds {} bytes",
+                        config.max_line_bytes
+                    ));
+                    let _ = writeln!(writer, "{resp}").and_then(|()| writer.flush());
+                    return Ok(());
+                }
+                LineRead::Line(line) => line,
+            };
+            if line.trim().is_empty() {
+                if stop.load(Ordering::SeqCst) {
+                    return Ok(());
+                }
+                continue;
+            }
+            let response = self.handle_line(&line);
+            writeln!(writer, "{response}").and_then(|()| writer.flush())?;
+            // Draining: the in-flight request got its response; close
+            // instead of waiting for another.
+            if stop.load(Ordering::SeqCst) {
+                return Ok(());
+            }
+        }
+    }
+
+    fn overloaded(&self, mut stream: &TcpStream) -> io::Result<()> {
+        stream.write_all(format!("{}\n", error_response("overloaded")).as_bytes())
+    }
+
+    fn stats(&self) -> &EngineStats {
+        LineHandler::stats(self)
+    }
 }
 
 /// The standard [`LineHandler`]: requests answered by a [`QueryEngine`],
@@ -161,7 +252,9 @@ pub struct EngineHandler {
 }
 
 impl EngineHandler {
-    /// Handler over `engine`, enforcing `limits` per request.
+    /// Handler over `engine`, enforcing `limits` per request. Without a
+    /// `reloader`, `reload` requests get a structured
+    /// `"reload not configured"` error.
     pub fn new(
         engine: Arc<QueryEngine>,
         limits: RequestLimits,
@@ -190,17 +283,10 @@ impl std::fmt::Debug for EngineHandler {
     }
 }
 
-/// What answers requests: either a [`QueryEngine`] wrapped at spawn time,
-/// or an arbitrary [`LineHandler`] (the cluster router).
-enum Backend {
-    Engine { engine: Arc<QueryEngine>, reloader: Option<Reloader> },
-    Handler(Arc<dyn LineHandler>),
-}
-
 /// State shared between the accept loop, the worker pool, and the
 /// shutdown path.
 struct ServerShared {
-    handler: Arc<dyn LineHandler>,
+    handler: Arc<dyn Protocol>,
     config: ServerConfig,
     stop: AtomicBool,
     /// Admitted connections not yet closed (queued + being served).
@@ -214,17 +300,15 @@ struct ServerShared {
 /// A bound, not-yet-running server.
 pub struct Server {
     listener: TcpListener,
-    backend: Backend,
+    handler: Arc<dyn Protocol>,
     config: ServerConfig,
 }
 
 impl std::fmt::Debug for Server {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let backend = match &self.backend {
-            Backend::Engine { .. } => "engine",
-            Backend::Handler(_) => "handler",
-        };
-        f.debug_struct("Server").field("backend", &backend).finish_non_exhaustive()
+        f.debug_struct("Server")
+            .field("addr", &self.listener.local_addr().ok())
+            .finish_non_exhaustive()
     }
 }
 
@@ -238,7 +322,8 @@ impl Server {
         Server::bind_with(addr, engine, ServerConfig::default())
     }
 
-    /// Bind `addr` with explicit socket limits and timeouts.
+    /// Bind `addr` with explicit socket limits and timeouts, answering
+    /// with an [`EngineHandler`] over `engine` (no reloader).
     ///
     /// # Errors
     /// Socket errors.
@@ -247,11 +332,8 @@ impl Server {
         engine: Arc<QueryEngine>,
         config: ServerConfig,
     ) -> io::Result<Server> {
-        Ok(Server {
-            listener: TcpListener::bind(addr)?,
-            backend: Backend::Engine { engine, reloader: None },
-            config,
-        })
+        let handler = Arc::new(EngineHandler::new(engine, config.limits.clone(), None));
+        Server::bind_handler(addr, handler, config)
     }
 
     /// Bind `addr` with an arbitrary [`LineHandler`] backend (the cluster
@@ -265,27 +347,20 @@ impl Server {
         handler: Arc<dyn LineHandler>,
         config: ServerConfig,
     ) -> io::Result<Server> {
-        Ok(Server {
-            listener: TcpListener::bind(addr)?,
-            backend: Backend::Handler(handler),
-            config,
-        })
+        Server::bind_protocol(addr, Arc::new(handler), config)
     }
 
-    /// Enable the `reload` op: each request runs `reloader` and hot-swaps
-    /// the returned snapshot into the engine. Without this, `reload`
-    /// requests get a structured `"reload not configured"` error.
+    /// Bind `addr` with any [`Protocol`] (the cluster's EHNP shard port
+    /// uses this).
     ///
-    /// # Panics
-    /// Panics on a [`bind_handler`](Server::bind_handler) server — a
-    /// custom handler owns its own reload semantics.
-    #[must_use]
-    pub fn with_reloader(mut self, reloader: Reloader) -> Self {
-        match &mut self.backend {
-            Backend::Engine { reloader: slot, .. } => *slot = Some(reloader),
-            Backend::Handler(_) => panic!("with_reloader requires an engine-backed server"),
-        }
-        self
+    /// # Errors
+    /// Socket errors.
+    pub fn bind_protocol<A: ToSocketAddrs>(
+        addr: A,
+        handler: Arc<dyn Protocol>,
+        config: ServerConfig,
+    ) -> io::Result<Server> {
+        Ok(Server { listener: TcpListener::bind(addr)?, handler, config })
     }
 
     /// The bound address (reports the real port after binding port 0).
@@ -321,14 +396,8 @@ impl Server {
     pub fn spawn(self) -> io::Result<ServerHandle> {
         let addr = self.local_addr()?;
         self.listener.set_nonblocking(true)?;
-        let handler: Arc<dyn LineHandler> = match self.backend {
-            Backend::Engine { engine, reloader } => {
-                Arc::new(EngineHandler::new(engine, self.config.limits.clone(), reloader))
-            }
-            Backend::Handler(handler) => handler,
-        };
         let shared = Arc::new(ServerShared {
-            handler,
+            handler: self.handler,
             config: self.config,
             stop: AtomicBool::new(false),
             active: AtomicUsize::new(0),
@@ -349,7 +418,7 @@ impl Server {
             let listener = self.listener;
             std::thread::spawn(move || accept_loop(&listener, &shared, &tx))
         };
-        Ok(ServerHandle { addr, shared, rx, accept: Some(accept), workers: Some(workers) })
+        Ok(ServerHandle { addr, shared, accept: Some(accept), workers: Some(workers) })
     }
 }
 
@@ -359,8 +428,6 @@ impl Server {
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<ServerShared>,
-    /// The admitted-connection queue the workers share.
-    rx: Arc<Mutex<Receiver<TcpStream>>>,
     accept: Option<JoinHandle<io::Result<()>>>,
     workers: Option<Vec<JoinHandle<()>>>,
 }
@@ -390,14 +457,10 @@ impl ServerHandle {
         self.shared.stop.store(true, Ordering::SeqCst);
         // The accept loop is non-blocking and polls the stop flag, so
         // it exits within one poll interval — no self-connect needed.
+        // Its exit drops the queue's sender: idle workers wake, drop
+        // any connection still queued unserved, and exit.
         if let Some(join) = self.accept.take() {
             let _ = join.join();
-        }
-        // Connections admitted but never picked up by a worker are
-        // dropped unserved.
-        for stream in lock(self.rx.lock()).try_iter() {
-            drop(stream);
-            self.shared.active.fetch_sub(1, Ordering::SeqCst);
         }
         // Wake workers blocked reading from idle connections; the
         // write half stays open so in-flight responses still go out.
@@ -457,9 +520,9 @@ fn admit(shared: &ServerShared, tx: &SyncSender<TcpStream>, stream: TcpStream) {
     // Accepted sockets must be blocking regardless of what the
     // non-blocking listener hands us (platform-dependent inheritance).
     let _ = stream.set_nonblocking(false);
-    // One response line per request: without TCP_NODELAY, Nagle holds a
+    // One response per request: without TCP_NODELAY, Nagle holds a
     // small reply behind a client's delayed ACK (milliseconds per answer
-    // on pipelined connections). The EHNP listener sets it too.
+    // on pipelined connections).
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(shared.config.read_timeout));
     let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
@@ -480,32 +543,29 @@ fn admit(shared: &ServerShared, tx: &SyncSender<TcpStream>, stream: TcpStream) {
 /// Tell an un-admittable client it is being load-shed, then drop it.
 fn shed(shared: &ServerShared, stream: &TcpStream) {
     shared.handler.stats().overloads.fetch_add(1, Ordering::Relaxed);
-    let resp = error_response("overloaded");
-    let mut writer = BufWriter::new(stream);
-    let _ = writeln!(writer, "{resp}").and_then(|()| writer.flush());
+    let _ = shared.handler.overloaded(stream);
     let _ = stream.shutdown(Shutdown::Both);
 }
 
 /// One worker of the bounded pool: serve connections from the queue
-/// until shutdown.
-fn conn_worker(shared: &Arc<ServerShared>, rx: &Mutex<Receiver<TcpStream>>) {
+/// until the accept loop exits and drops the sender. Blocks on the
+/// queue between connections instead of polling.
+fn conn_worker(shared: &ServerShared, rx: &Mutex<Receiver<TcpStream>>) {
     loop {
-        if shared.stop.load(Ordering::SeqCst) {
-            break;
-        }
         // The queue guard drops with this statement, before the
         // connection is served.
-        let next = lock(rx.lock()).recv_timeout(POLL_INTERVAL);
+        let next = lock(rx.lock()).recv();
         match next {
             Ok(stream) => handle_connection(shared, &stream),
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => break,
+            Err(_) => break,
         }
     }
 }
 
 /// Serve one admitted connection to completion, keeping the shutdown
-/// registry and the active-connection count consistent.
+/// registry, the active-connection count and the `timeouts` counter
+/// consistent. Once shutdown has begun, a connection still in the queue
+/// is dropped unserved.
 fn handle_connection(shared: &ServerShared, stream: &TcpStream) {
     if !shared.stop.load(Ordering::SeqCst) {
         let conn_id = shared.next_conn_id.fetch_add(1, Ordering::Relaxed);
@@ -516,7 +576,16 @@ fn handle_connection(shared: &ServerShared, stream: &TcpStream) {
             }
             Err(_) => false,
         };
-        serve_connection(shared, stream);
+        // A panicking protocol loses its connection, not the worker and
+        // its admission slot.
+        let served = catch_unwind(AssertUnwindSafe(|| {
+            shared.handler.serve(stream, &shared.config, &shared.stop)
+        }));
+        if let Ok(Err(e)) = served {
+            if is_timeout(&e) {
+                shared.handler.stats().timeouts.fetch_add(1, Ordering::Relaxed);
+            }
+        }
         if registered {
             lock(shared.conns.lock()).remove(&conn_id);
         }
@@ -579,56 +648,6 @@ fn read_line_capped<R: BufRead>(reader: &mut R, max_bytes: usize) -> io::Result<
 /// it as either `WouldBlock` or `TimedOut`).
 fn is_timeout(e: &io::Error) -> bool {
     matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
-}
-
-/// The per-connection request/response loop.
-fn serve_connection(shared: &ServerShared, stream: &TcpStream) {
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = BufWriter::new(stream);
-    let stats = shared.handler.stats();
-    loop {
-        match read_line_capped(&mut reader, shared.config.max_line_bytes) {
-            Ok(LineRead::Eof) => break,
-            Ok(LineRead::TooLong) => {
-                stats.rejected.fetch_add(1, Ordering::Relaxed);
-                let resp = error_response(&format!(
-                    "request line exceeds {} bytes",
-                    shared.config.max_line_bytes
-                ));
-                let _ = writeln!(writer, "{resp}").and_then(|()| writer.flush());
-                break;
-            }
-            Ok(LineRead::Line(line)) => {
-                if shared.stop.load(Ordering::SeqCst) && line.trim().is_empty() {
-                    break;
-                }
-                if line.trim().is_empty() {
-                    continue;
-                }
-                let response = shared.handler.handle_line(&line);
-                if let Err(e) = writeln!(writer, "{response}").and_then(|()| writer.flush()) {
-                    if is_timeout(&e) {
-                        stats.timeouts.fetch_add(1, Ordering::Relaxed);
-                    }
-                    break;
-                }
-                // Draining: the in-flight request got its response;
-                // close instead of waiting for another.
-                if shared.stop.load(Ordering::SeqCst) {
-                    break;
-                }
-            }
-            Err(e) => {
-                if is_timeout(&e) {
-                    stats.timeouts.fetch_add(1, Ordering::Relaxed);
-                }
-                break;
-            }
-        }
-    }
 }
 
 /// Process one request line into one response document. Pure with respect

@@ -62,7 +62,8 @@ timeout --kill-after=10 120 \
 echo "== router gates (wall-clock bounded)"
 # The cluster tier's load-bearing guarantees: EHNP v2 frame codec
 # robustness (proptest round-trip, every-byte truncation, single-byte
-# corruption, oversized lengths capped before allocation), the
+# corruption, oversized lengths capped before allocation, arbitrary bytes
+# on a live shard socket answered with whole frames or a close), the
 # equivalence gate (a router over N ∈ {1,2,4} shards answers knn AND
 # batch byte-identically to a standalone server — ids, ordering, tie
 # breaks, error strings, `cached` flags with the answer cache on and
@@ -71,13 +72,15 @@ echo "== router gates (wall-clock bounded)"
 # (replica killed mid-load under 16 clients, tar-pit replica
 # circuit-broken without delaying a restarted peer's probe recovery,
 # rolling reload under load with cache invalidation — zero malformed
-# client responses throughout). Hard timeouts so a wedged scatter or
-# probe loop fails fast instead of hanging CI.
-cargo test -p ehna-cluster --test proto_robustness --no-run -q
+# client responses throughout; EHNP keep-alive and frame-deadline timing
+# and a 1,000-connection flood shed past the admission cap). Hard
+# timeouts so a wedged scatter or probe loop fails fast instead of
+# hanging CI.
+cargo test --test proto_robustness --no-run -q
 cargo test --test router_equivalence --no-run -q
 cargo test --test cluster_faults --no-run -q
 timeout --kill-after=10 120 \
-    cargo test -p ehna-cluster --test proto_robustness -q
+    cargo test --test proto_robustness -q
 timeout --kill-after=10 180 \
     cargo test --test router_equivalence -q
 timeout --kill-after=10 180 \

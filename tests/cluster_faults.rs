@@ -16,11 +16,14 @@
 //! * EHNP connection timing: a connection idling at a frame boundary
 //!   has no time limit, while a peer that stalls inside the preamble,
 //!   the length prefix, or a trickled frame is closed once the frame
-//!   deadline for the *whole* frame has passed, and is never answered.
+//!   deadline for the *whole* frame has passed, and is never answered;
+//! * an EHNP connection flood is shed with `overloaded` error frames and
+//!   spawns no thread per connection.
 //!
 //! CI runs this suite as the fault gate (scripts/ci.sh).
 
-use ehna_cluster::proto::{encode_frame, write_preamble};
+use ehna_cluster::proto::{encode_frame, read_msg, write_preamble};
+use ehna_cluster::shard::MAX_EHNP_CONNECTIONS;
 use ehna_cluster::{
     plan_shards, MuxClient, Request, Response, Router, RouterConfig, ShardConfig, ShardHandle,
     ShardServer,
@@ -34,8 +37,16 @@ use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
 use std::time::{Duration, Instant};
+
+/// The flood test counts this process's threads, so it runs alone:
+/// it takes this lock for writing, every other test for reading.
+static THREADS: RwLock<()> = RwLock::new(());
+
+fn share_threads() -> RwLockReadGuard<'static, ()> {
+    THREADS.read().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn table(n: usize, dim: usize, salt: u32) -> NodeEmbeddings {
     let data: Vec<f32> = (0..n * dim).map(|i| ((i as u32 * 7 + salt * 13) % 5) as f32).collect();
@@ -180,6 +191,7 @@ fn wait_for(what: &str, deadline: Duration, mut f: impl FnMut() -> bool) {
 
 #[test]
 fn replica_kill_under_load_recovers_on_restart() {
+    let _threads = share_threads();
     const N: usize = 40;
     let dir = std::env::temp_dir().join("ehna_cluster_fault_kill");
     let _ = std::fs::remove_dir_all(&dir);
@@ -289,6 +301,7 @@ fn replica_kill_under_load_recovers_on_restart() {
 
 #[test]
 fn slow_replica_is_circuit_broken_while_peer_serves() {
+    let _threads = share_threads();
     const N: usize = 24;
     let dir = std::env::temp_dir().join("ehna_cluster_fault_slow");
     let _ = std::fs::remove_dir_all(&dir);
@@ -378,6 +391,7 @@ fn slow_replica_is_circuit_broken_while_peer_serves() {
 
 #[test]
 fn tarpit_replica_does_not_delay_peer_recovery() {
+    let _threads = share_threads();
     // The probe loop fans out with its own short timeout. A tar-pit
     // replica (accepts, never answers) eats `probe_timeout` per round —
     // but concurrently, so a killed-and-restarted peer on the same
@@ -470,6 +484,7 @@ fn tarpit_replica_does_not_delay_peer_recovery() {
 
 #[test]
 fn rolling_reload_under_load_swaps_every_shard() {
+    let _threads = share_threads();
     const N: usize = 30;
     const DIM: usize = 4;
     let dir = std::env::temp_dir().join("ehna_cluster_fault_reload");
@@ -593,6 +608,11 @@ fn stall_limit() -> Duration {
 
 /// One in-memory shard on an ephemeral port with `FRAME_DEADLINE`.
 fn timing_shard() -> ShardHandle {
+    mem_shard(FRAME_DEADLINE).1
+}
+
+/// One in-memory shard on an ephemeral port, and its engine.
+fn mem_shard(frame_deadline: Duration) -> (Arc<QueryEngine>, ShardHandle) {
     let store = Arc::new(EmbeddingStore::new(table(8, 4, 3), None).unwrap());
     let index: Box<dyn KnnIndex> = Box::new(BruteForceIndex::new(Arc::clone(&store)));
     let engine = Arc::new(QueryEngine::new(
@@ -600,11 +620,18 @@ fn timing_shard() -> ShardHandle {
         index,
         EngineConfig { workers: 1, cache_capacity: 0, ..Default::default() },
     ));
-    let config = ShardConfig { frame_deadline: FRAME_DEADLINE, ..Default::default() };
-    ShardServer::bind("127.0.0.1:0", engine, RequestLimits::default(), None, config)
-        .unwrap()
-        .spawn()
-        .unwrap()
+    let config = ShardConfig { frame_deadline, ..Default::default() };
+    let handle = ShardServer::bind(
+        "127.0.0.1:0",
+        Arc::clone(&engine),
+        RequestLimits::default(),
+        None,
+        config,
+    )
+    .unwrap()
+    .spawn()
+    .unwrap();
+    (engine, handle)
 }
 
 /// Whether a read result means the peer closed the connection (a FIN,
@@ -635,6 +662,7 @@ fn close_after_stall(addr: SocketAddr, first: &[u8]) -> Duration {
 
 #[test]
 fn ehnp_idle_at_a_frame_boundary_has_no_time_limit() {
+    let _threads = share_threads();
     let shard = timing_shard();
     let client =
         MuxClient::connect(shard.addr(), Duration::from_secs(2), Duration::from_secs(2)).unwrap();
@@ -652,6 +680,7 @@ fn ehnp_idle_at_a_frame_boundary_has_no_time_limit() {
 
 #[test]
 fn ehnp_peer_stalled_inside_the_preamble_is_closed() {
+    let _threads = share_threads();
     let shard = timing_shard();
     let mut preamble = Vec::new();
     write_preamble(&mut preamble).unwrap();
@@ -661,6 +690,7 @@ fn ehnp_peer_stalled_inside_the_preamble_is_closed() {
 
 #[test]
 fn ehnp_peer_stalled_inside_the_length_prefix_is_closed() {
+    let _threads = share_threads();
     let shard = timing_shard();
     let mut bytes = Vec::new();
     write_preamble(&mut bytes).unwrap();
@@ -671,6 +701,7 @@ fn ehnp_peer_stalled_inside_the_length_prefix_is_closed() {
 
 #[test]
 fn ehnp_frame_deadline_covers_the_whole_frame() {
+    let _threads = share_threads();
     // A valid Ping trickled one byte per 120 ms: every read makes
     // progress, but the frame as a whole takes ~2.5 s, far past the
     // deadline, so the shard must hang up without answering.
@@ -699,5 +730,69 @@ fn ehnp_frame_deadline_covers_the_whole_frame() {
     let took = first.elapsed();
     assert!(closed, "shard kept a trickling peer for the whole {}-byte frame", frame.len());
     assert!(took <= stall_limit(), "trickling peer closed after {took:?}");
+    shard.shutdown();
+}
+
+/// Live threads in this test process.
+fn live_threads() -> usize {
+    std::fs::read_dir("/proc/self/task").unwrap().count()
+}
+
+#[test]
+fn ehnp_connection_flood_is_shed_with_overloaded_frames() {
+    const FLOOD: usize = 1000;
+    let _alone = THREADS.write().unwrap_or_else(PoisonError::into_inner);
+    let (engine, shard) = mem_shard(Duration::from_secs(10));
+    let shed = (FLOOD - MAX_EHNP_CONNECTIONS) as u64;
+
+    // Idle connections that never send the preamble, like the JSON
+    // flood test: a shed socket closes with nothing unread, so no reset
+    // can eat its error frame. They arrive in batches the accept loop
+    // drains before the next, so none waits out a SYN retry on a full
+    // listen backlog.
+    let before = live_threads();
+    let mut flood: Vec<TcpStream> = Vec::with_capacity(FLOOD);
+    while flood.len() < FLOOD {
+        let batch = (FLOOD - flood.len()).min(64);
+        flood.extend((0..batch).map(|_| TcpStream::connect(shard.addr()).unwrap()));
+        let threads = live_threads();
+        assert!(
+            threads <= before + MAX_EHNP_CONNECTIONS + 8,
+            "{threads} live threads after {} flood connections, {before} before them",
+            flood.len()
+        );
+        let classified = flood.len().saturating_sub(MAX_EHNP_CONNECTIONS) as u64;
+        wait_for("the shard to shed the flood", Duration::from_secs(10), || {
+            engine.stats().overloads >= classified
+        });
+    }
+
+    let mut overloaded = 0u64;
+    for conn in &flood {
+        conn.set_read_timeout(Some(Duration::from_millis(50))).unwrap();
+        match read_msg::<_, Response>(&mut &*conn) {
+            Ok((_, Response::Error(msg))) if msg == "overloaded" => overloaded += 1,
+            Ok(other) => panic!("a flood connection read {other:?}"),
+            // Admitted and held: the shard waits for a preamble.
+            Err(_) => {}
+        }
+    }
+    assert_eq!(overloaded, shed, "expected exactly the arrivals past the cap shed");
+    assert_eq!(engine.stats().overloads, shed);
+
+    // Releasing the flood frees the admitted slots.
+    drop(flood);
+    let released = Instant::now();
+    wait_for("a ping after the flood", Duration::from_secs(3), || {
+        MuxClient::connect(shard.addr(), Duration::from_secs(1), Duration::from_secs(1)).is_ok_and(
+            |client| {
+                matches!(
+                    client.call(&Request::Ping, Duration::from_secs(1)),
+                    Ok(Response::Pong { .. })
+                )
+            },
+        )
+    });
+    assert!(released.elapsed() < Duration::from_secs(3));
     shard.shutdown();
 }

@@ -8,8 +8,8 @@
 //! behavior and the telemetry (`rejected` / `timeouts` / `overloads`).
 
 use ehna_serve::{
-    query_lines, query_lines_timeout, BruteForceIndex, EmbeddingStore, EngineConfig, Json,
-    QueryEngine, Server, ServerConfig, ServerHandle,
+    query_lines, query_lines_timeout, BruteForceIndex, EmbeddingStore, EngineConfig, EngineHandler,
+    Json, QueryEngine, RequestLimits, Server, ServerConfig, ServerHandle,
 };
 use ehna_tgraph::NodeEmbeddings;
 use std::io::{Read, Write};
@@ -357,9 +357,10 @@ fn reload_under_query_load_never_breaks_a_response() {
             Ok((store, index))
         }
     });
-    let handle = Server::bind_with("127.0.0.1:0", Arc::clone(&e), ServerConfig::default())
+    let handler =
+        Arc::new(EngineHandler::new(Arc::clone(&e), RequestLimits::default(), Some(reloader)));
+    let handle = Server::bind_handler("127.0.0.1:0", handler, ServerConfig::default())
         .unwrap()
-        .with_reloader(reloader)
         .spawn()
         .unwrap();
     let addr = handle.addr();

@@ -3,14 +3,24 @@
 //! frame must be rejected (never mis-parsed, never panic), a corrupted
 //! byte anywhere in the frame must trip the checksum, and a hostile
 //! length prefix must be refused *before* any allocation happens.
+//!
+//! The same holds for the shard's reader on a live socket: after a valid
+//! preamble, arbitrary bytes get whole, decodable answer frames or a
+//! close, and the shard keeps serving fresh clients afterwards.
 
 use ehna_cluster::proto::{
-    decode_frame, encode_frame, read_msg, write_msg, Request, Response, MAX_FRAME_LEN,
+    decode_frame, encode_frame, read_msg, write_msg, write_preamble, Request, Response,
+    MAX_FRAME_LEN,
 };
-use ehna_cluster::ProtoError;
+use ehna_cluster::{MuxClient, ProtoError, ShardConfig, ShardHandle, ShardServer};
+use ehna_serve::{BruteForceIndex, EmbeddingStore, EngineConfig, QueryEngine, RequestLimits};
+use ehna_tgraph::NodeEmbeddings;
 use proptest::collection::vec;
 use proptest::prelude::*;
-use std::io::Cursor;
+use std::io::{Cursor, ErrorKind, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::sync::{Arc, OnceLock};
+use std::time::Duration;
 
 /// Arbitrary short strings, including NUL and multi-byte code points —
 /// labels and error messages cross the wire verbatim.
@@ -167,5 +177,73 @@ proptest! {
         // return an error rather than panic or loop.
         let _ = decode_frame::<Request>(&bytes);
         let _ = decode_frame::<Response>(&bytes);
+    }
+}
+
+/// One shard shared by every case of the live-socket property; it runs
+/// until the test process exits.
+fn live_shard() -> SocketAddr {
+    static SHARD: OnceLock<ShardHandle> = OnceLock::new();
+    SHARD
+        .get_or_init(|| {
+            let data: Vec<f32> = (0..16 * 4).map(|i| (i % 7) as f32).collect();
+            let store =
+                Arc::new(EmbeddingStore::new(NodeEmbeddings::from_vec(4, data), None).unwrap());
+            let index = Box::new(BruteForceIndex::new(Arc::clone(&store)));
+            let engine = Arc::new(QueryEngine::new(store, index, EngineConfig::default()));
+            let config =
+                ShardConfig { frame_deadline: Duration::from_secs(2), ..Default::default() };
+            ShardServer::bind("127.0.0.1:0", engine, RequestLimits::default(), None, config)
+                .unwrap()
+                .spawn()
+                .unwrap()
+        })
+        .addr()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn live_shard_answers_whole_frames_or_closes(
+        frames in vec((0u64..1 << 40, request()), 0..3),
+        junk in vec(0u8..=255, 0..64),
+    ) {
+        let addr = live_shard();
+        let mut wire = Vec::new();
+        write_preamble(&mut wire).unwrap();
+        for (id, req) in &frames {
+            write_msg(&mut wire, *id, req).unwrap();
+        }
+        wire.extend_from_slice(&junk);
+        let mut conn = TcpStream::connect(addr).unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        // A shard that already hung up may refuse the write; that is a
+        // close too.
+        let _ = conn.write_all(&wire);
+        let _ = conn.shutdown(Shutdown::Write);
+        let mut got = Vec::new();
+        if let Err(e) = conn.read_to_end(&mut got) {
+            // A reset is a close (the shard hung up with bytes unread);
+            // a timeout means it neither answered nor closed.
+            prop_assert!(e.kind() == ErrorKind::ConnectionReset, "shard did not close: {}", e);
+        }
+        // Everything the shard sent is whole frames answering the valid
+        // requests in order.
+        let mut at = 0;
+        let mut answered = 0;
+        while at < got.len() {
+            let ((id, _), used) = decode_frame::<Response>(&got[at..])
+                .map_err(|e| TestCaseError::fail(format!("undecodable answer bytes: {e}")))?;
+            prop_assert!(answered < frames.len(), "more answers than requests");
+            prop_assert_eq!(id, frames[answered].0);
+            answered += 1;
+            at += used;
+        }
+        // No worker or admission slot was lost: a fresh client is served.
+        let client = MuxClient::connect(addr, Duration::from_secs(2), Duration::from_secs(2))
+            .map_err(|e| TestCaseError::fail(format!("connect after the case: {e}")))?;
+        let pong = client.call(&Request::Ping, Duration::from_secs(5));
+        prop_assert!(matches!(pong, Ok(Response::Pong { .. })), "ping after the case: {:?}", pong);
     }
 }
