@@ -113,7 +113,7 @@ struct Ehnp {
 
 impl Protocol for Ehnp {
     fn serve(&self, stream: &TcpStream, _: &ServerConfig, stop: &AtomicBool) -> io::Result<()> {
-        let mut reader = BufReader::new(FrameClock { stream, due: None, blocking: false });
+        let mut reader = BufReader::new(FrameClock { stream, due: None });
         // The preamble must arrive promptly, and must be EHNP: a JSON
         // client that dialed the wrong port gets a hangup, not a guess
         // at a framing.
@@ -156,27 +156,21 @@ impl Protocol for Ehnp {
 struct FrameClock<'a> {
     stream: &'a TcpStream,
     due: Option<Instant>,
-    /// Whether the socket currently has no read timeout.
-    blocking: bool,
 }
 
 impl Read for FrameClock<'_> {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self.due {
-            None if self.blocking => {}
-            None => {
-                self.stream.set_read_timeout(None)?;
-                self.blocking = true;
-            }
+        let timeout = match self.due {
+            None => None,
             Some(due) => {
                 let left = due.saturating_duration_since(Instant::now());
                 if left.is_zero() {
                     return Err(io::Error::new(io::ErrorKind::TimedOut, "peer stalled mid-frame"));
                 }
-                self.stream.set_read_timeout(Some(left))?;
-                self.blocking = false;
+                Some(left)
             }
-        }
+        };
+        self.stream.set_read_timeout(timeout)?;
         self.stream.read(buf)
     }
 }
