@@ -130,6 +130,18 @@ timeout --kill-after=10 120 \
 timeout --kill-after=10 120 \
     cargo test --test format_corruption -q
 
+echo "== walk gates (wall-clock bounded)"
+# The walk samplers' contract: TemporalWalker and Node2VecWalker walks
+# match an in-test per-candidate form of Eq. 2 x Eq. 1 (kernel and
+# adjacency test evaluated for every candidate) bit for bit, with the
+# same number of RNG draws, over multigraphs with repeated timestamps,
+# p, q in {0.25, 1, 4}, every decay kernel, both walk orders and a tight
+# and loose candidate cap (walk_equivalence). Hard timeout like the
+# other gates.
+cargo test --test walk_equivalence --no-run -q
+timeout --kill-after=10 120 \
+    cargo test --test walk_equivalence -q
+
 echo "== kernel gates (wall-clock bounded)"
 # The fused-kernel layer's contracts: blocked GEMMs match a naive oracle
 # on randomized shapes with NaN/Inf propagation (the bug class that
