@@ -3,6 +3,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use ehna_datasets::{generate, Dataset, Scale};
+use ehna_tgraph::Timestamp;
 use ehna_walks::{
     CtdneConfig, CtdneWalker, Node2VecConfig, Node2VecWalker, TemporalWalkConfig, TemporalWalker,
 };
@@ -23,6 +24,24 @@ fn bench_walks(c: &mut Criterion) {
             let v = starts[i % starts.len()];
             i += 1;
             black_box(walker.walk(v, t_ref, &mut rng).len())
+        })
+    });
+    // The stream's refresh traffic: dblp-like yearly timestamps, ℓ = 5,
+    // each walk from an active node just after its latest interaction.
+    let dblp = generate(Dataset::DblpLike, Scale::Small, 1);
+    let refresh: Vec<_> = dblp
+        .nodes()
+        .filter_map(|v| dblp.neighbors(v).last().map(|n| (v, Timestamp(n.t.0 + 1))))
+        .collect();
+    group.bench_function("temporal_walk_dblp_l5", |b| {
+        let cfg = TemporalWalkConfig { length: 5, ..TemporalWalkConfig::for_graph(&dblp) };
+        let walker = TemporalWalker::new(&dblp, cfg);
+        let mut rng = StdRng::seed_from_u64(4);
+        let mut i = 0usize;
+        b.iter(|| {
+            let (v, t) = refresh[i % refresh.len()];
+            i += 1;
+            black_box(walker.walk(v, t, &mut rng).len())
         })
     });
     group.bench_function("node2vec_walk_l80", |b| {

@@ -37,11 +37,19 @@ impl DecayKernel {
     /// output (callers enforce the relevance constraint first).
     #[inline]
     pub fn weight(&self, t_ref: Timestamp, t: Timestamp, w: f64) -> f64 {
+        w * self.factor(t_ref, t)
+    }
+
+    /// The time factor of the kernel, so that `weight(t_ref, t, w) ==
+    /// w * factor(t_ref, t)` bit for bit. It depends only on the two
+    /// timestamps, so callers may evaluate it once per run of equal `t`.
+    #[inline]
+    pub fn factor(&self, t_ref: Timestamp, t: Timestamp) -> f64 {
         let delta = t_ref.delta(t).max(0.0);
         match *self {
-            DecayKernel::Exponential { timescale } => w * (-delta / timescale).exp(),
-            DecayKernel::Linear { horizon } => w * (1.0 - delta / horizon).max(0.0),
-            DecayKernel::Uniform => w,
+            DecayKernel::Exponential { timescale } => (-delta / timescale).exp(),
+            DecayKernel::Linear { horizon } => (1.0 - delta / horizon).max(0.0),
+            DecayKernel::Uniform => 1.0,
         }
     }
 }
@@ -89,6 +97,24 @@ mod tests {
         let a = k.weight(Timestamp(10), Timestamp(8), 1.0);
         let b = k.weight(Timestamp(10), Timestamp(8), 2.5);
         assert!((b / a - 2.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn weight_is_w_times_factor_bit_for_bit() {
+        let kernels = [
+            DecayKernel::Exponential { timescale: 3.7 },
+            DecayKernel::Linear { horizon: 11.0 },
+            DecayKernel::Uniform,
+        ];
+        for k in kernels {
+            for t in [-5i64, 0, 3, 9, 20, 40] {
+                for w in [0.3, 1.0, 2.5, 1e-300] {
+                    let f = k.factor(Timestamp(20), Timestamp(t));
+                    let got = k.weight(Timestamp(20), Timestamp(t), w);
+                    assert_eq!(got.to_bits(), (w * f).to_bits(), "{k:?} t={t} w={w}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -28,6 +28,37 @@ impl Default for Node2VecConfig {
     }
 }
 
+/// The second-order bias `β(u, w)` of Eq. 2, shared by the node2vec and
+/// the temporal walker: `1/p` to backtrack (`w == u`), `1` when `w` is
+/// adjacent to `u`, `1/q` otherwise.
+///
+/// When `1/q == 1.0` the adjacent and non-adjacent branches both give
+/// exactly `1.0`, so the adjacency lookup is skipped: that is every walk
+/// with the default `q = 1`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SecondOrderBias {
+    inv_p: f64,
+    inv_q: f64,
+}
+
+impl SecondOrderBias {
+    pub(crate) fn new(p: f64, q: f64) -> Self {
+        SecondOrderBias { inv_p: 1.0 / p, inv_q: 1.0 / q }
+    }
+
+    /// `β(prev, w)` for a step out of a neighbour of `prev`.
+    #[inline]
+    pub(crate) fn beta(&self, graph: &TemporalGraph, prev: NodeId, w: NodeId) -> f64 {
+        if w == prev {
+            self.inv_p
+        } else if self.inv_q != 1.0 && !graph.has_edge(prev, w) {
+            self.inv_q
+        } else {
+            1.0
+        }
+    }
+}
+
 /// Sampler of node2vec walks over one graph.
 #[derive(Debug, Clone)]
 pub struct Node2VecWalker<'g> {
@@ -68,6 +99,7 @@ impl<'g> Node2VecWalker<'g> {
         let mut cur = first[pick].node;
         nodes.push(cur);
 
+        let bias = SecondOrderBias::new(self.config.p, self.config.q);
         for _ in 1..self.config.length {
             let nbrs = self.graph.neighbors(cur);
             if nbrs.is_empty() {
@@ -76,14 +108,7 @@ impl<'g> Node2VecWalker<'g> {
             let mut total = 0.0;
             let mut chosen: Option<NodeId> = None;
             for n in nbrs {
-                let beta = if n.node == prev {
-                    1.0 / self.config.p
-                } else if self.graph.has_edge(prev, n.node) {
-                    1.0
-                } else {
-                    1.0 / self.config.q
-                };
-                let w = beta * n.w;
+                let w = bias.beta(self.graph, prev, n.node) * n.w;
                 if w <= 0.0 {
                     continue;
                 }

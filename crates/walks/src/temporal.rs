@@ -17,6 +17,7 @@
 //! relevant interaction terminates early, exactly as §IV-A prescribes.
 
 use crate::decay::DecayKernel;
+use crate::node2vec::SecondOrderBias;
 use ehna_tgraph::{NodeId, TemporalGraph, Timestamp};
 use rand::Rng;
 
@@ -137,12 +138,16 @@ impl<'g> TemporalWalker<'g> {
         nodes.push(start);
         times.push(t_ref);
 
+        // Candidates arrive time-sorted, so the kernel runs once per run
+        // of equal timestamps and β looks up adjacency only when 1/q ≠ 1.
+        let mut kernel = KernelCache::new(cfg.kernel, t_ref);
+        let bias = SecondOrderBias::new(cfg.p, cfg.q);
+
         // First step: no previous node, so β has no effect — only the
         // kernel weighs the historical interactions of `start`.
         let first = self.graph.neighbors_before(start, t_ref);
         let first = tail(first, cfg.max_candidates);
-        let Some(choice) =
-            sample_weighted(first.iter().map(|n| cfg.kernel.weight(t_ref, n.t, n.w)), rng)
+        let Some(choice) = sample_weighted(first.iter().map(|n| kernel.weight(n.t, n.w)), rng)
         else {
             return TemporalWalk { nodes, times };
         };
@@ -164,16 +169,9 @@ impl<'g> TemporalWalker<'g> {
             if candidates.is_empty() {
                 break;
             }
-            let weights = candidates.iter().map(|n| {
-                let beta = if n.node == prev {
-                    1.0 / cfg.p
-                } else if self.graph.has_edge(prev, n.node) {
-                    1.0
-                } else {
-                    1.0 / cfg.q
-                };
-                beta * cfg.kernel.weight(t_ref, n.t, n.w)
-            });
+            let weights = candidates
+                .iter()
+                .map(|n| bias.beta(self.graph, prev, n.node) * kernel.weight(n.t, n.w));
             let Some(choice) = sample_weighted(weights, rng) else {
                 break;
             };
@@ -185,6 +183,35 @@ impl<'g> TemporalWalker<'g> {
             times.push(cur_t);
         }
         TemporalWalk { nodes, times }
+    }
+}
+
+/// The decay kernel for one walk's `t_ref`, with a one-entry cache of its
+/// time factor keyed by timestamp. `weight` is bit-identical to
+/// [`DecayKernel::weight`]; a run of equal timestamps pays for one
+/// kernel evaluation.
+struct KernelCache {
+    kernel: DecayKernel,
+    t_ref: Timestamp,
+    last: Option<(Timestamp, f64)>,
+}
+
+impl KernelCache {
+    fn new(kernel: DecayKernel, t_ref: Timestamp) -> Self {
+        KernelCache { kernel, t_ref, last: None }
+    }
+
+    #[inline]
+    fn weight(&mut self, t: Timestamp, w: f64) -> f64 {
+        let factor = match self.last {
+            Some((last_t, factor)) if last_t == t => factor,
+            _ => {
+                let factor = self.kernel.factor(self.t_ref, t);
+                self.last = Some((t, factor));
+                factor
+            }
+        };
+        w * factor
     }
 }
 
