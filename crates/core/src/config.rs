@@ -190,17 +190,17 @@ impl EhnaConfig {
         if self.num_walks == 0 || self.walk_length == 0 {
             return Err("num_walks and walk_length must be positive".into());
         }
-        if self.p <= 0.0 || self.q <= 0.0 {
-            return Err("p and q must be positive".into());
+        if !finite_positive(self.p) || !finite_positive(self.q) {
+            return Err("p and q must be finite and positive".into());
         }
-        if self.margin <= 0.0 {
-            return Err("margin must be positive".into());
+        if !finite_positive(f64::from(self.margin)) {
+            return Err("margin must be finite and positive".into());
         }
         if self.negatives == 0 {
             return Err("need at least one negative sample".into());
         }
-        if self.lr <= 0.0 {
-            return Err("lr must be positive".into());
+        if !finite_positive(f64::from(self.lr)) {
+            return Err("lr must be finite and positive".into());
         }
         if self.batch_size == 0 {
             return Err("batch_size must be positive".into());
@@ -245,6 +245,12 @@ impl EhnaConfig {
             _ => self.pipeline_depth,
         }
     }
+}
+
+/// `x > 0` and finite: a NaN fails every comparison, so `x <= 0.0` alone
+/// lets it through.
+fn finite_positive(x: f64) -> bool {
+    x.is_finite() && x > 0.0
 }
 
 #[cfg(test)]
@@ -299,6 +305,22 @@ mod tests {
             let mut c = EhnaConfig::default();
             f(&mut c);
             assert!(c.validate().is_err(), "{c:?} should be invalid");
+        }
+    }
+
+    #[test]
+    fn validation_catches_nan_and_infinity() {
+        for bad in [f64::NAN, f64::INFINITY] {
+            for f in [
+                |c: &mut EhnaConfig, x: f64| c.p = x,
+                |c: &mut EhnaConfig, x: f64| c.q = x,
+                |c: &mut EhnaConfig, x: f64| c.margin = x as f32,
+                |c: &mut EhnaConfig, x: f64| c.lr = x as f32,
+            ] {
+                let mut c = EhnaConfig::default();
+                f(&mut c, bad);
+                assert!(c.validate().is_err(), "{c:?} should be invalid");
+            }
         }
     }
 

@@ -101,8 +101,9 @@ impl<'g> Trainer<'g> {
             return Err("graph has no edges".into());
         }
         let rng = StdRng::seed_from_u64(config.seed.wrapping_add(0x5EED));
-        let optimizer = Adam::new(config.lr);
+        // The model validates the config, so Adam never sees a bad lr.
         let model = EhnaModel::new(graph, config)?;
+        let optimizer = Adam::new(model.config.lr);
         ehna_nn::kernels::set_threads(ehna_nn::kernels::resolve_threads(model.config.threads));
         Ok(Trainer {
             graph,
@@ -334,7 +335,9 @@ impl<'g> Trainer<'g> {
     /// One optimization step on a batch of target edges, sampling walks
     /// synchronously. Returns the batch loss (mean hinge over all negative
     /// comparisons). The epoch loop goes through the prefetcher instead;
-    /// this entry point serves single-step callers (benches, diagnostics).
+    /// this entry point serves single-step callers: the stream fine-tune
+    /// (`ehna_stream::StreamProcessor`, one call per applied batch),
+    /// benches and diagnostics.
     pub fn train_batch(&mut self, edges: &[(NodeId, NodeId, Timestamp)], batch_idx: u64) -> f64 {
         let q = self.model.config.negatives;
         let mut negatives: Vec<(NodeId, Timestamp)> = Vec::with_capacity(edges.len() * q);
@@ -790,6 +793,15 @@ mod tests {
         let g = two_communities();
         let bad = EhnaConfig { dim: 0, ..tiny_cfg() };
         assert!(Trainer::new(&g, bad).is_err());
+    }
+
+    #[test]
+    fn bad_lr_is_an_error_not_a_panic() {
+        let g = two_communities();
+        for lr in [0.0, -1.0, f32::NAN, f32::INFINITY] {
+            let err = Trainer::new(&g, EhnaConfig { lr, ..tiny_cfg() }).err();
+            assert_eq!(err.as_deref(), Some("lr must be finite and positive"), "lr = {lr}");
+        }
     }
 
     #[test]
