@@ -1,4 +1,4 @@
-//! Regenerates the golden loss trace consumed by
+//! Regenerates the golden loss trace consumed by the root package's
 //! `tests/aggregator_golden.rs`. The trace pins the LSTM aggregation
 //! path bit-for-bit: any refactor of the aggregation stage must keep
 //! per-epoch losses identical for the fixture below at kernel threads
@@ -8,7 +8,7 @@
 //!
 //! ```text
 //! cargo run -p ehna-core --example golden_trace \
-//!     > crates/core/tests/fixtures/golden_losses.txt
+//!     > tests/fixtures/golden_losses.txt
 //! ```
 //!
 //! Output format: one line per (threads, depth) combination,

@@ -174,11 +174,11 @@ echo "== aggregator gates (wall-clock bounded)"
 # end. Hard timeouts so a wedged kernel
 # thread-scope fails fast. (threaded_determinism above already covers
 # both aggregators' 1-vs-4-thread bit-identity.)
-cargo test -p ehna-core --test aggregator_golden --no-run -q
+cargo test --test aggregator_golden --no-run -q
 cargo test -p ehna-nn --test attention_ops --no-run -q
 cargo test -p ehna-cli --test serve_end_to_end --no-run -q
 timeout --kill-after=10 180 \
-    cargo test -p ehna-core --test aggregator_golden -q
+    cargo test --test aggregator_golden -q
 timeout --kill-after=10 120 \
     cargo test -p ehna-nn --test attention_ops -q
 timeout --kill-after=10 180 \

@@ -3,10 +3,10 @@
 //! `tests/fixtures/golden_losses.txt`, at kernel threads {1, 4} and
 //! pipeline depths {0, 3}.
 //!
-//! The fixture was generated by `examples/golden_trace.rs` on the commit
-//! *before* the `Aggregator` trait existed; regenerate it only when a
-//! change is *supposed* to alter LSTM-path numerics (and say so in the
-//! commit message).
+//! The fixture was generated by `crates/core/examples/golden_trace.rs`
+//! on the commit *before* the `Aggregator` trait existed; regenerate it
+//! only when a change is *supposed* to alter LSTM-path numerics (and say
+//! so in the commit message).
 
 use ehna_core::{EhnaConfig, Trainer};
 use ehna_nn::kernels::set_threads;
