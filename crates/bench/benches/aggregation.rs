@@ -30,7 +30,7 @@ fn bench_aggregation(c: &mut Criterion) {
     group.bench_function("inference_batch_32targets", |b| {
         let mut trainer = Trainer::new(&g, cfg.clone()).expect("valid config");
         trainer.train_batch(&edges, 0); // seed BN running stats
-        b.iter(|| black_box(trainer.aggregate_targets(&infer_targets, false).len()))
+        b.iter(|| black_box(trainer.aggregate_targets(&infer_targets).len()))
     });
     group.finish();
 }

@@ -45,6 +45,7 @@ mod aggregator;
 pub mod attention;
 mod checkpoint;
 mod config;
+mod infer;
 mod model;
 mod negative;
 mod trainer;
@@ -56,6 +57,7 @@ pub use checkpoint::{load_checkpoint_full, load_checkpoint_path, LoadedCheckpoin
 pub use checkpoint::{write_checkpoint_v1_for_tests, write_checkpoint_v2_for_tests};
 pub use config::{AggregatorKind, EhnaConfig, WalkStyle, MAX_PIPELINE_DEPTH};
 pub use ehna_tgraph::NodeEmbeddings;
+pub use infer::refresh_rows;
 pub use model::{AttnStage, EhnaModel, NodeStage};
 pub use negative::NegativeSampler;
 pub use trainer::{CheckpointHook, PhaseTimings, Trainer, TrainingReport};

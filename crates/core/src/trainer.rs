@@ -4,6 +4,7 @@
 use crate::aggregate::{aggregate_batch, aggregate_fallback};
 use crate::checkpoint::{self, LoadedCheckpoint};
 use crate::config::EhnaConfig;
+use crate::infer::{embed_targets, latest_targets, refresh_rows_on};
 use crate::model::EhnaModel;
 use crate::negative::NegativeSampler;
 use ehna_nn::optim::{clip_grad_norm, Adam};
@@ -100,21 +101,8 @@ impl<'g> Trainer<'g> {
         if graph.num_edges() == 0 {
             return Err("graph has no edges".into());
         }
-        let rng = StdRng::seed_from_u64(config.seed.wrapping_add(0x5EED));
         // The model validates the config, so Adam never sees a bad lr.
-        let model = EhnaModel::new(graph, config)?;
-        let optimizer = Adam::new(model.config.lr);
-        ehna_nn::kernels::set_threads(ehna_nn::kernels::resolve_threads(model.config.threads));
-        Ok(Trainer {
-            graph,
-            negative: NegativeSampler::new(graph).map_err(|e| e.to_string())?,
-            model,
-            optimizer,
-            rng,
-            epoch_counter: 0,
-            checkpoint_hook: None,
-            tape: Graph::new(),
-        })
+        Self::from_model(graph, EhnaModel::new(graph, config)?)
     }
 
     /// Resume from an existing (e.g. checkpoint-restored) model *without*
@@ -297,6 +285,9 @@ impl<'g> Trainer<'g> {
         let threads = self.model.config.threads;
         let depth = self.model.config.effective_pipeline_depth();
         let edges = self.graph.edges();
+        // The trainer RNG draws every batch's negatives, then the fallback's
+        // draws batch by batch; taken out so `compute_batch` can borrow it.
+        let mut rng = std::mem::replace(&mut self.rng, StdRng::seed_from_u64(0));
 
         let mut plans: Vec<BatchPlan> = Vec::with_capacity(edges.len().div_ceil(bs));
         for (batch_idx, chunk) in edges.chunks(bs).enumerate() {
@@ -306,7 +297,7 @@ impl<'g> Trainer<'g> {
             let mut negatives: Vec<(NodeId, Timestamp)> = Vec::with_capacity(chunk.len() * q);
             for _ in 0..q {
                 for e in chunk {
-                    negatives.push((self.negative.sample(e.src, e.dst, &mut self.rng), e.t));
+                    negatives.push((self.negative.sample(e.src, e.dst, &mut rng), e.t));
                 }
             }
             plans.push(BatchPlan { pairs, negatives, walk_seed: self.walk_seed(batch_idx as u64) });
@@ -321,9 +312,10 @@ impl<'g> Trainer<'g> {
         let mut batch_losses: Vec<(f64, usize)> = Vec::with_capacity(plans.len());
         let stats = prefetcher.run(plans, |_, batch| {
             let edges_in_batch = batch.pairs.len();
-            let loss = self.compute_batch(batch);
+            let loss = self.compute_batch(batch, &mut rng);
             batch_losses.push((loss, edges_in_batch));
         });
+        self.rng = rng;
         let phases = PhaseTimings {
             sample_time: stats.sample_time,
             compute_time: stats.compute_time,
@@ -338,23 +330,32 @@ impl<'g> Trainer<'g> {
     /// this entry point serves single-step callers: the stream fine-tune
     /// (`ehna_stream::StreamProcessor`, one call per applied batch),
     /// benches and diagnostics.
+    ///
+    /// Negatives and the fallback's draws come from an RNG keyed on
+    /// `(seed, epochs trained, batch_idx)`, not from the trainer RNG.
     pub fn train_batch(&mut self, edges: &[(NodeId, NodeId, Timestamp)], batch_idx: u64) -> f64 {
-        let q = self.model.config.negatives;
-        let mut negatives: Vec<(NodeId, Timestamp)> = Vec::with_capacity(edges.len() * q);
-        for _ in 0..q {
-            for &(x, y, t) in edges {
-                negatives.push((self.negative.sample(x, y, &mut self.rng), t));
-            }
-        }
-        let plan =
-            BatchPlan { pairs: edges.to_vec(), negatives, walk_seed: self.walk_seed(batch_idx) };
+        let (plan, mut rng) = self.batch_plan(edges, batch_idx);
         let sampler = NeighborhoodSampler::new(
             self.graph,
             self.model.walk_config(self.graph),
             self.model.config.num_walks,
         );
         let batch = BatchPrefetcher::new(&sampler, 0, self.model.config.threads).sample_plan(plan);
-        self.compute_batch(batch)
+        self.compute_batch(batch, &mut rng)
+    }
+
+    /// [`Trainer::train_batch`]'s plan, and its RNG after the negatives.
+    fn batch_plan(&self, edges: &[(NodeId, NodeId, Timestamp)], idx: u64) -> (BatchPlan, StdRng) {
+        let walk_seed = self.walk_seed(idx);
+        let mut rng = StdRng::seed_from_u64(walk_seed ^ BATCH_NEGATIVE_SALT);
+        let q = self.model.config.negatives;
+        let mut negatives: Vec<(NodeId, Timestamp)> = Vec::with_capacity(edges.len() * q);
+        for _ in 0..q {
+            for &(x, y, t) in edges {
+                negatives.push((self.negative.sample(x, y, &mut rng), t));
+            }
+        }
+        (BatchPlan { pairs: edges.to_vec(), negatives, walk_seed }, rng)
     }
 
     /// Forward/backward/update on a presampled batch. Historical
@@ -366,7 +367,7 @@ impl<'g> Trainer<'g> {
     /// fallback — routing them differently would let the margin loss
     /// separate positives from negatives by network pathway instead of by
     /// node identity.
-    fn compute_batch(&mut self, batch: PrefetchedBatch) -> f64 {
+    fn compute_batch(&mut self, batch: PrefetchedBatch, rng: &mut StdRng) -> f64 {
         let cfg = &self.model.config;
         let q = cfg.negatives;
         let margin = cfg.margin;
@@ -388,7 +389,7 @@ impl<'g> Trainer<'g> {
         let z_fb = if fb_negs.is_empty() {
             None
         } else {
-            Some(aggregate_fallback(&self.model, &mut g, self.graph, &fb_negs, &mut self.rng))
+            Some(aggregate_fallback(&self.model, &mut g, self.graph, &fb_negs, rng))
         };
         // Reassemble Z_n in the original q-major negative order.
         let z_n = match z_fb {
@@ -451,128 +452,52 @@ impl<'g> Trainer<'g> {
     /// Final inference (paper §IV-D last paragraph): aggregate every node
     /// once more against its most recent interaction and use `z` as the
     /// final embedding; nodes without any interaction go through the
-    /// GraphSAGE-style fallback. Batch-norm runs in eval mode.
+    /// GraphSAGE-style fallback. Batch-norm runs in eval mode; rows are
+    /// node-keyed and the trainer RNG is not touched.
     pub fn embeddings(&mut self) -> NodeEmbeddings {
-        let d = self.model.config.dim;
-        let n = self.graph.num_nodes();
-        let mut out = NodeEmbeddings::zeros(n, d);
-        // §IV-D: each node aggregates "with its most recent edge" — the
-        // reference time sits just after the node's last interaction so
-        // that interaction is part of the history.
-        let mut with_history: Vec<(NodeId, Timestamp)> = Vec::new();
-        let mut without: Vec<(NodeId, Timestamp)> = Vec::new();
-        for v in self.graph.nodes() {
-            match self.graph.latest_interaction(v) {
-                Some(last) => {
-                    with_history.push((v, Timestamp(last.t.raw().saturating_add(1))));
-                }
-                None => without.push((v, Timestamp::MAX)),
-            }
-        }
-        self.fill_embeddings(&mut out, &with_history, &without);
-        out
+        let targets = latest_targets(self.graph, self.graph.nodes());
+        self.embed_all(&targets)
     }
 
-    /// Low-level: aggregate an explicit batch of `(node, reference time)`
-    /// pairs into a `len x d` row-major matrix. `train_mode` selects batch
-    /// vs. running batch-norm statistics (train mode also updates the
-    /// running statistics). Power-user API for diagnostics and time-sliced
-    /// embedding; most callers want [`Trainer::embeddings`].
-    pub fn aggregate_targets(
-        &mut self,
-        targets: &[(NodeId, Timestamp)],
-        train_mode: bool,
-    ) -> Vec<f32> {
+    /// Aggregate an explicit batch of `(node, reference time)` pairs into a
+    /// `len x d` row-major matrix, through the same node-keyed function
+    /// as [`Trainer::embeddings`]. Power-user API for diagnostics; most
+    /// callers want [`Trainer::embeddings`].
+    pub fn aggregate_targets(&mut self, targets: &[(NodeId, Timestamp)]) -> Vec<f32> {
         assert!(!targets.is_empty(), "empty target batch");
-        let sampler = NeighborhoodSampler::new(
-            self.graph,
-            self.model.walk_config(self.graph),
-            self.model.config.num_walks,
-        );
-        // Salted seed: diagnostic walks must not replay the inference (or
-        // training) streams.
-        let hns = sampler.sample_batch(
-            targets,
-            self.model.config.threads,
-            self.model.config.seed ^ AGGREGATE_WALK_SALT,
-        );
-        let mut g = Graph::new();
-        let z = aggregate_batch(&mut self.model, &mut g, &hns, train_mode);
-        g.value(z).to_vec()
+        let d = self.model.config.dim;
+        let mut z = vec![0.0f32; targets.len() * d];
+        embed_targets(&mut self.model, self.graph, targets, &mut self.tape, |i, row| {
+            z[i * d..(i + 1) * d].copy_from_slice(row)
+        });
+        z
     }
 
     /// Aggregate every node's embedding *as of* `t_ref`: walks see only
-    /// interactions strictly before `t_ref`. Useful for time-sliced
-    /// analyses ("embed the network as it looked in 2015").
+    /// interactions strictly before `t_ref`, and a node with none gets
+    /// singleton walks (its own embedding only). Only a node that never
+    /// interacts takes the fallback, so no row pools neighbours from
+    /// after `t_ref`; training's fallback for history-less negatives still
+    /// does (ROADMAP item 12). Useful for time-sliced analyses ("embed the
+    /// network as it looked in 2015").
     pub fn embeddings_at(&mut self, t_ref: Timestamp) -> NodeEmbeddings {
-        let d = self.model.config.dim;
-        let n = self.graph.num_nodes();
-        let mut out = NodeEmbeddings::zeros(n, d);
-        let mut with_history: Vec<(NodeId, Timestamp)> = Vec::new();
-        let mut without: Vec<(NodeId, Timestamp)> = Vec::new();
-        for v in self.graph.nodes() {
-            if self.graph.neighbors_before(v, t_ref).is_empty() {
-                without.push((v, t_ref));
-            } else {
-                with_history.push((v, t_ref));
-            }
-        }
-        self.fill_embeddings(&mut out, &with_history, &without);
+        let targets: Vec<(NodeId, Timestamp)> = self.graph.nodes().map(|v| (v, t_ref)).collect();
+        self.embed_all(&targets)
+    }
+
+    /// One row per node from `targets`, which lists every node once.
+    fn embed_all(&mut self, targets: &[(NodeId, Timestamp)]) -> NodeEmbeddings {
+        let mut out = NodeEmbeddings::zeros(self.graph.num_nodes(), self.model.config.dim);
+        embed_targets(&mut self.model, self.graph, targets, &mut self.tape, |i, row| {
+            out.get_mut(targets[i].0).copy_from_slice(row)
+        });
         out
     }
 
-    /// Shared inference driver: batch the aggregation path and the
-    /// fallback path separately, writing rows into `out`.
-    fn fill_embeddings(
-        &mut self,
-        out: &mut NodeEmbeddings,
-        with_history: &[(NodeId, Timestamp)],
-        without: &[(NodeId, Timestamp)],
-    ) {
-        let d = self.model.config.dim;
-        let num_walks = self.model.config.num_walks;
-        let sampler =
-            NeighborhoodSampler::new(self.graph, self.model.walk_config(self.graph), num_walks);
-        let bs = self.model.config.batch_size.max(2);
-        // Each chunk folds its global offset into the walk streams: node
-        // `i` of the full list always draws from `(seed, i)`, so inference
-        // walks never repeat across chunks and the resulting embeddings
-        // are invariant to `batch_size`.
-        let seed = self.model.config.seed ^ INFERENCE_WALK_SALT;
-        let mut offset = 0usize;
-        let mut g = std::mem::take(&mut self.tape);
-        for chunk in with_history.chunks(bs) {
-            let hns = sampler.sample_batch_at(chunk, self.model.config.threads, seed, offset);
-            offset += chunk.len();
-            let z = aggregate_batch(&mut self.model, &mut g, &hns, false);
-            let zv = g.value(z);
-            for (i, &(v, _)) in chunk.iter().enumerate() {
-                out.get_mut(v).copy_from_slice(&zv[i * d..(i + 1) * d]);
-            }
-            g.recycle();
-        }
-        for chunk in without.chunks(bs) {
-            let z = aggregate_fallback(&self.model, &mut g, self.graph, chunk, &mut self.rng);
-            let zv = g.value(z);
-            for (i, &(v, _)) in chunk.iter().enumerate() {
-                out.get_mut(v).copy_from_slice(&zv[i * d..(i + 1) * d]);
-            }
-            g.recycle();
-        }
-        self.tape = g;
-    }
-
-    /// Re-aggregate only `nodes` into `out`, leaving every other row
-    /// untouched. The incremental-refresh primitive: after new edges
-    /// arrive, the streaming layer rebinds the model to the grown graph
-    /// ([`Trainer::from_model`]) and refreshes just the dirty rows.
-    ///
-    /// Unlike [`Trainer::embeddings`] (which keys walk streams by list
-    /// position), every node here draws from a stream keyed by its *node
-    /// id*, so the result for a given node is identical whether it is
-    /// refreshed alone, in any batch composition, or by a full pass over
-    /// all nodes — the property the incremental-vs-rebuild equivalence
-    /// guarantee rests on. Batch-norm runs in eval mode (row-independent).
+    /// [`ehna_core::refresh_rows`](crate::refresh_rows) on the trainer's
+    /// model, graph and tape: the streaming layer rebinds the model to the
+    /// grown graph ([`Trainer::from_model`]) and refreshes just the dirty
+    /// rows.
     ///
     /// # Errors
     /// Rejects an `out` whose shape does not match the graph/model, or a
@@ -582,65 +507,7 @@ impl<'g> Trainer<'g> {
         out: &mut NodeEmbeddings,
         nodes: &[NodeId],
     ) -> Result<(), String> {
-        let d = self.model.config.dim;
-        let n = self.graph.num_nodes();
-        if out.num_nodes() != n || out.dim() != d {
-            return Err(format!(
-                "embedding table is {}x{}, expected {}x{}",
-                out.num_nodes(),
-                out.dim(),
-                n,
-                d
-            ));
-        }
-        let mut with_history: Vec<(NodeId, Timestamp)> = Vec::new();
-        let mut without: Vec<NodeId> = Vec::new();
-        for &v in nodes {
-            if v.index() >= n {
-                return Err(format!("node id {} out of range for graph with {n} nodes", v.0));
-            }
-            match self.graph.latest_interaction(v) {
-                // Same reference-time convention as `embeddings()`: just
-                // after the node's last interaction.
-                Some(last) => with_history.push((v, Timestamp(last.t.raw().saturating_add(1)))),
-                None => without.push(v),
-            }
-        }
-        let sampler = NeighborhoodSampler::new(
-            self.graph,
-            self.model.walk_config(self.graph),
-            self.model.config.num_walks,
-        );
-        let seed = self.model.config.seed ^ REFRESH_WALK_SALT;
-        let bs = self.model.config.batch_size.max(2);
-        let mut g = std::mem::take(&mut self.tape);
-        for chunk in with_history.chunks(bs) {
-            let hns: Vec<_> =
-                chunk.iter().map(|&(v, t)| sampler.sample_keyed(v, t, seed)).collect();
-            let z = aggregate_batch(&mut self.model, &mut g, &hns, false);
-            let zv = g.value(z);
-            for (i, &(v, _)) in chunk.iter().enumerate() {
-                out.get_mut(v).copy_from_slice(&zv[i * d..(i + 1) * d]);
-            }
-            g.recycle();
-        }
-        // History-less rows go through the fallback one node at a time
-        // with a node-keyed RNG, so they too are batch-composition
-        // independent.
-        for &v in &without {
-            let mut rng = keyed_rng(seed, v);
-            let z = aggregate_fallback(
-                &self.model,
-                &mut g,
-                self.graph,
-                &[(v, Timestamp::MAX)],
-                &mut rng,
-            );
-            out.get_mut(v).copy_from_slice(&g.value(z)[..d]);
-            g.recycle();
-        }
-        self.tape = g;
-        Ok(())
+        refresh_rows_on(&mut self.model, self.graph, out, nodes, &mut self.tape)
     }
 
     /// Consume the trainer, producing final embeddings.
@@ -658,21 +525,9 @@ impl<'g> Trainer<'g> {
     }
 }
 
-/// Stream salts separating inference, diagnostic, and refresh walks from
-/// the training walk seeds (which are derived from `(seed, epoch, batch)`).
-const INFERENCE_WALK_SALT: u64 = 0x1FE2_EB5E_ED00_0001;
-const AGGREGATE_WALK_SALT: u64 = 0xA66_2E6A_7E5E_ED02;
-const REFRESH_WALK_SALT: u64 = 0x5EF1_E54E_D000_0003;
-
-/// Node-keyed RNG for the fallback rows of [`Trainer::refresh_rows`]
-/// (SplitMix64 over `(seed, node id)`, mirroring the walk sampler's
-/// per-item streams).
-fn keyed_rng(seed: u64, v: NodeId) -> StdRng {
-    let mut z = seed ^ u64::from(v.0).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    StdRng::seed_from_u64(z ^ (z >> 31))
-}
+/// Salt separating [`Trainer::train_batch`]'s negative stream from its
+/// walk streams, which share the `(seed, epoch, batch)` base seed.
+const BATCH_NEGATIVE_SALT: u64 = 0xBA7C_4E6A_7E5E_ED04;
 
 /// Edge-weighted mean of per-batch `(mean loss, edge count)` summaries:
 /// every *edge* contributes equally to the epoch loss, so a short final
@@ -927,8 +782,8 @@ mod tests {
 
     #[test]
     fn inference_embeddings_invariant_to_batch_size() {
-        // fill_embeddings folds each chunk's global offset into the walk
-        // seed, so chunking must not change the final embeddings.
+        // Inference walks and fallback draws are keyed by node id, so
+        // chunking must not change the final embeddings.
         let g = two_communities();
         let at_bs = |bs: usize| {
             let cfg = EhnaConfig { batch_size: bs, ..tiny_cfg() };
@@ -937,5 +792,22 @@ mod tests {
         let small = at_bs(3);
         let large = at_bs(64);
         assert_eq!(small, large, "embeddings depend on inference batch size");
+    }
+
+    #[test]
+    fn train_batch_negatives_are_keyed_by_batch_index() {
+        // Fresh trainers over the same model, as the stream builds one per
+        // batch: different batch indices must draw different negatives,
+        // equal ones the same.
+        let g = two_communities();
+        let edges: Vec<(NodeId, NodeId, Timestamp)> =
+            g.edges()[..8].iter().map(|e| (e.src, e.dst, e.t)).collect();
+        let negatives = |batch_idx: u64| {
+            let model = Trainer::new(&g, tiny_cfg()).unwrap().into_model();
+            let t = Trainer::from_model(&g, model).unwrap();
+            t.batch_plan(&edges, batch_idx).0.negatives
+        };
+        assert_ne!(negatives(0), negatives(1009), "batches 0 and 1009 drew the same negatives");
+        assert_eq!(negatives(1009), negatives(1009));
     }
 }

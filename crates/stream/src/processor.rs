@@ -51,7 +51,7 @@ impl From<WalError> for StreamError {
 pub struct StreamOptions {
     /// Gradient steps on each arriving batch before its rows are
     /// re-aggregated. `0` freezes the model: refresh is then pure
-    /// re-aggregation and matches a full rebuild near-exactly (see
+    /// re-aggregation and matches a full rebuild bit for bit (see
     /// `refresh_equivalence` tests).
     pub finetune_steps: usize,
     /// Every `k`-th batch refreshes *all* rows instead of just the dirty
@@ -92,14 +92,12 @@ pub struct BatchOutcome {
 ///
 /// Per batch: append edges to the graph (merge, no full re-sort), plan
 /// the dirty set, optionally fine-tune, and re-aggregate only the dirty
-/// rows via [`Trainer::refresh_rows`] — node-id-keyed walk streams, so a
-/// row's refreshed value is independent of the batch composition that
-/// dirtied it.
+/// rows via [`Trainer::refresh_rows`].
 ///
-/// Construction performs one full refresh to re-baseline the table in the
-/// node-keyed streams (a snapshot produced by `ehna train` uses
-/// position-keyed inference streams and would otherwise differ row-by-row
-/// from refreshed output for reasons unrelated to the new edges).
+/// Every row, the baseline table included, comes from the one node-keyed
+/// inference function ([`ehna_core::refresh_rows`]): it depends on the
+/// model, the graph and its node only, so the baseline of a frozen model
+/// equals the `Trainer::embeddings` rows of an `ehna train --out` snapshot.
 #[derive(Debug)]
 pub struct StreamProcessor {
     graph: TemporalGraph,
@@ -120,7 +118,7 @@ impl StreamProcessor {
     /// grown graph, silently changing walk semantics mid-stream.
     ///
     /// # Errors
-    /// A model covering fewer nodes than the graph, or trainer failures.
+    /// A model covering fewer nodes than the graph, or a bad `finetune_lr`.
     pub fn new(
         graph: TemporalGraph,
         mut model: EhnaModel,
@@ -168,10 +166,7 @@ impl StreamProcessor {
         let new_graph = self.graph.with_edges_appended(batch)?;
         let plan = self.planner.plan(&new_graph, batch);
         let model = self.model.take().expect("model present");
-        let mut trainer = match Trainer::from_model(&new_graph, model) {
-            Ok(t) => t,
-            Err(e) => return Err(StreamError::Model(e)),
-        };
+        let mut trainer = Trainer::from_model(&new_graph, model).map_err(StreamError::Model)?;
         let mut finetune_loss = None;
         if self.opts.finetune_steps > 0 && !batch.is_empty() {
             let pairs: Vec<(NodeId, NodeId, Timestamp)> =
@@ -201,17 +196,11 @@ impl StreamProcessor {
     /// Re-aggregate every row with the current model and graph.
     ///
     /// # Errors
-    /// Trainer failures.
+    /// A model or table that does not cover the graph.
     pub fn full_refresh(&mut self) -> Result<(), StreamError> {
-        let model = self.model.take().expect("model present");
-        let mut trainer = match Trainer::from_model(&self.graph, model) {
-            Ok(t) => t,
-            Err(e) => return Err(StreamError::Model(e)),
-        };
+        let model = self.model.as_mut().expect("model present");
         let all: Vec<NodeId> = self.graph.nodes().collect();
-        let result = trainer.refresh_rows(&mut self.emb, &all).map_err(StreamError::Model);
-        self.model = Some(trainer.into_model());
-        result
+        ehna_core::refresh_rows(model, &self.graph, &mut self.emb, &all).map_err(StreamError::Model)
     }
 
     /// The current embedding table.

@@ -105,21 +105,28 @@ impl<'g> NeighborhoodSampler<'g> {
     /// Sample the neighborhood of `target` with a walk stream keyed by the
     /// *node id* rather than a batch position: the same `(seed, target,
     /// t_ref)` always draws the same walks, no matter which other nodes
-    /// are sampled alongside it.
-    ///
-    /// This is the primitive behind incremental embedding refresh: a dirty
-    /// node re-aggregated on its own must reproduce exactly the walks a
-    /// full-rebuild pass would draw for it, which position-keyed streams
-    /// ([`Self::sample_batch`]) cannot guarantee across differing batch
-    /// compositions.
+    /// are sampled alongside it. Inference rests on this: a node embedded
+    /// alone reproduces the walks a full pass draws for it, which
+    /// position-keyed streams ([`Self::sample_batch`]) cannot guarantee.
     pub fn sample_keyed(
         &self,
         target: NodeId,
         t_ref: Timestamp,
         seed: u64,
     ) -> HistoricalNeighborhood {
-        let mut rng = item_rng(seed, target.index());
-        self.sample(target, t_ref, &mut rng)
+        self.sample(target, t_ref, &mut item_rng(seed, target.index()))
+    }
+
+    /// [`Self::sample_keyed`] over a batch of `(target, t_ref)` pairs across
+    /// `threads` scoped worker threads: item `(v, t)` draws the walks
+    /// `sample_keyed(v, t, seed)` draws, whatever the batch around it.
+    pub fn sample_batch_keyed(
+        &self,
+        targets: &[(NodeId, Timestamp)],
+        threads: usize,
+        seed: u64,
+    ) -> Vec<HistoricalNeighborhood> {
+        self.sample_batch_with(targets, threads, |_, v| item_rng(seed, v.index()))
     }
 
     /// Sample neighborhoods for a batch of `(target, t_ref)` pairs across
@@ -147,34 +154,37 @@ impl<'g> NeighborhoodSampler<'g> {
         seed: u64,
         base_index: usize,
     ) -> Vec<HistoricalNeighborhood> {
+        self.sample_batch_with(targets, threads, |i, _| item_rng(seed, base_index + i))
+    }
+
+    /// The threaded batch driver: item `i` targeting `v` draws from
+    /// `rng_for(i, v)`, so the result never depends on how the items are
+    /// split across threads.
+    fn sample_batch_with(
+        &self,
+        targets: &[(NodeId, Timestamp)],
+        threads: usize,
+        rng_for: impl Fn(usize, NodeId) -> StdRng + Sync,
+    ) -> Vec<HistoricalNeighborhood> {
+        let rng_for = &rng_for;
+        let sample = move |offset: usize, part: &[(NodeId, Timestamp)]| -> Vec<_> {
+            let items = part.iter().enumerate();
+            items.map(|(j, &(v, t))| self.sample(v, t, &mut rng_for(offset + j, v))).collect()
+        };
         let threads = threads.max(1);
         if threads == 1 || targets.len() < 2 * threads {
-            return targets
-                .iter()
-                .enumerate()
-                .map(|(i, &(v, t))| {
-                    let mut rng = item_rng(seed, base_index + i);
-                    self.sample(v, t, &mut rng)
-                })
-                .collect();
+            return sample(0, targets);
         }
         let chunk = targets.len().div_ceil(threads);
-        let mut out: Vec<Option<HistoricalNeighborhood>> = vec![None; targets.len()];
         std::thread::scope(|s| {
-            for (c, (targets_chunk, out_chunk)) in
-                targets.chunks(chunk).zip(out.chunks_mut(chunk)).enumerate()
-            {
-                s.spawn(move || {
-                    for (j, (&(v, t), slot)) in
-                        targets_chunk.iter().zip(out_chunk.iter_mut()).enumerate()
-                    {
-                        let mut rng = item_rng(seed, base_index + c * chunk + j);
-                        *slot = Some(self.sample(v, t, &mut rng));
-                    }
-                });
-            }
-        });
-        out.into_iter().map(|o| o.expect("all slots filled")).collect()
+            let parts: Vec<_> = (targets.chunks(chunk).enumerate())
+                .map(|(c, part)| s.spawn(move || sample(c * chunk, part)))
+                .collect();
+            parts
+                .into_iter()
+                .flat_map(|p| p.join().expect("walk sampler thread panicked"))
+                .collect()
+        })
     }
 }
 
@@ -315,6 +325,19 @@ mod tests {
         let w1 = s.sample_keyed(NodeId(1), Timestamp(2018), 42);
         let w7 = s.sample_keyed(NodeId(7), Timestamp(2018), 42);
         assert_ne!(w1.walks, w7.walks);
+    }
+
+    #[test]
+    fn keyed_batch_matches_keyed_items_at_any_thread_count() {
+        let g = figure1();
+        let s = NeighborhoodSampler::new(&g, TemporalWalkConfig::default(), 4);
+        let targets: Vec<(NodeId, Timestamp)> = (0..20)
+            .map(|i| (NodeId(1 + (i % 7) as u32), Timestamp(2015 + (i % 4) as i64)))
+            .collect();
+        let items: Vec<_> = targets.iter().map(|&(v, t)| s.sample_keyed(v, t, 7)).collect();
+        for threads in [1, 2, 4] {
+            assert_eq!(items, s.sample_batch_keyed(&targets, threads, 7), "threads {threads}");
+        }
     }
 
     #[test]

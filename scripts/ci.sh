@@ -45,19 +45,31 @@ timeout --kill-after=10 180 \
 echo "== streaming gates (wall-clock bounded)"
 # WAL robustness (proptest round-trip, every-byte truncation recovery,
 # torn-tail tolerance, mid-file corruption fail-stop), incremental-vs-
-# full-rebuild equivalence (frozen model < 1e-4; fine-tuned drift under
-# the documented bound), and the CLI end-to-end path (train a prefix,
-# serve it, ingest + stream the suffix, hot-swap per batch under client
-# load). Hard timeouts so a wedged tail-poll or refresh loop fails fast.
+# full-rebuild equivalence (frozen model < 1e-4 and bit-identical;
+# fine-tuned drift under the documented bound), and the CLI end-to-end
+# path (train a prefix, serve it, ingest + stream the suffix, hot-swap
+# per batch under client load). Hard timeouts so a wedged tail-poll or refresh loop fails fast.
 cargo test -p ehna-stream --test wal_robustness --no-run -q
-cargo test -p ehna-stream --test refresh_equivalence --no-run -q
+cargo test --test refresh_equivalence --no-run -q
 cargo test -p ehna-cli --test streaming --no-run -q
 timeout --kill-after=10 120 \
     cargo test -p ehna-stream --test wal_robustness -q
 timeout --kill-after=10 180 \
-    cargo test -p ehna-stream --test refresh_equivalence -q
+    cargo test --test refresh_equivalence -q
 timeout --kill-after=10 120 \
     cargo test -p ehna-cli --test streaming -q
+
+echo "== inference contract (wall-clock bounded)"
+# One node-keyed inference function behind every entry point, for both
+# aggregators: Trainer::embeddings equals refresh_rows over all nodes and
+# the StreamProcessor baseline bit for bit; embedding between epochs
+# leaves the next epoch's losses unchanged (inference never draws from
+# the training RNG); embeddings_at rows ignore batch size, thread count
+# and the other targets of the call (inference_contract). Hard timeout
+# like the other gates.
+cargo test --test inference_contract --no-run -q
+timeout --kill-after=10 120 \
+    cargo test --test inference_contract -q
 
 echo "== router gates (wall-clock bounded)"
 # The cluster tier's load-bearing guarantees: EHNP v2 frame codec

@@ -91,7 +91,7 @@ fn ehna_separates_recent_edges_on_social_network() {
             }
         }
     }
-    let z = trainer.aggregate_targets(&targets, false);
+    let z = trainer.aggregate_targets(&targets);
     let b = recent.len();
     let row = |i: usize| &z[i * d..(i + 1) * d];
     let sq = |a: &[f32], c: &[f32]| -> f64 {

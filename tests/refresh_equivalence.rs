@@ -5,6 +5,8 @@
 //! * With `finetune_steps = 0` the model is frozen, so dirty-set refresh
 //!   is pure re-aggregation and must match the full rebuild near-exactly
 //!   (node-keyed walk streams + eval-mode batch norm; tolerance 1e-4).
+//!   Every row comes from the one node-keyed inference function, so the
+//!   two tables are also pinned bit for bit.
 //! * With fine-tuning on, clean rows keep embeddings computed under
 //!   earlier parameters, so equivalence is a bounded drift instead; rows
 //!   dirty in the *final* batch are refreshed under the final model and
@@ -87,6 +89,10 @@ fn max_row_dist(a: &NodeEmbeddings, b: &NodeEmbeddings) -> f64 {
     worst
 }
 
+fn bits(e: &NodeEmbeddings) -> Vec<u32> {
+    e.as_slice().iter().map(|x| x.to_bits()).collect()
+}
+
 fn split() -> (Vec<TemporalEdge>, Vec<Vec<TemporalEdge>>) {
     let edges = all_edges();
     let cut = edges.len() * 3 / 5;
@@ -120,6 +126,11 @@ fn frozen_model_refresh_matches_full_rebuild() {
     assert_eq!(inc.graph().num_edges(), full_graph.num_edges());
     let dist = max_row_dist(inc.embeddings(), full.embeddings());
     assert!(dist < 1e-4, "frozen-model incremental drifted from rebuild: max row dist {dist}");
+    assert_eq!(
+        bits(inc.embeddings()),
+        bits(full.embeddings()),
+        "frozen refresh is not bit-identical"
+    );
 }
 
 #[test]
@@ -155,6 +166,11 @@ fn frozen_attn_model_refresh_matches_full_rebuild() {
     assert_eq!(inc.graph().num_edges(), full_graph.num_edges());
     let dist = max_row_dist(inc.embeddings(), full.embeddings());
     assert!(dist < 1e-4, "frozen attn incremental drifted from rebuild: max row dist {dist}");
+    assert_eq!(
+        bits(inc.embeddings()),
+        bits(full.embeddings()),
+        "frozen attn refresh not bit-identical"
+    );
 }
 
 #[test]
