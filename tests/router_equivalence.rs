@@ -4,14 +4,16 @@
 //! same neighbor ids, same ordering (ties broken by global node id),
 //! same error strings, same `cached` flags — for N ∈ {1, 2, 4},
 //! including `batch` envelopes, with the answer cache both enabled and
-//! disabled, and down to degenerate single-node and empty tables.
+//! disabled, and down to degenerate single-node and empty tables. A
+//! second battery repeats the check with tight request limits on both
+//! sides, covering every limit and malformed-field rejection.
 //!
 //! CI runs this suite as the router gate (scripts/ci.sh).
 
 use ehna_cluster::{plan_shards, Router, RouterConfig, ShardConfig, ShardServer};
 use ehna_serve::{
-    query_lines, BruteForceIndex, EmbeddingStore, EngineConfig, IvfConfig, IvfIndex, Json,
-    KnnIndex, QueryEngine, RequestLimits, Server, ServerConfig,
+    query_lines, BruteForceIndex, EmbeddingStore, EngineConfig, EngineHandler, IvfConfig, IvfIndex,
+    Json, KnnIndex, QueryEngine, RequestLimits, Server, ServerConfig,
 };
 use ehna_tgraph::{NameMap, NodeEmbeddings};
 use std::net::SocketAddr;
@@ -85,6 +87,18 @@ fn start_cluster(
     n_shards: u32,
     cache_capacity: usize,
 ) -> LiveCluster {
+    start_cluster_with(dir, emb, name_map, n_shards, cache_capacity, RequestLimits::default())
+}
+
+/// [`start_cluster`] with `limits` on the router and on every shard.
+fn start_cluster_with(
+    dir: &Path,
+    emb: &NodeEmbeddings,
+    name_map: Option<&NameMap>,
+    n_shards: u32,
+    cache_capacity: usize,
+    limits: RequestLimits,
+) -> LiveCluster {
     std::fs::create_dir_all(dir).unwrap();
     let manifest = plan_shards(emb, name_map, n_shards, dir).unwrap();
     let mut shard_handles = Vec::new();
@@ -97,7 +111,7 @@ fn start_cluster(
         let shard = ShardServer::bind(
             "127.0.0.1:0",
             engine,
-            RequestLimits::default(),
+            limits.clone(),
             None,
             ShardConfig { shard_id: i as u32, ..Default::default() },
         )
@@ -108,7 +122,7 @@ fn start_cluster(
     let router = Router::new(
         manifest,
         replica_addrs,
-        RequestLimits::default(),
+        limits,
         RouterConfig { probe_interval: Duration::ZERO, cache_capacity, ..Default::default() },
     )
     .unwrap();
@@ -208,6 +222,99 @@ fn sharded_answers_are_byte_identical_to_standalone() {
             cluster.shutdown();
         }
         standalone.shutdown();
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Limits tight enough that every limit branch fires on a 60-node table,
+/// and that the default `k` (10) is clamped by `max_k` rather than by
+/// the table size.
+const TIGHT: RequestLimits = RequestLimits { max_k: 3, max_pairs: 2, max_batch: 2 };
+
+/// The validation surface under [`TIGHT`]: limit rejections, the
+/// clamped default `k`, and every malformed-field branch of `knn`,
+/// `score` and `batch`, inside and outside batch envelopes.
+fn tight_battery() -> Vec<String> {
+    [
+        // `k` at, above and defaulted under `max_k`.
+        r#"{"op":"knn","node":"node1","k":3}"#,
+        r#"{"op":"knn","node":"node1","k":4}"#,
+        r#"{"op":"knn","node":"node1"}"#,
+        r#"{"op":"knn","vector":[1,0,2,4,0,3,1,2]}"#,
+        // Pair and batch counts at and above their limits.
+        r#"{"op":"score","pairs":[["node1","node2"],["3","4"]]}"#,
+        r#"{"op":"score","pairs":[["node1","node2"],["3","4"],["5","6"]]}"#,
+        r#"{"op":"batch","requests":[{"op":"ping"},{"op":"knn","node":"node2","k":2}]}"#,
+        r#"{"op":"batch","requests":[{"op":"ping"},{"op":"ping"},{"op":"ping"}]}"#,
+        // Malformed `knn` fields.
+        r#"{"op":"knn","vector":"1,0,2","k":2}"#,
+        r#"{"op":"knn","vector":[1,"x",2,4,0,3,1,2],"k":2}"#,
+        r#"{"op":"knn","node":"node1","k":1.5}"#,
+        r#"{"op":"knn","node":"node1","k":"2"}"#,
+        r#"{"op":"knn","node":"node1","k":-1}"#,
+        r#"{"op":"knn","node":"node1","vector":[1,0,2,4,0,3,1,2],"k":2}"#,
+        r#"{"op":"knn","node":true,"k":2}"#,
+        // Malformed `score` fields.
+        r#"{"op":"score","pairs":"node1,node2"}"#,
+        r#"{"op":"score","pairs":[["node1"]]}"#,
+        r#"{"op":"score","pairs":[["node1","node2","node3"]]}"#,
+        r#"{"op":"score","pairs":[["node1",true]]}"#,
+        // Malformed and refused batch members; limit rejections inside
+        // a batch are reported in place.
+        r#"{"op":"batch","requests":[{"op":"batch","requests":[]},{"op":"ping"}]}"#,
+        r#"{"op":"batch","requests":[{"node":"node1","k":2},7]}"#,
+        r#"{"op":"batch","requests":[{"op":"knn","node":"node1","k":4},{"op":"score","pairs":[[1,2],[3,4],[5,6]]}]}"#,
+    ]
+    .iter()
+    .map(|s| s.to_string())
+    .collect()
+}
+
+#[test]
+fn tight_limits_reject_identically() {
+    const N: usize = 60;
+    const DIM: usize = 8;
+    let dir = std::env::temp_dir().join("ehna_router_equivalence_tight");
+    let _ = std::fs::remove_dir_all(&dir);
+    let emb = table(N, DIM);
+    let name_map = names(N);
+    let (snap, names_path) = write_full(&dir, &emb, N);
+    let mut requests = tight_battery();
+    requests.push(r#"{"op":"stats"}"#.to_string());
+
+    let handler = EngineHandler::new(engine_for(&snap, Some(&names_path), 0), TIGHT, None);
+    let standalone =
+        Server::bind_handler("127.0.0.1:0", Arc::new(handler), ServerConfig::default())
+            .unwrap()
+            .spawn()
+            .unwrap();
+    let mut expected = query_lines(standalone.addr(), &requests).unwrap();
+    standalone.shutdown();
+    // The stats documents differ by role; the counters the request
+    // layer keeps must not.
+    let want_stats = Json::parse(&expected.pop().unwrap()).unwrap();
+
+    for n_shards in [1u32, 3] {
+        let shard_dir = dir.join(format!("shards_{n_shards}"));
+        let cluster = start_cluster_with(&shard_dir, &emb, Some(&name_map), n_shards, 0, TIGHT);
+        let mut got = query_lines(cluster.router.addr(), &requests).unwrap();
+        let got_stats = Json::parse(&got.pop().unwrap()).unwrap();
+        for (i, (want, have)) in expected.iter().zip(&got).enumerate() {
+            assert_eq!(
+                want, have,
+                "response {i} diverged at {n_shards} shards\nrequest: {}",
+                requests[i]
+            );
+        }
+        assert_eq!(expected.len(), got.len());
+        for counter in ["rejected", "cache_hits", "cache_misses", "ops"] {
+            assert_eq!(
+                got_stats.get(counter).map(Json::to_string),
+                want_stats.get(counter).map(Json::to_string),
+                "{counter} diverged at {n_shards} shards"
+            );
+        }
+        cluster.shutdown();
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
