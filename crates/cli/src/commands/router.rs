@@ -1,6 +1,6 @@
 //! `ehna router` — front a shard cluster with the JSON line protocol.
 
-use crate::commands::io_err;
+use crate::commands::{io_err, request_limits, server_config};
 use crate::flags::Flags;
 use crate::CliError;
 use ehna_cluster::{ClusterManifest, Router, RouterConfig};
@@ -10,7 +10,7 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
-use ehna_serve::{RequestLimits, Server, ServerConfig};
+use ehna_serve::Server;
 
 const HELP: &str = "ehna router — scatter-gather front end for a shard cluster
 
@@ -141,12 +141,7 @@ pub fn prepare(args: &[String], out: &mut dyn Write) -> Result<Server, CliError>
         .map(|(i, v)| parse_replicas(i, v))
         .collect::<Result<_, _>>()?;
 
-    let defaults = ServerConfig::default();
-    let limits = RequestLimits {
-        max_k: flags.get_or("max-k", defaults.limits.max_k)?.max(1),
-        max_pairs: flags.get_or("max-pairs", defaults.limits.max_pairs)?.max(1),
-        max_batch: flags.get_or("max-batch", defaults.limits.max_batch)?.max(1),
-    };
+    let limits = request_limits(&flags)?;
     let router_defaults = RouterConfig::default();
     let config = RouterConfig {
         shard_timeout: Duration::from_millis(
@@ -194,24 +189,10 @@ pub fn prepare(args: &[String], out: &mut dyn Write) -> Result<Server, CliError>
         writeln!(out, "shard {i}: replicas [{}]", list.join(", ")).map_err(io_err)?;
     }
 
-    let router = Router::new(manifest, replicas, limits.clone(), config)
+    let router = Router::new(manifest, replicas, limits, config)
         .map_err(|e| CliError::runtime(e.to_string()))?;
 
-    let server_config = ServerConfig {
-        conn_workers: flags.get_or("conn-workers", defaults.conn_workers)?.max(1),
-        max_connections: flags.get_or("max-conns", defaults.max_connections)?.max(1),
-        read_timeout: Duration::from_millis(
-            flags.get_or("read-timeout-ms", defaults.read_timeout.as_millis() as u64)?.max(1),
-        ),
-        write_timeout: Duration::from_millis(
-            flags.get_or("write-timeout-ms", defaults.write_timeout.as_millis() as u64)?.max(1),
-        ),
-        max_line_bytes: flags.get_or("max-line-bytes", defaults.max_line_bytes)?.max(64),
-        limits,
-        drain_deadline: Duration::from_millis(
-            flags.get_or("drain-ms", defaults.drain_deadline.as_millis() as u64)?,
-        ),
-    };
+    let server_config = server_config(&flags)?;
     let addr = flags.get("addr").unwrap_or("127.0.0.1:7878");
     let server = Server::bind_handler(addr, Arc::new(router) as _, server_config)
         .map_err(|e| CliError::runtime(format!("cannot bind {addr}: {e}")))?;
@@ -230,6 +211,7 @@ mod tests {
     use ehna_cluster::{plan_shards, ShardConfig, ShardHandle, ShardServer};
     use ehna_serve::{
         query_lines, BruteForceIndex, EmbeddingStore, EngineConfig, Json, KnnIndex, QueryEngine,
+        RequestLimits,
     };
     use ehna_tgraph::NodeEmbeddings;
 
@@ -321,6 +303,49 @@ mod tests {
         let stats = Json::parse(&responses[2]).unwrap();
         assert_eq!(stats.get("role").and_then(Json::as_str), Some("router"));
         assert_eq!(stats.get("cache_hits").and_then(Json::as_usize), Some(1));
+        handle.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn limit_flags_are_honored() {
+        let dir = std::env::temp_dir().join("ehna_cli_router_limits");
+        let _ = std::fs::remove_dir_all(&dir);
+        let shards = cluster(&dir, 2);
+        let mut buf = Vec::new();
+        let server = prepare(
+            &args(&[
+                "--manifest",
+                dir.to_str().unwrap(),
+                "--shard",
+                &shards[0].addr().to_string(),
+                "--shard",
+                &shards[1].addr().to_string(),
+                "--addr",
+                "127.0.0.1:0",
+                "--probe-interval-ms",
+                "0",
+                "--max-k",
+                "2",
+            ]),
+            &mut buf,
+        )
+        .unwrap();
+        let handle = server.spawn().unwrap();
+        let responses = query_lines(
+            handle.addr(),
+            &[
+                r#"{"op":"knn","node":"3","k":3}"#.to_string(),
+                r#"{"op":"knn","node":"3","k":2}"#.to_string(),
+            ],
+        )
+        .unwrap();
+        let over = Json::parse(&responses[0]).unwrap();
+        assert_eq!(over.get("ok"), Some(&Json::Bool(false)), "k over --max-k accepted");
+        let msg = over.get("error").and_then(Json::as_str).unwrap();
+        assert!(msg.contains("limit of 2"), "message: {msg}");
+        let ok = Json::parse(&responses[1]).unwrap();
+        assert_eq!(ok.get("ok"), Some(&Json::Bool(true)), "k = 2: {}", responses[1]);
         handle.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }

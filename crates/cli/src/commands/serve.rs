@@ -1,13 +1,13 @@
 //! `ehna serve` — serve an embedding snapshot over line-delimited JSON
 //! on TCP.
 
-use crate::commands::io_err;
+use crate::commands::{io_err, request_limits, server_config};
 use crate::flags::Flags;
 use crate::CliError;
 use ehna_cluster::{ShardConfig, ShardServer};
 use ehna_serve::{
     BruteForceIndex, EmbeddingStore, EngineConfig, EngineHandler, IvfConfig, IvfIndex, KnnIndex,
-    QueryEngine, Reloader, RequestLimits, Server, ServerConfig,
+    QueryEngine, Reloader, Server,
 };
 use std::io::Write;
 use std::sync::Arc;
@@ -179,26 +179,8 @@ pub fn prepare(args: &[String], out: &mut dyn Write) -> Result<PreparedServe, Cl
     };
     let engine = Arc::new(QueryEngine::new(store, index, engine_config));
 
-    let defaults = ServerConfig::default();
-    let server_config = ServerConfig {
-        conn_workers: flags.get_or("conn-workers", defaults.conn_workers)?.max(1),
-        max_connections: flags.get_or("max-conns", defaults.max_connections)?.max(1),
-        read_timeout: Duration::from_millis(
-            flags.get_or("read-timeout-ms", defaults.read_timeout.as_millis() as u64)?.max(1),
-        ),
-        write_timeout: Duration::from_millis(
-            flags.get_or("write-timeout-ms", defaults.write_timeout.as_millis() as u64)?.max(1),
-        ),
-        max_line_bytes: flags.get_or("max-line-bytes", defaults.max_line_bytes)?.max(64),
-        limits: RequestLimits {
-            max_k: flags.get_or("max-k", defaults.limits.max_k)?.max(1),
-            max_pairs: flags.get_or("max-pairs", defaults.limits.max_pairs)?.max(1),
-            max_batch: flags.get_or("max-batch", defaults.limits.max_batch)?.max(1),
-        },
-        drain_deadline: Duration::from_millis(
-            flags.get_or("drain-ms", defaults.drain_deadline.as_millis() as u64)?,
-        ),
-    };
+    let limits = request_limits(&flags)?;
+    let server_config = server_config(&flags)?;
 
     // The `reload` op re-reads the same snapshot path with the same
     // index flags, so an `ehna stream` writer (or any out-of-band
@@ -238,7 +220,7 @@ pub fn prepare(args: &[String], out: &mut dyn Write) -> Result<PreparedServe, Cl
             let shard = ShardServer::bind(
                 ehnp_addr,
                 Arc::clone(&engine),
-                server_config.limits.clone(),
+                limits.clone(),
                 Some(Arc::clone(&reloader)),
                 shard_config,
             )
@@ -256,8 +238,7 @@ pub fn prepare(args: &[String], out: &mut dyn Write) -> Result<PreparedServe, Cl
     };
 
     let addr = flags.get("addr").unwrap_or("127.0.0.1:7878");
-    let handler =
-        Arc::new(EngineHandler::new(engine, server_config.limits.clone(), Some(reloader)));
+    let handler = Arc::new(EngineHandler::new(engine, limits, Some(reloader)));
     let server = Server::bind_handler(addr, handler, server_config)
         .map_err(|e| CliError::runtime(format!("cannot bind {addr}: {e}")))?;
     writeln!(out, "serving on {}", server.local_addr().map_err(io_err)?).map_err(io_err)?;

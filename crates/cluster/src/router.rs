@@ -6,6 +6,14 @@
 //! shutdown) via [`ehna_serve::Server::bind_handler`] — clients cannot
 //! tell a router from a standalone server except by asking `stats`.
 //!
+//! The router parses no request JSON and checks no request limits: the
+//! shared request layer ([`ehna_serve::request`]) does both, for the
+//! standalone server too, and renders every envelope. The router is that
+//! layer's cluster [`Backend`]: key resolution by scatter or owner
+//! arithmetic, knn by scatter and merge behind the version-keyed caches,
+//! scores from resolved rows, the cluster `stats` document and the
+//! rolling `reload`.
+//!
 //! ## Exactness
 //!
 //! Every `knn` is scattered to all shards; each shard returns its local
@@ -65,7 +73,10 @@ use crate::manifest::{global_of, owner_of, ClusterManifest};
 use crate::proto::{Request, Response};
 use crate::ClusterError;
 use ehna_serve::cache::LruCache;
-use ehna_serve::{lock, op_counts_json, EngineStats, Json, LineHandler, RequestLimits, Role};
+use ehna_serve::request::{self, Backend, Hit, KnnAnswer, KnnQuery};
+use ehna_serve::{
+    lock, op_counts_json, EngineStats, Json, LineHandler, RequestLimits, Role, ServeError,
+};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -399,7 +410,7 @@ type VersionVec = Vec<u64>;
 
 /// A cached final knn answer: `(distance, global id, name)` per
 /// neighbor, already merged, excluded, and truncated to `k`.
-type CachedKnn = Arc<Vec<(f64, u32, String)>>;
+type CachedKnn = Arc<Vec<Hit>>;
 
 struct Inner {
     manifest: ClusterManifest,
@@ -437,8 +448,9 @@ impl std::fmt::Debug for Router {
 
 impl Router {
     /// Build a router over `manifest`, with `replicas[s]` listing the
-    /// EHNP addresses serving shard `s`. Starts the health-probe thread
-    /// unless `config.probe_interval` is zero.
+    /// EHNP addresses serving shard `s` and `limits` enforced on every
+    /// client request. Starts the health-probe thread unless
+    /// `config.probe_interval` is zero.
     ///
     /// # Errors
     /// [`ClusterError::Plan`] when the replica map does not cover every
@@ -515,23 +527,7 @@ impl Drop for Router {
 
 impl LineHandler for Router {
     fn handle_line(&self, line: &str) -> Json {
-        let inner = &self.inner;
-        let reject = |msg: &str| {
-            inner.stats.rejected.fetch_add(1, Ordering::Relaxed);
-            error_json(msg)
-        };
-        let request = match Json::parse(line) {
-            Ok(v) => v,
-            Err(e) => return reject(&format!("bad json: {e}")),
-        };
-        let started = Instant::now();
-        match inner.dispatch(&request) {
-            Ok(resp) => {
-                inner.stats.latency.record(started.elapsed());
-                resp
-            }
-            Err(msg) => reject(&msg),
-        }
+        request::handle_line(&*self.inner, &self.inner.limits, line)
     }
 
     fn stats(&self) -> &EngineStats {
@@ -572,32 +568,6 @@ fn probe_loop(inner: &Arc<Inner>) {
     }
 }
 
-fn error_json(message: &str) -> Json {
-    Json::obj([("ok", Json::Bool(false)), ("error", Json::Str(message.to_string()))])
-}
-
-/// Render a merged neighbor list as the wire response. Cached hits and
-/// fresh computations go through the same renderer so the two are
-/// byte-identical except for the `cached` flag.
-fn knn_json(k: usize, neighbors: &[(f64, u32, String)], cached: bool) -> Json {
-    let list: Vec<Json> = neighbors
-        .iter()
-        .map(|(dist, id, label)| {
-            Json::obj([
-                ("node", Json::Str(label.clone())),
-                ("id", Json::Num(*id as f64)),
-                ("dist", Json::Num(*dist)),
-            ])
-        })
-        .collect();
-    Json::Obj(vec![
-        ("ok".to_string(), Json::Bool(true)),
-        ("k".to_string(), Json::Num(k as f64)),
-        ("neighbors".to_string(), Json::Arr(list)),
-        ("cached".to_string(), Json::Bool(cached)),
-    ])
-}
-
 /// Squared Euclidean distance, replicating the single-node store's loop
 /// bit-for-bit (f32 subtraction, f64 square-and-accumulate, in
 /// dimension order) so router-computed scores equal shard/standalone
@@ -614,26 +584,6 @@ fn sq_dist(a: &[f32], b: &[f32]) -> f64 {
 }
 
 impl Inner {
-    /// Route one parsed request. Error strings are fully formatted to
-    /// match the standalone server's wording, so a client cannot tell a
-    /// router's rejection from a standalone server's.
-    fn dispatch(&self, request: &Json) -> Result<Json, String> {
-        let op = request
-            .get("op")
-            .and_then(Json::as_str)
-            .ok_or_else(|| "bad request: missing 'op'".to_string())?;
-        self.stats.ops.record(op);
-        match op {
-            "ping" => Ok(Json::obj([("ok", Json::Bool(true)), ("pong", Json::Bool(true))])),
-            "knn" => self.knn_op(request),
-            "score" => self.score_op(request),
-            "stats" => Ok(self.stats_op()),
-            "reload" => self.reload_op(),
-            "batch" => self.batch_op(request),
-            other => Err(format!("bad request: unknown op '{other}'")),
-        }
-    }
-
     /// One call to shard `shard`, failing over across its replicas:
     /// round-robin start, preferred (healthy, breaker closed) replicas
     /// first, everything else as a second pass.
@@ -750,27 +700,13 @@ impl Inner {
 
     /// Every replica's last known snapshot version, in (shard, replica)
     /// order — the freshness component of every cache key. Taken once
-    /// per request so both cache lookups see the same generation.
+    /// per key resolution; the [`Resolved`] node carries it into its knn
+    /// cache lookup, so both caches see the same generation.
     fn version_vec(&self) -> VersionVec {
         self.shards
             .iter()
             .flat_map(|s| s.replicas.iter().map(|r| r.last_version.load(Ordering::Relaxed)))
             .collect()
-    }
-
-    /// [`Self::resolve_global`] through the version-keyed resolve cache.
-    /// Only successes are cached (a miss may be a transient shard
-    /// outage, and the standalone server re-answers unknown keys cheaply
-    /// anyway).
-    fn resolve_cached(&self, key: &str, versions: &VersionVec) -> Result<(u32, Vec<f32>), String> {
-        if let Some(hit) = lock(self.resolve_cache.lock()).get(&(key.to_string(), versions.clone()))
-        {
-            return Ok(hit.clone());
-        }
-        let resolved = self.resolve_global(key)?;
-        lock(self.resolve_cache.lock())
-            .insert((key.to_string(), versions.clone()), resolved.clone());
-        Ok(resolved)
     }
 
     /// Resolve a client-supplied node key to `(global id, row)`,
@@ -816,70 +752,67 @@ impl Inner {
                 };
             }
         }
-        Err(format!("unknown node '{key}'"))
+        Err(ServeError::UnknownNode(key.to_string()).to_string())
+    }
+}
+
+/// A key the router resolved: global id and row, plus the version
+/// vector it was resolved under, so a knn on it reads the answer cache
+/// at the same generation.
+#[derive(Clone)]
+struct Resolved {
+    global: u32,
+    row: Vec<f32>,
+    versions: VersionVec,
+}
+
+impl Backend for Inner {
+    type Node = Resolved;
+
+    fn stats(&self) -> &EngineStats {
+        &self.stats
     }
 
-    fn knn_op(&self, request: &Json) -> Result<Json, String> {
-        let num_nodes = self.manifest.total_nodes as usize;
-        // Validation mirrors the standalone server word for word —
-        // including the empty-table rejection, which must fire before k
-        // parsing so the default-k path cannot manufacture a k against
-        // zero rows.
-        if num_nodes == 0 {
-            return Err("bad request: knn on an empty table".into());
-        }
-        let k = match request.get("k") {
-            Some(v) => {
-                let k = v.as_usize().ok_or("bad request: bad 'k'")?;
-                if k == 0 || k > num_nodes {
-                    return Err(format!(
-                        "bad request: 'k' must be between 1 and {num_nodes} (got {k})"
-                    ));
-                }
-                if k > self.limits.max_k {
-                    return Err(format!(
-                        "bad request: 'k' exceeds the server limit of {} (got {k})",
-                        self.limits.max_k
-                    ));
-                }
-                k
-            }
-            None => 10.min(self.limits.max_k).min(num_nodes),
-        };
-        let explain = request.get("explain").and_then(Json::as_bool).unwrap_or(false);
+    fn num_nodes(&self) -> usize {
+        self.manifest.total_nodes as usize
+    }
+
+    /// [`Inner::resolve_global`] through the version-keyed resolve
+    /// cache. Only successes are cached (a miss may be a transient shard
+    /// outage, and the standalone server re-answers unknown keys cheaply
+    /// anyway).
+    fn resolve(&self, key: &str) -> Result<Resolved, String> {
         let versions = self.version_vec();
-        let (vector, exclude) = match (request.get("node"), request.get("vector")) {
-            (Some(node), None) => {
-                let key = node
-                    .as_str()
-                    .map(str::to_string)
-                    .or_else(|| node.as_usize().map(|i| i.to_string()))
-                    .ok_or("bad request: bad 'node'")?;
-                let (global, row) = self.resolve_cached(&key, &versions)?;
+        let cache_key = (key.to_string(), versions.clone());
+        let cached = lock(self.resolve_cache.lock()).get(&cache_key).cloned();
+        let (global, row) = match cached {
+            Some(hit) => hit,
+            None => {
+                let resolved = self.resolve_global(key)?;
+                lock(self.resolve_cache.lock()).insert(cache_key, resolved.clone());
+                resolved
+            }
+        };
+        Ok(Resolved { global, row, versions })
+    }
+
+    fn knn(&self, query: KnnQuery<Resolved>, k: usize, explain: bool) -> Result<KnnAnswer, String> {
+        let (vector, exclude, cache_key) = match query {
+            KnnQuery::Node(node) => {
                 // Node-keyed, non-explain queries go through the answer
                 // cache, keyed by resolved id — not the raw key — so
                 // aliased spellings of one node share an entry, exactly
                 // like the standalone engine's id-keyed hot-node cache.
-                if !explain {
-                    if let Some(hit) =
-                        lock(self.knn_cache.lock()).get(&(global, k, versions.clone()))
-                    {
-                        self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-                        return Ok(knn_json(k, hit, true));
-                    }
+                let key = (!explain).then_some((node.global, k, node.versions));
+                let hit =
+                    key.as_ref().and_then(|key| lock(self.knn_cache.lock()).get(key).cloned());
+                if let Some(neighbors) = hit {
+                    self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
+                    return Ok(KnnAnswer { neighbors, cached: true, explain: None });
                 }
-                (row, Some(global))
+                (node.row, Some(node.global), key)
             }
-            (None, Some(vector)) => {
-                let items = vector.as_arr().ok_or("bad request: 'vector' must be an array")?;
-                let q: Vec<f32> = items
-                    .iter()
-                    .map(|v| v.as_f64().map(|x| x as f32))
-                    .collect::<Option<_>>()
-                    .ok_or("bad request: non-numeric vector entry")?;
-                (q, None)
-            }
-            _ => return Err("bad request: need exactly one of 'node' or 'vector'".into()),
+            KnnQuery::Vector(q) => (q, None, None),
         };
         // Vector and explain queries count as misses too, mirroring the
         // standalone engine's accounting.
@@ -890,7 +823,7 @@ impl Inner {
         let fetch = k + usize::from(exclude.is_some());
         let req = Request::Knn { k: fetch as u32, explain, vector };
         let results = self.scatter(&req, self.config.shard_timeout);
-        let mut candidates: Vec<(f64, u32, String)> = Vec::new();
+        let mut candidates: Vec<Hit> = Vec::new();
         let mut shard_infos = Vec::with_capacity(self.shards.len());
         for (s, result) in results.into_iter().enumerate() {
             match result? {
@@ -909,19 +842,27 @@ impl Inner {
         }
         // The single-node tie-break, globally: ascending (dist, id).
         candidates.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let neighbors: Vec<(f64, u32, String)> =
-            candidates.into_iter().filter(|&(_, id, _)| Some(id) != exclude).take(k).collect();
-        if explain {
-            let mut resp = knn_json(k, &neighbors, false);
-            let Json::Obj(fields) = &mut resp else { unreachable!("knn_json builds an object") };
+        candidates.retain(|&(_, id, _)| Some(id) != exclude);
+        candidates.truncate(k);
+        // Cached answers live long: hold no spare capacity.
+        candidates.shrink_to_fit();
+        let neighbors = Arc::new(candidates);
+        if let Some(key) = cache_key {
+            // Insert after computing, under the versions read when the
+            // key resolved: if a reload landed mid-request, this entry's
+            // key is already orphaned and can never answer a
+            // new-generation query.
+            lock(self.knn_cache.lock()).insert(key, Arc::clone(&neighbors));
+        }
+        let explain = explain.then(|| {
             let mut scanned_total = 0u64;
             let shards_json: Vec<Json> = shard_infos
                 .iter()
                 .enumerate()
                 .map(|(s, info)| {
                     let (probed, scanned, nprobe) = match info {
-                        Some((p, n, np)) => (p.clone(), *n, *np),
-                        None => (Vec::new(), 0, 0),
+                        Some((p, n, np)) => (p.as_slice(), *n, *np),
+                        None => (&[][..], 0, 0),
                     };
                     scanned_total += scanned;
                     Json::obj([
@@ -936,157 +877,55 @@ impl Inner {
                     ])
                 })
                 .collect();
-            fields.push((
-                "explain".to_string(),
-                Json::obj([
-                    ("scanned", Json::Num(scanned_total as f64)),
-                    ("rank_agreement", Json::Null),
-                    ("shards", Json::Arr(shards_json)),
-                ]),
-            ));
-            return Ok(resp);
-        }
-        if let Some(global) = exclude {
-            // Insert after computing, under the versions read at request
-            // start: if a reload landed mid-request, this entry's key is
-            // already orphaned and can never answer a new-generation
-            // query (the PR 5 version-keyed discipline).
-            lock(self.knn_cache.lock()).insert((global, k, versions), Arc::new(neighbors.clone()));
-        }
-        Ok(knn_json(k, &neighbors, false))
+            Json::obj([
+                ("scanned", Json::Num(scanned_total as f64)),
+                ("rank_agreement", Json::Null),
+                ("shards", Json::Arr(shards_json)),
+            ])
+        });
+        Ok(KnnAnswer { neighbors, cached: false, explain })
     }
 
-    fn score_op(&self, request: &Json) -> Result<Json, String> {
-        let pairs_json = request
-            .get("pairs")
-            .and_then(Json::as_arr)
-            .ok_or("bad request: 'pairs' must be an array")?;
-        if pairs_json.len() > self.limits.max_pairs {
-            return Err(format!(
-                "bad request: 'pairs' exceeds the server limit of {} (got {})",
-                self.limits.max_pairs,
-                pairs_json.len()
-            ));
-        }
-        // Resolve each distinct key once per request; a scatter per
-        // endpoint would turn one score call into 2·pairs fan-outs. The
-        // per-request memo sits in front of the version-keyed resolve
-        // cache, which spares the GetRow fan-out entirely on warm keys.
-        let versions = self.version_vec();
-        let mut rows: std::collections::HashMap<String, Vec<f32>> =
-            std::collections::HashMap::new();
-        let mut resolve = |this: &Inner, key: String| -> Result<Vec<f32>, String> {
-            if let Some(row) = rows.get(&key) {
-                return Ok(row.clone());
-            }
-            let (_, row) = this.resolve_cached(&key, &versions)?;
-            rows.insert(key, row.clone());
-            Ok(row)
-        };
-        let mut scores = Vec::with_capacity(pairs_json.len());
-        for p in pairs_json {
-            let items = p
-                .as_arr()
-                .filter(|items| items.len() == 2)
-                .ok_or("bad request: each pair must be [src, dst]")?;
-            let key = |v: &Json| -> Result<String, String> {
-                v.as_str()
-                    .map(str::to_string)
-                    .or_else(|| v.as_usize().map(|i| i.to_string()))
-                    .ok_or_else(|| "bad request: bad pair endpoint".to_string())
-            };
-            let a = resolve(self, key(&items[0])?)?;
-            let b = resolve(self, key(&items[1])?)?;
-            scores.push(sq_dist(&a, &b));
-        }
-        Ok(Json::obj([
-            ("ok", Json::Bool(true)),
-            ("scores", Json::Arr(scores.into_iter().map(Json::Num).collect())),
-        ]))
+    fn score(&self, pairs: Vec<(Resolved, Resolved)>) -> Result<Vec<f64>, String> {
+        Ok(pairs.iter().map(|(a, b)| sq_dist(&a.row, &b.row)).collect())
     }
 
-    fn batch_op(&self, request: &Json) -> Result<Json, String> {
-        let requests = request
-            .get("requests")
-            .and_then(Json::as_arr)
-            .ok_or("bad request: 'requests' must be an array")?;
-        if requests.len() > self.limits.max_batch {
-            return Err(format!(
-                "bad request: 'requests' exceeds the server limit of {} (got {})",
-                self.limits.max_batch,
-                requests.len()
-            ));
-        }
-        let mut responses = Vec::with_capacity(requests.len());
-        for sub in requests {
-            // Control ops are filtered before dispatch, exactly like the
-            // standalone batch: a batch is a read-path convenience, not a
-            // control plane (and the refused op is not counted).
-            let resp = match sub.get("op").and_then(Json::as_str) {
-                Some("batch") | Some("reload") => {
-                    self.stats.rejected.fetch_add(1, Ordering::Relaxed);
-                    error_json("op not allowed inside a batch")
-                }
-                _ => match self.dispatch(sub) {
-                    Ok(resp) => resp,
-                    Err(msg) => {
-                        self.stats.rejected.fetch_add(1, Ordering::Relaxed);
-                        error_json(&msg)
-                    }
-                },
-            };
-            responses.push(resp);
-        }
-        Ok(Json::obj([("ok", Json::Bool(true)), ("responses", Json::Arr(responses))]))
+    fn served(&self, started: Instant) {
+        self.stats.latency.record(started.elapsed());
     }
 
     /// Rolling reload: shard by shard, replica by replica, strictly
     /// sequential — at any instant at most one replica is busy loading,
     /// so every shard keeps at least one replica serving (with ≥2
     /// replicas per shard) and the cluster never goes dark.
-    fn reload_op(&self) -> Result<Json, String> {
+    fn reload(&self) -> Result<Json, String> {
         let mut all_ok = true;
         let mut shards_json = Vec::with_capacity(self.shards.len());
         for (s, set) in self.shards.iter().enumerate() {
             let mut replicas_json = Vec::with_capacity(set.replicas.len());
             for replica in &set.replicas {
-                let entry = match replica.call(
+                let addr = ("addr", Json::Str(replica.addr.to_string()));
+                let reloaded = match replica.call(
                     &Request::Reload,
                     self.config.reload_timeout,
                     &self.config,
                 ) {
-                    Ok(Response::Reloaded { version, nodes }) => Json::obj([
-                        ("addr", Json::Str(replica.addr.to_string())),
+                    Ok(Response::Reloaded { version, nodes }) => Ok((version, nodes)),
+                    Ok(Response::Error(msg)) | Err(msg) => Err(msg),
+                    Ok(other) => Err(format!("unexpected response {other:?}")),
+                };
+                replicas_json.push(match reloaded {
+                    Ok((version, nodes)) => Json::obj([
+                        addr,
                         ("ok", Json::Bool(true)),
                         ("version", Json::Num(version as f64)),
                         ("nodes", Json::Num(nodes as f64)),
                     ]),
-                    Ok(Response::Error(msg)) => {
+                    Err(msg) => {
                         all_ok = false;
-                        Json::obj([
-                            ("addr", Json::Str(replica.addr.to_string())),
-                            ("ok", Json::Bool(false)),
-                            ("error", Json::Str(msg)),
-                        ])
+                        Json::obj([addr, ("ok", Json::Bool(false)), ("error", Json::Str(msg))])
                     }
-                    Ok(other) => {
-                        all_ok = false;
-                        Json::obj([
-                            ("addr", Json::Str(replica.addr.to_string())),
-                            ("ok", Json::Bool(false)),
-                            ("error", Json::Str(format!("unexpected response {other:?}"))),
-                        ])
-                    }
-                    Err(e) => {
-                        all_ok = false;
-                        Json::obj([
-                            ("addr", Json::Str(replica.addr.to_string())),
-                            ("ok", Json::Bool(false)),
-                            ("error", Json::Str(e)),
-                        ])
-                    }
-                };
-                replicas_json.push(entry);
+                });
             }
             shards_json.push(Json::obj([
                 ("shard", Json::Num(s as f64)),
@@ -1098,7 +937,7 @@ impl Inner {
         Ok(Json::obj([("ok", Json::Bool(all_ok)), ("rolled", Json::Arr(shards_json))]))
     }
 
-    fn stats_op(&self) -> Json {
+    fn stats_doc(&self) -> Json {
         let snap = self.stats.snapshot();
         let shards_json: Vec<Json> = self
             .shards

@@ -76,7 +76,6 @@ pub(crate) fn finish_from_unit_reps(
     e_targets: Var,
     train: bool,
 ) -> Var {
-    let d = model.config.dim;
     let batch = hns.len();
     let all_reps = if train {
         model.bn_node.forward_train(g, &model.store, all_reps)
@@ -88,7 +87,7 @@ pub(crate) fn finish_from_unit_reps(
     if !model.config.two_level {
         // EHNA-SL: the single flattened representation *is* H.
         let h = reassemble_rows(g, all_reps, unit_row, batch, 1, 0);
-        return readout(model, g, h, e_targets, d);
+        return readout(model, g, h, e_targets);
     }
 
     // ------------------------------------------------- walk-level stage
@@ -126,7 +125,7 @@ pub(crate) fn finish_from_unit_reps(
     } else {
         model.bn_walk.forward_eval(g, &model.store, h)
     };
-    readout(model, g, h, e_targets, d)
+    readout(model, g, h, e_targets)
 }
 
 /// GraphSAGE-style fallback aggregation (paper §IV-D) for nodes whose
@@ -142,7 +141,6 @@ pub(crate) fn aggregate_fallback<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Var {
     assert!(!nodes.is_empty(), "empty fallback batch");
-    let d = model.config.dim;
     let fan = model.config.fallback_samples;
     let target_ids: Vec<u32> = nodes.iter().map(|(v, _)| v.0).collect();
     let e_targets = g.gather(&model.store, model.embeddings, &target_ids);
@@ -171,11 +169,11 @@ pub(crate) fn aggregate_fallback<R: Rng + ?Sized>(
         pooled.push(g.mean_cols(nbrs));
     }
     let h = if pooled.len() == 1 { pooled[0] } else { g.concat_rows(&pooled) };
-    readout(model, g, h, e_targets, d)
+    readout(model, g, h, e_targets)
 }
 
 /// `z = l2_normalize(W · [H || e])` — Algorithm 1 lines 7–8.
-pub(crate) fn readout(model: &EhnaModel, g: &mut Graph, h: Var, e_targets: Var, _d: usize) -> Var {
+pub(crate) fn readout(model: &EhnaModel, g: &mut Graph, h: Var, e_targets: Var) -> Var {
     let cat = g.concat_cols(h, e_targets);
     let z = model.readout.forward(g, &model.store, cat);
     g.l2_normalize_rows(z, 1e-6)

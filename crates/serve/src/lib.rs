@@ -38,6 +38,7 @@ pub mod cache;
 pub mod engine;
 pub mod index;
 pub mod json;
+pub mod request;
 pub mod server;
 pub mod stats;
 pub mod store;
@@ -45,11 +46,11 @@ pub mod store;
 pub use engine::{EngineConfig, KnnResult, QueryEngine, SnapshotVersion};
 pub use index::{BruteForceIndex, IvfConfig, IvfIndex, KnnIndex, Neighbor, SearchInfo};
 pub use json::Json;
+pub use request::{op_counts_json, Backend, Hit, KnnAnswer, KnnQuery, RequestLimits};
 pub use server::Reloader;
 pub use server::{
-    handle_line, op_counts_json, query_lines, query_lines_detailed, query_lines_timeout,
-    EngineHandler, LineHandler, Protocol, QueryError, RequestLimits, Server, ServerConfig,
-    ServerHandle,
+    handle_line, query_lines, query_lines_detailed, query_lines_timeout, EngineHandler,
+    LineHandler, Protocol, QueryError, Server, ServerConfig, ServerHandle,
 };
 pub use stats::{EngineStats, LatencyHistogram, OpCounters, OpCounts, Role, StatsSnapshot};
 pub use store::{canonical_node_id, EmbeddingStore, RowDistance, RowSource, MAX_NAME_LEN};

@@ -23,6 +23,11 @@
 //! speaks the JSON line protocol; the cluster's EHNP shard port is the
 //! other protocol.
 //!
+//! The JSON request contract itself (parsing, validation, limits and
+//! every response envelope) is [`crate::request`], shared by both
+//! handlers. This module supplies its standalone [`Backend`]: key
+//! resolution, knn, scores, `stats` and `reload` over a [`QueryEngine`].
+//!
 //! Connections are NOT handled one-thread-per-socket. A non-blocking
 //! accept loop admits sockets into a bounded queue drained by a fixed
 //! pool of `ServerConfig::conn_workers` handler threads, which block on
@@ -39,8 +44,9 @@
 //! * a length-capped line reader bounds request-line memory at
 //!   `max_line_bytes` — an endless line gets a structured error and a
 //!   disconnect, never an OOM;
-//! * per-request limits (`RequestLimits::max_k` / `max_pairs`) bound
-//!   the work and allocation a single request can demand.
+//! * per-request limits ([`RequestLimits`], held by the handler that
+//!   enforces them) bound the work and allocation a single request can
+//!   demand.
 //!
 //! Shedding, timeouts, and malformed/over-limit requests are all
 //! counted in [`EngineStats`] and exposed through
@@ -60,6 +66,9 @@
 use crate::engine::QueryEngine;
 use crate::index::KnnIndex;
 use crate::json::Json;
+use crate::request::{
+    self, bad_request, error_response, op_counts_json, Backend, KnnAnswer, KnnQuery, RequestLimits,
+};
 use crate::stats::EngineStats;
 use crate::store::EmbeddingStore;
 use crate::{lock, ServeError};
@@ -80,23 +89,6 @@ const POLL_INTERVAL: Duration = Duration::from_millis(10);
 /// How often the shutdown drain re-checks the active-connection count.
 const DRAIN_POLL: Duration = Duration::from_millis(5);
 
-/// Per-request protocol limits, enforced before any work is queued.
-#[derive(Debug, Clone)]
-pub struct RequestLimits {
-    /// Largest `k` a `knn` request may ask for.
-    pub max_k: usize,
-    /// Largest number of pairs a `score` request may submit.
-    pub max_pairs: usize,
-    /// Largest number of sub-requests a `batch` envelope may carry.
-    pub max_batch: usize,
-}
-
-impl Default for RequestLimits {
-    fn default() -> Self {
-        RequestLimits { max_k: 1024, max_pairs: 4096, max_batch: 256 }
-    }
-}
-
 /// Socket-layer tuning and protection knobs for [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -114,8 +106,6 @@ pub struct ServerConfig {
     /// Longest accepted request line, in bytes; longer lines get a
     /// structured error and a disconnect.
     pub max_line_bytes: usize,
-    /// Per-request protocol limits.
-    pub limits: RequestLimits,
     /// How long `shutdown` waits for in-flight requests to finish
     /// before force-closing their sockets.
     pub drain_deadline: Duration,
@@ -129,7 +119,6 @@ impl Default for ServerConfig {
             read_timeout: Duration::from_secs(30),
             write_timeout: Duration::from_secs(10),
             max_line_bytes: 1 << 20,
-            limits: RequestLimits::default(),
             drain_deadline: Duration::from_secs(5),
         }
     }
@@ -266,7 +255,8 @@ impl EngineHandler {
 
 impl LineHandler for EngineHandler {
     fn handle_line(&self, line: &str) -> Json {
-        handle_line_with(&self.engine, &self.limits, self.reloader.as_ref(), line)
+        let backend = EngineBackend { engine: &self.engine, reloader: self.reloader.as_ref() };
+        request::handle_line(&backend, &self.limits, line)
     }
 
     fn stats(&self) -> &EngineStats {
@@ -323,7 +313,9 @@ impl Server {
     }
 
     /// Bind `addr` with explicit socket limits and timeouts, answering
-    /// with an [`EngineHandler`] over `engine` (no reloader).
+    /// with an [`EngineHandler`] over `engine` under the default
+    /// [`RequestLimits`] and no reloader. Other limits take
+    /// [`Server::bind_handler`] with an [`EngineHandler`] of their own.
     ///
     /// # Errors
     /// Socket errors.
@@ -332,7 +324,7 @@ impl Server {
         engine: Arc<QueryEngine>,
         config: ServerConfig,
     ) -> io::Result<Server> {
-        let handler = Arc::new(EngineHandler::new(engine, config.limits.clone(), None));
+        let handler = Arc::new(EngineHandler::new(engine, RequestLimits::default(), None));
         Server::bind_handler(addr, handler, config)
     }
 
@@ -655,287 +647,106 @@ fn is_timeout(e: &io::Error) -> bool {
 /// Malformed or over-limit requests are answered with `"ok":false` and
 /// counted in the engine's `rejected` stat.
 pub fn handle_line(engine: &QueryEngine, limits: &RequestLimits, line: &str) -> Json {
-    handle_line_with(engine, limits, None, line)
+    request::handle_line(&EngineBackend { engine, reloader: None }, limits, line)
 }
 
-/// [`handle_line`] with an optional [`Reloader`] backing the `reload` op.
-pub fn handle_line_with(
-    engine: &QueryEngine,
-    limits: &RequestLimits,
-    reloader: Option<&Reloader>,
-    line: &str,
-) -> Json {
-    let reject = |msg: &str| {
-        engine.stats_raw().rejected.fetch_add(1, Ordering::Relaxed);
-        error_response(msg)
-    };
-    let request = match Json::parse(line) {
-        Ok(v) => v,
-        Err(e) => return reject(&format!("bad json: {e}")),
-    };
-    match dispatch(engine, limits, reloader, &request) {
-        Ok(resp) => resp,
-        Err(e) => reject(&e.to_string()),
+/// The standalone [`Backend`]: a [`QueryEngine`], with an optional
+/// [`Reloader`] behind the `reload` op.
+struct EngineBackend<'a> {
+    engine: &'a QueryEngine,
+    reloader: Option<&'a Reloader>,
+}
+
+impl Backend for EngineBackend<'_> {
+    type Node = NodeId;
+
+    fn stats(&self) -> &EngineStats {
+        self.engine.stats_raw()
     }
-}
 
-fn error_response(message: &str) -> Json {
-    Json::obj([("ok", Json::Bool(false)), ("error", Json::Str(message.to_string()))])
-}
-
-fn dispatch(
-    engine: &QueryEngine,
-    limits: &RequestLimits,
-    reloader: Option<&Reloader>,
-    request: &Json,
-) -> Result<Json, ServeError> {
-    let op = request
-        .get("op")
-        .and_then(Json::as_str)
-        .ok_or_else(|| ServeError::BadRequest("missing 'op'".into()))?;
-    // Dispatched == counted (success or not), so per-op totals reconcile
-    // with `requests` across a cluster; unknown ops never reach a handler
-    // and are only counted in `rejected`.
-    engine.stats_raw().ops.record(op);
-    match op {
-        "ping" => Ok(Json::obj([("ok", Json::Bool(true)), ("pong", Json::Bool(true))])),
-        "knn" => knn_op(engine, limits, request),
-        "score" => score_op(engine, limits, request),
-        "stats" => Ok(stats_op(engine)),
-        "reload" => reload_op(engine, reloader),
-        "batch" => batch_op(engine, limits, request),
-        other => Err(ServeError::BadRequest(format!("unknown op '{other}'"))),
+    fn num_nodes(&self) -> usize {
+        self.engine.store().num_nodes()
     }
-}
 
-/// Run a bounded list of sub-requests in order and return their responses
-/// in one envelope. Sub-request failures are reported in place (and
-/// counted in `rejected`) without failing the envelope; `reload` and
-/// nested `batch` are refused — a batch is a read-path convenience, not a
-/// control plane.
-fn batch_op(
-    engine: &QueryEngine,
-    limits: &RequestLimits,
-    request: &Json,
-) -> Result<Json, ServeError> {
-    let requests = request
-        .get("requests")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| ServeError::BadRequest("'requests' must be an array".into()))?;
-    if requests.len() > limits.max_batch {
-        return Err(ServeError::BadRequest(format!(
-            "'requests' exceeds the server limit of {} (got {})",
-            limits.max_batch,
-            requests.len()
-        )));
+    fn resolve(&self, key: &str) -> Result<NodeId, String> {
+        self.engine.store().resolve(key).map_err(|e| e.to_string())
     }
-    let mut responses = Vec::with_capacity(requests.len());
-    for sub in requests {
-        let sub_reject = |msg: &str| {
-            engine.stats_raw().rejected.fetch_add(1, Ordering::Relaxed);
-            error_response(msg)
-        };
-        let resp = match sub.get("op").and_then(Json::as_str) {
-            Some("batch") | Some("reload") => sub_reject("op not allowed inside a batch"),
-            _ => match dispatch(engine, limits, None, sub) {
-                Ok(resp) => resp,
-                Err(e) => sub_reject(&e.to_string()),
-            },
-        };
-        responses.push(resp);
-    }
-    Ok(Json::obj([("ok", Json::Bool(true)), ("responses", Json::Arr(responses))]))
-}
 
-/// Run the configured [`Reloader`] and hot-swap its snapshot into the
-/// engine. Queries on other connections keep being answered (by the old
-/// snapshot) for the whole duration — only the final pointer swap is
-/// synchronized.
-fn reload_op(engine: &QueryEngine, reloader: Option<&Reloader>) -> Result<Json, ServeError> {
-    let reloader =
-        reloader.ok_or_else(|| ServeError::BadRequest("reload not configured".into()))?;
-    let (store, index) = reloader()?;
-    let nodes = store.num_nodes();
-    let dim = store.dim();
-    let version = engine.swap_snapshot(store, index);
-    Ok(Json::obj([
-        ("ok", Json::Bool(true)),
-        ("version", Json::Num(version.0 as f64)),
-        ("nodes", Json::Num(nodes as f64)),
-        ("dim", Json::Num(dim as f64)),
-    ]))
-}
-
-fn knn_op(
-    engine: &QueryEngine,
-    limits: &RequestLimits,
-    request: &Json,
-) -> Result<Json, ServeError> {
-    let num_nodes = engine.store().num_nodes();
-    // Reject before k parsing: no k is valid against zero rows, and the
-    // default-k path must not manufacture one (the router mirrors this
-    // check word-for-word — the byte-equivalence gate covers n = 0).
-    if num_nodes == 0 {
-        return Err(ServeError::BadRequest("knn on an empty table".into()));
-    }
-    let k = match request.get("k") {
-        Some(v) => {
-            let k = v.as_usize().ok_or_else(|| ServeError::BadRequest("bad 'k'".into()))?;
-            if k == 0 || k > num_nodes {
-                return Err(ServeError::BadRequest(format!(
-                    "'k' must be between 1 and {num_nodes} (got {k})"
-                )));
-            }
-            if k > limits.max_k {
-                return Err(ServeError::BadRequest(format!(
-                    "'k' exceeds the server limit of {} (got {k})",
-                    limits.max_k
-                )));
-            }
-            k
+    fn knn(&self, query: KnnQuery<NodeId>, k: usize, explain: bool) -> Result<KnnAnswer, String> {
+        let result = match query {
+            KnnQuery::Node(id) => self.engine.knn_node(id, k, explain),
+            KnnQuery::Vector(q) => self.engine.knn_vector(q, k, explain),
         }
-        None => 10.min(limits.max_k).min(num_nodes),
-    };
-    let explain = request.get("explain").and_then(Json::as_bool).unwrap_or(false);
-    let result = match (request.get("node"), request.get("vector")) {
-        (Some(node), None) => {
-            let key = node
-                .as_str()
-                .map(str::to_string)
-                .or_else(|| node.as_usize().map(|i| i.to_string()))
-                .ok_or_else(|| ServeError::BadRequest("bad 'node'".into()))?;
-            let id = engine.store().resolve(&key)?;
-            engine.knn_node(id, k, explain)?
-        }
-        (None, Some(vector)) => {
-            let items = vector
-                .as_arr()
-                .ok_or_else(|| ServeError::BadRequest("'vector' must be an array".into()))?;
-            let q: Vec<f32> = items
-                .iter()
-                .map(|v| v.as_f64().map(|x| x as f32))
-                .collect::<Option<_>>()
-                .ok_or_else(|| ServeError::BadRequest("non-numeric vector entry".into()))?;
-            engine.knn_vector(q, k, explain)?
-        }
-        _ => return Err(ServeError::BadRequest("need exactly one of 'node' or 'vector'".into())),
-    };
-    let neighbors = result
-        .neighbors
-        .iter()
-        .map(|nb| {
-            Json::obj([
-                ("node", Json::Str(engine.store().label(nb.id))),
-                ("id", Json::Num(nb.id.index() as f64)),
-                ("dist", Json::Num(nb.dist)),
-            ])
-        })
-        .collect();
-    let mut fields = vec![
-        ("ok".to_string(), Json::Bool(true)),
-        ("k".to_string(), Json::Num(k as f64)),
-        ("neighbors".to_string(), Json::Arr(neighbors)),
-        ("cached".to_string(), Json::Bool(result.cached)),
-    ];
-    if let Some(info) = result.info {
+        .map_err(|e| e.to_string())?;
+        let store = self.engine.store();
+        let neighbors =
+            result.neighbors.iter().map(|nb| (nb.dist, nb.id.0, store.label(nb.id))).collect();
         // `rank_agreement` is only meaningful when the brute-force
         // comparison actually ran; `null` otherwise (never a fabricated
         // 1.0).
-        let agreement = result.agreement.map_or(Json::Null, Json::Num);
-        fields.push((
-            "explain".to_string(),
+        let explain = result.info.map(|info| {
             Json::obj([
                 (
                     "probed_centroids",
                     Json::Arr(info.probed.iter().map(|&c| Json::Num(c as f64)).collect()),
                 ),
                 ("scanned", Json::Num(info.scanned as f64)),
-                ("rank_agreement", agreement),
-            ]),
-        ));
+                ("rank_agreement", result.agreement.map_or(Json::Null, Json::Num)),
+            ])
+        });
+        Ok(KnnAnswer { neighbors: Arc::new(neighbors), cached: result.cached, explain })
     }
-    Ok(Json::Obj(fields))
-}
 
-fn score_op(
-    engine: &QueryEngine,
-    limits: &RequestLimits,
-    request: &Json,
-) -> Result<Json, ServeError> {
-    let pairs_json = request
-        .get("pairs")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| ServeError::BadRequest("'pairs' must be an array".into()))?;
-    if pairs_json.len() > limits.max_pairs {
-        return Err(ServeError::BadRequest(format!(
-            "'pairs' exceeds the server limit of {} (got {})",
-            limits.max_pairs,
-            pairs_json.len()
-        )));
+    fn score(&self, pairs: Vec<(NodeId, NodeId)>) -> Result<Vec<f64>, String> {
+        self.engine.score_pairs(pairs).map_err(|e| e.to_string())
     }
-    let mut pairs: Vec<(NodeId, NodeId)> = Vec::with_capacity(pairs_json.len());
-    for p in pairs_json {
-        let items = p
-            .as_arr()
-            .filter(|items| items.len() == 2)
-            .ok_or_else(|| ServeError::BadRequest("each pair must be [src, dst]".into()))?;
-        let key = |v: &Json| -> Result<String, ServeError> {
-            v.as_str()
-                .map(str::to_string)
-                .or_else(|| v.as_usize().map(|i| i.to_string()))
-                .ok_or_else(|| ServeError::BadRequest("bad pair endpoint".into()))
-        };
-        let a = engine.store().resolve(&key(&items[0])?)?;
-        let b = engine.store().resolve(&key(&items[1])?)?;
-        pairs.push((a, b));
+
+    fn stats_doc(&self) -> Json {
+        let engine = self.engine;
+        let snap = engine.stats();
+        Json::obj([
+            ("ok", Json::Bool(true)),
+            ("role", Json::Str(snap.role.as_str().to_string())),
+            ("shard_id", snap.shard_id.map_or(Json::Null, |s| Json::Num(s as f64))),
+            ("index", Json::Str(engine.index_kind().to_string())),
+            ("nprobe", engine.index_nprobe().map_or(Json::Null, |n| Json::Num(n as f64))),
+            ("nodes", Json::Num(engine.store().num_nodes() as f64)),
+            ("dim", Json::Num(engine.store().dim() as f64)),
+            ("requests", Json::Num(snap.requests as f64)),
+            ("cache_hits", Json::Num(snap.cache_hits as f64)),
+            ("cache_misses", Json::Num(snap.cache_misses as f64)),
+            ("rejected", Json::Num(snap.rejected as f64)),
+            ("timeouts", Json::Num(snap.timeouts as f64)),
+            ("overloads", Json::Num(snap.overloads as f64)),
+            ("batches", Json::Num(snap.batches as f64)),
+            ("snapshot_version", Json::Num(snap.snapshot_version as f64)),
+            ("reloads", Json::Num(snap.reloads as f64)),
+            ("last_reload_unix", Json::Num(snap.last_reload_unix as f64)),
+            ("mean_us", Json::Num(snap.mean_us)),
+            ("p50_us", Json::Num(snap.p50_us as f64)),
+            ("p95_us", Json::Num(snap.p95_us as f64)),
+            ("p99_us", Json::Num(snap.p99_us as f64)),
+            ("ops", op_counts_json(&snap.ops)),
+        ])
     }
-    let scores = engine.score_pairs(pairs)?;
-    Ok(Json::obj([
-        ("ok", Json::Bool(true)),
-        ("scores", Json::Arr(scores.into_iter().map(Json::Num).collect())),
-    ]))
-}
 
-fn stats_op(engine: &QueryEngine) -> Json {
-    let snap = engine.stats();
-    Json::obj([
-        ("ok", Json::Bool(true)),
-        ("role", Json::Str(snap.role.as_str().to_string())),
-        ("shard_id", snap.shard_id.map_or(Json::Null, |s| Json::Num(s as f64))),
-        ("index", Json::Str(engine.index_kind().to_string())),
-        ("nprobe", engine.index_nprobe().map_or(Json::Null, |n| Json::Num(n as f64))),
-        ("nodes", Json::Num(engine.store().num_nodes() as f64)),
-        ("dim", Json::Num(engine.store().dim() as f64)),
-        ("requests", Json::Num(snap.requests as f64)),
-        ("cache_hits", Json::Num(snap.cache_hits as f64)),
-        ("cache_misses", Json::Num(snap.cache_misses as f64)),
-        ("rejected", Json::Num(snap.rejected as f64)),
-        ("timeouts", Json::Num(snap.timeouts as f64)),
-        ("overloads", Json::Num(snap.overloads as f64)),
-        ("batches", Json::Num(snap.batches as f64)),
-        ("snapshot_version", Json::Num(snap.snapshot_version as f64)),
-        ("reloads", Json::Num(snap.reloads as f64)),
-        ("last_reload_unix", Json::Num(snap.last_reload_unix as f64)),
-        ("mean_us", Json::Num(snap.mean_us)),
-        ("p50_us", Json::Num(snap.p50_us as f64)),
-        ("p95_us", Json::Num(snap.p95_us as f64)),
-        ("p99_us", Json::Num(snap.p99_us as f64)),
-        ("ops", op_counts_json(&snap.ops)),
-    ])
-}
-
-/// Per-op counters as a JSON object (shared by the engine's `stats` op
-/// and the cluster router's).
-pub fn op_counts_json(ops: &crate::stats::OpCounts) -> Json {
-    Json::obj([
-        ("ping", Json::Num(ops.ping as f64)),
-        ("knn", Json::Num(ops.knn as f64)),
-        ("score", Json::Num(ops.score as f64)),
-        ("stats", Json::Num(ops.stats as f64)),
-        ("reload", Json::Num(ops.reload as f64)),
-        ("batch", Json::Num(ops.batch as f64)),
-        ("resolve", Json::Num(ops.resolve as f64)),
-    ])
+    /// Run the configured [`Reloader`] and hot-swap its snapshot into the
+    /// engine. Queries on other connections keep being answered (by the
+    /// old snapshot) for the whole duration — only the final pointer swap
+    /// is synchronized.
+    fn reload(&self) -> Result<Json, String> {
+        let reloader = self.reloader.ok_or_else(|| bad_request("reload not configured"))?;
+        let (store, index) = reloader().map_err(|e| e.to_string())?;
+        let nodes = store.num_nodes();
+        let dim = store.dim();
+        let version = self.engine.swap_snapshot(store, index);
+        Ok(Json::obj([
+            ("ok", Json::Bool(true)),
+            ("version", Json::Num(version.0 as f64)),
+            ("nodes", Json::Num(nodes as f64)),
+            ("dim", Json::Num(dim as f64)),
+        ]))
+    }
 }
 
 /// One-shot client: connect, send each request line, return one response

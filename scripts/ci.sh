@@ -79,7 +79,10 @@ echo "== router gates (wall-clock bounded)"
 # equivalence gate (a router over N ∈ {1,2,4} shards answers knn AND
 # batch byte-identically to a standalone server — ids, ordering, tie
 # breaks, error strings, `cached` flags with the answer cache on and
-# off, down to empty and single-node tables; shard-local IVF holds
+# off, down to empty and single-node tables, plus a tight-limits battery
+# (max_k 3, max_pairs 2, max_batch 2 on both sides) covering every limit
+# and malformed-field rejection and the rejected/cache/per-op counters
+# of both stats documents; shard-local IVF holds
 # recall@10 ≥ 0.95 against the brute-force oracle), and fault injection
 # (replica killed mid-load under 16 clients, tar-pit replica
 # circuit-broken without delaying a restarted peer's probe recovery,
