@@ -48,11 +48,7 @@ fn big_table() -> NodeEmbeddings {
 
 fn brute_engine(store: Arc<EmbeddingStore>) -> Arc<QueryEngine> {
     let index: Box<dyn KnnIndex> = Box::new(BruteForceIndex::new(Arc::clone(&store)));
-    Arc::new(QueryEngine::new(
-        store,
-        index,
-        EngineConfig { workers: 1, cache_capacity: 0, ..Default::default() },
-    ))
+    Arc::new(QueryEngine::new(store, index, EngineConfig { workers: 1, cache_capacity: 0 }))
 }
 
 /// Best-of-`OPEN_REPS` open time in milliseconds.

@@ -35,11 +35,7 @@ fn big_table() -> NodeEmbeddings {
 fn engine_mem(emb: NodeEmbeddings) -> Arc<QueryEngine> {
     let store = Arc::new(EmbeddingStore::new(emb, None).expect("store"));
     let index: Box<dyn KnnIndex> = Box::new(BruteForceIndex::new(Arc::clone(&store)));
-    Arc::new(QueryEngine::new(
-        store,
-        index,
-        EngineConfig { workers: 1, cache_capacity: 0, ..Default::default() },
-    ))
+    Arc::new(QueryEngine::new(store, index, EngineConfig { workers: 1, cache_capacity: 0 }))
 }
 
 fn engine_file(snap: &Path, names: &Path, ivf: bool) -> Arc<QueryEngine> {
@@ -52,11 +48,7 @@ fn engine_file(snap: &Path, names: &Path, ivf: bool) -> Arc<QueryEngine> {
     } else {
         Box::new(BruteForceIndex::new(Arc::clone(&store)))
     };
-    Arc::new(QueryEngine::new(
-        store,
-        index,
-        EngineConfig { workers: 1, cache_capacity: 0, ..Default::default() },
-    ))
+    Arc::new(QueryEngine::new(store, index, EngineConfig { workers: 1, cache_capacity: 0 }))
 }
 
 struct Measured {

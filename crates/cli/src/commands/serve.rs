@@ -17,7 +17,7 @@ const HELP: &str = "ehna serve — serve an embedding snapshot over TCP
 
 usage: ehna serve SNAPSHOT [--names FILE] [--addr HOST:PORT] [--mmap]
                   [--index ivf|brute] [--clusters N] [--nprobe N]
-                  [--workers N] [--batch N] [--cache N]
+                  [--workers N] [--cache N]
                   [--role standalone|shard] [--shard-id N]
                   [--ehnp-addr HOST:PORT] [--frame-deadline-ms N]
                   [--conn-workers N] [--max-conns N]
@@ -51,8 +51,8 @@ flags:
                   brute (exact, default below that)
   --clusters N    IVF cluster count (default sqrt(n))
   --nprobe N      IVF clusters probed per query (default 8)
-  --workers N     query worker threads (default 2)
-  --batch N       max requests drained per worker wakeup (default 32)
+  --workers N     index scans that run at once; queries run on the
+                  connection's thread and cache hits never wait (default 2)
   --cache N       hot-node cache entries (default 1024, 0 disables)
 
 cluster role (see `ehna shard` / `ehna router`):
@@ -113,7 +113,6 @@ pub fn prepare(args: &[String], out: &mut dyn Write) -> Result<PreparedServe, Cl
         "clusters",
         "nprobe",
         "workers",
-        "batch",
         "cache",
         "role",
         "shard-id",
@@ -174,7 +173,6 @@ pub fn prepare(args: &[String], out: &mut dyn Write) -> Result<PreparedServe, Cl
 
     let engine_config = EngineConfig {
         workers: flags.get_or("workers", 2usize)?.max(1),
-        batch_max: flags.get_or("batch", 32usize)?.max(1),
         cache_capacity: flags.get_or("cache", 1024usize)?,
     };
     let engine = Arc::new(QueryEngine::new(store, index, engine_config));

@@ -225,7 +225,7 @@ fn ivf_recall_meets_bar_on_10k_nodes() {
     let engine = Arc::new(QueryEngine::new(
         Arc::clone(&store),
         Box::new(ivf),
-        EngineConfig { workers: 2, batch_max: 32, cache_capacity: 0 },
+        EngineConfig { workers: 2, cache_capacity: 0 },
     ));
     let handle = Server::bind("127.0.0.1:0", engine).expect("bind").spawn().expect("spawn");
 

@@ -1,10 +1,10 @@
-//! The batched query engine: a pool of worker threads draining a shared
-//! request channel, a hot-node LRU cache, and latency accounting.
+//! The query engine: a swappable snapshot pointer, a hot-node LRU cache,
+//! latency accounting, and a cap on concurrent index scans.
 //!
-//! Callers block on a per-request reply channel, so the public API stays
-//! synchronous while the workers batch under load: each worker drains up
-//! to `batch_max` queued requests after its blocking receive, amortizing
-//! wakeups when the queue runs deep.
+//! Every query runs on the thread that calls it. A call pins one
+//! `Arc<Snapshot>` and validates against it once; a cache hit returns
+//! before any scan permit is taken, and at most `workers` index scans
+//! (cache misses, vector queries, explain runs) run at once.
 
 use crate::cache::LruCache;
 use crate::index::{BruteForceIndex, KnnIndex, Neighbor, SearchInfo};
@@ -13,25 +13,21 @@ use crate::store::EmbeddingStore;
 use crate::{lock, ServeError};
 use ehna_tgraph::NodeId;
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
-use std::sync::{Arc, Mutex, RwLock};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::Instant;
 
 /// Engine tuning knobs.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Worker threads draining the request queue.
+    /// Index scans that may run at once; callers beyond it wait.
     pub workers: usize,
-    /// Maximum requests one worker drains per wakeup.
-    pub batch_max: usize,
     /// Hot-node cache entries (`(node, k)` keys); 0 disables caching.
     pub cache_capacity: usize,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
-        EngineConfig { workers: 2, batch_max: 32, cache_capacity: 1024 }
+        EngineConfig { workers: 2, cache_capacity: 1024 }
     }
 }
 
@@ -49,26 +45,9 @@ pub struct KnnResult {
     pub agreement: Option<f64>,
 }
 
-enum Request {
-    KnnNode { id: NodeId, k: usize, explain: bool },
-    KnnVector { vector: Vec<f32>, k: usize, explain: bool },
-    Score { pairs: Vec<(NodeId, NodeId)> },
-}
-
-enum Response {
-    Knn(KnnResult),
-    Scores(Vec<f64>),
-}
-
-struct Job {
-    req: Request,
-    started: Instant,
-    reply: SyncSender<Result<Response, ServeError>>,
-}
-
 /// Cached k-NN answers, keyed by `(snapshot version, node id, k)` — the
 /// version component makes entries computed against a replaced snapshot
-/// unreachable even if a slow worker inserts one after the swap's cache
+/// unreachable even if a slow caller inserts one after the swap's cache
 /// clear.
 type KnnCache = LruCache<(u64, u32, usize), Arc<Vec<Neighbor>>>;
 
@@ -77,75 +56,78 @@ type KnnCache = LruCache<(u64, u32, usize), Arc<Vec<Neighbor>>>;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SnapshotVersion(pub u64);
 
-/// One immutable generation of serving state. Workers grab an `Arc` to it
-/// per request, so a hot swap never invalidates data mid-search —
-/// in-flight requests finish on the snapshot they started on.
-struct Snapshot {
+/// One immutable generation of serving state. A query pins an `Arc` to
+/// it, so a hot swap never invalidates data mid-search — in-flight
+/// queries finish on the snapshot they started on.
+pub(crate) struct Snapshot {
     version: u64,
-    store: Arc<EmbeddingStore>,
-    index: Box<dyn KnnIndex>,
+    pub(crate) store: Arc<EmbeddingStore>,
+    pub(crate) index: Box<dyn KnnIndex>,
     oracle: BruteForceIndex,
 }
 
-struct Shared {
-    snap: RwLock<Arc<Snapshot>>,
-    cache: Mutex<KnnCache>,
-    stats: EngineStats,
-}
-
-impl Shared {
-    fn snapshot(&self) -> Arc<Snapshot> {
-        lock(self.snap.read()).clone()
+impl Snapshot {
+    fn new(version: u64, store: Arc<EmbeddingStore>, index: Box<dyn KnnIndex>) -> Self {
+        Snapshot { version, oracle: BruteForceIndex::new(Arc::clone(&store)), store, index }
     }
 }
 
-/// The multi-threaded query engine over one immutable snapshot.
+/// One running index scan; dropping it frees its permit.
+struct ScanPermit<'a>(&'a QueryEngine);
+
+impl Drop for ScanPermit<'_> {
+    fn drop(&mut self) {
+        *lock(self.0.free_scans.lock()) += 1;
+        self.0.scan_freed.notify_one();
+    }
+}
+
+/// The query engine over one swappable snapshot.
 pub struct QueryEngine {
-    tx: Option<Sender<Job>>,
-    workers: Vec<JoinHandle<()>>,
-    shared: Arc<Shared>,
+    snap: RwLock<Arc<Snapshot>>,
+    cache: Mutex<KnnCache>,
+    stats: EngineStats,
+    /// Scan permits left of `EngineConfig::workers`.
+    free_scans: Mutex<usize>,
+    scan_freed: Condvar,
 }
 
 impl QueryEngine {
-    /// Spawn the worker pool over `store`, answering k-NN queries with
-    /// `index` (the exact oracle used by explain requests is always a
-    /// brute-force scan over the same store).
+    /// An engine over `store`, answering k-NN queries with `index` (the
+    /// exact oracle used by explain requests is always a brute-force
+    /// scan over the same store).
     pub fn new(store: Arc<EmbeddingStore>, index: Box<dyn KnnIndex>, config: EngineConfig) -> Self {
-        let snap =
-            Snapshot { version: 1, oracle: BruteForceIndex::new(Arc::clone(&store)), store, index };
-        let shared = Arc::new(Shared {
-            snap: RwLock::new(Arc::new(snap)),
+        let stats = EngineStats::default();
+        stats.snapshot_version.store(1, Ordering::Relaxed);
+        QueryEngine {
+            snap: RwLock::new(Arc::new(Snapshot::new(1, store, index))),
             cache: Mutex::new(LruCache::new(config.cache_capacity)),
-            stats: EngineStats::default(),
-        });
-        shared.stats.snapshot_version.store(1, Ordering::Relaxed);
-        let (tx, rx) = mpsc::channel::<Job>();
-        let rx = Arc::new(Mutex::new(rx));
-        let batch_max = config.batch_max.max(1);
-        let workers = (0..config.workers.max(1))
-            .map(|_| {
-                let rx = Arc::clone(&rx);
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(&rx, &shared, batch_max))
-            })
-            .collect();
-        QueryEngine { tx: Some(tx), workers, shared }
+            stats,
+            free_scans: Mutex::new(config.workers.max(1)),
+            scan_freed: Condvar::new(),
+        }
+    }
+
+    /// The snapshot currently being served, pinned: it stays valid (and
+    /// unchanged) across a concurrent swap.
+    pub(crate) fn pin(&self) -> Arc<Snapshot> {
+        lock(self.snap.read()).clone()
     }
 
     /// The store of the snapshot currently being served. An owning handle:
     /// after a concurrent [`swap_snapshot`](Self::swap_snapshot) it keeps
     /// pointing at the generation it was taken from.
     pub fn store(&self) -> Arc<EmbeddingStore> {
-        Arc::clone(&self.shared.snapshot().store)
+        Arc::clone(&self.pin().store)
     }
 
     /// Version of the snapshot currently being served.
     pub fn snapshot_version(&self) -> SnapshotVersion {
-        SnapshotVersion(self.shared.snapshot().version)
+        SnapshotVersion(self.pin().version)
     }
 
-    /// Atomically replace the serving snapshot: queries submitted after
-    /// this call see the new store and index; requests already in flight
+    /// Atomically replace the serving snapshot: queries started after
+    /// this call see the new store and index; queries already in flight
     /// finish against the old generation. The hot-node cache restarts
     /// cold (entries are version-keyed, so leftovers from the old
     /// generation can never answer a new-generation query).
@@ -156,68 +138,95 @@ impl QueryEngine {
         store: Arc<EmbeddingStore>,
         index: Box<dyn KnnIndex>,
     ) -> SnapshotVersion {
-        let mut guard = lock(self.shared.snap.write());
-        let next = Snapshot {
-            version: guard.version + 1,
-            oracle: BruteForceIndex::new(Arc::clone(&store)),
-            store,
-            index,
-        };
-        let version = next.version;
-        *guard = Arc::new(next);
+        let mut guard = lock(self.snap.write());
+        let version = guard.version + 1;
+        *guard = Arc::new(Snapshot::new(version, store, index));
         drop(guard);
-        lock(self.shared.cache.lock()).clear();
-        self.shared.stats.reloads.fetch_add(1, Ordering::Relaxed);
+        lock(self.cache.lock()).clear();
+        self.stats.reloads.fetch_add(1, Ordering::Relaxed);
         let now = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.as_secs())
             .unwrap_or(0);
-        self.shared.stats.last_reload_unix.store(now, Ordering::Relaxed);
-        self.shared.stats.snapshot_version.store(version, Ordering::Relaxed);
+        self.stats.last_reload_unix.store(now, Ordering::Relaxed);
+        self.stats.snapshot_version.store(version, Ordering::Relaxed);
         SnapshotVersion(version)
     }
 
     /// Short label of the serving index ("brute" or "ivf").
     pub fn index_kind(&self) -> &'static str {
-        self.shared.snapshot().index.kind()
+        self.pin().index.kind()
     }
 
     /// Clusters probed per query, when the serving index is approximate
     /// (`None` for exact indexes).
     pub fn index_nprobe(&self) -> Option<usize> {
-        self.shared.snapshot().index.nprobe()
+        self.pin().index.nprobe()
     }
 
     /// Top-`k` neighbors of a stored node (the node itself is excluded).
     ///
     /// # Errors
-    /// Unknown node, or an engine shut down mid-request.
+    /// Unknown node.
     pub fn knn_node(&self, id: NodeId, k: usize, explain: bool) -> Result<KnnResult, ServeError> {
-        self.shared.snapshot().store.row(id)?; // fail fast before queueing
-        match self.submit(Request::KnnNode { id, k, explain })? {
-            Response::Knn(r) => Ok(r),
-            Response::Scores(_) => unreachable!("knn request got score response"),
-        }
+        self.knn_node_on(&self.pin(), id, k, explain)
+    }
+
+    /// [`knn_node`](Self::knn_node) against a pinned snapshot.
+    pub(crate) fn knn_node_on(
+        &self,
+        snap: &Snapshot,
+        id: NodeId,
+        k: usize,
+        explain: bool,
+    ) -> Result<KnnResult, ServeError> {
+        let started = Instant::now();
+        let key = (snap.version, id.0, k);
+        // A version-keyed entry implies `id` was valid in `snap`.
+        let hit = if explain { None } else { lock(self.cache.lock()).get(&key).cloned() };
+        let result = if let Some(hit) = hit {
+            self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
+            KnnResult { neighbors: hit.to_vec(), cached: true, info: None, agreement: None }
+        } else {
+            let result = self.scan(snap, &snap.store.row(id)?, k, explain, Some(id));
+            if !explain {
+                lock(self.cache.lock()).insert(key, Arc::new(result.neighbors.clone()));
+            }
+            result
+        };
+        self.stats.latency.record(started.elapsed());
+        Ok(result)
     }
 
     /// Top-`k` neighbors of a free query vector.
     ///
     /// # Errors
-    /// Dimension mismatch, or an engine shut down mid-request.
+    /// Dimension mismatch.
     pub fn knn_vector(
         &self,
         vector: Vec<f32>,
         k: usize,
         explain: bool,
     ) -> Result<KnnResult, ServeError> {
-        let dim = self.shared.snapshot().store.dim();
+        self.knn_vector_on(&self.pin(), &vector, k, explain)
+    }
+
+    /// [`knn_vector`](Self::knn_vector) against a pinned snapshot.
+    pub(crate) fn knn_vector_on(
+        &self,
+        snap: &Snapshot,
+        vector: &[f32],
+        k: usize,
+        explain: bool,
+    ) -> Result<KnnResult, ServeError> {
+        let dim = snap.store.dim();
         if vector.len() != dim {
             return Err(ServeError::Dimension { expected: dim, got: vector.len() });
         }
-        match self.submit(Request::KnnVector { vector, k, explain })? {
-            Response::Knn(r) => Ok(r),
-            Response::Scores(_) => unreachable!("knn request got score response"),
-        }
+        let started = Instant::now();
+        let result = self.scan(snap, vector, k, explain, None);
+        self.stats.latency.record(started.elapsed());
+        Ok(result)
     }
 
     /// Link scores (squared Euclidean, Eq. 5 — lower = stronger) for a
@@ -226,48 +235,73 @@ impl QueryEngine {
     /// # Errors
     /// Any unknown endpoint fails the whole batch.
     pub fn score_pairs(&self, pairs: Vec<(NodeId, NodeId)>) -> Result<Vec<f64>, ServeError> {
-        let snap = self.shared.snapshot();
-        for &(a, b) in &pairs {
-            snap.store.row(a)?;
-            snap.store.row(b)?;
-        }
-        match self.submit(Request::Score { pairs })? {
-            Response::Scores(s) => Ok(s),
-            Response::Knn(_) => unreachable!("score request got knn response"),
-        }
+        self.score_pairs_on(&self.pin(), &pairs)
+    }
+
+    /// [`score_pairs`](Self::score_pairs) against a pinned snapshot.
+    pub(crate) fn score_pairs_on(
+        &self,
+        snap: &Snapshot,
+        pairs: &[(NodeId, NodeId)],
+    ) -> Result<Vec<f64>, ServeError> {
+        let started = Instant::now();
+        let scores = pairs
+            .iter()
+            .map(|&(a, b)| snap.store.link_score(a, b))
+            .collect::<Result<Vec<f64>, _>>()?;
+        self.stats.latency.record(started.elapsed());
+        Ok(scores)
     }
 
     /// Point-in-time serving counters.
     pub fn stats(&self) -> StatsSnapshot {
-        self.shared.stats.snapshot()
+        self.stats.snapshot()
     }
 
     /// The live counters, for the serving layer to record rejections,
     /// timeouts, and load-shedding against, and for cluster processes to
     /// declare their identity on ([`EngineStats::set_identity`]).
     pub fn stats_raw(&self) -> &EngineStats {
-        &self.shared.stats
+        &self.stats
     }
 
-    fn submit(&self, req: Request) -> Result<Response, ServeError> {
-        let (reply_tx, reply_rx) = mpsc::sync_channel(1);
-        let job = Job { req, started: Instant::now(), reply: reply_tx };
-        self.tx
-            .as_ref()
-            .expect("sender lives until drop")
-            .send(job)
-            .map_err(|_| ServeError::Closed)?;
-        reply_rx.recv().map_err(|_| ServeError::Closed)?
-    }
-}
-
-impl Drop for QueryEngine {
-    fn drop(&mut self) {
-        // Closing the channel stops the workers after the queue drains.
-        drop(self.tx.take());
-        for w in self.workers.drain(..) {
-            let _ = w.join();
+    /// Run one k-NN search (a cache miss) under a scan permit, excluding
+    /// `exclude` from the results, optionally with probe diagnostics and
+    /// oracle rank agreement.
+    fn scan(
+        &self,
+        snap: &Snapshot,
+        query: &[f32],
+        k: usize,
+        explain: bool,
+        exclude: Option<NodeId>,
+    ) -> KnnResult {
+        self.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
+        let free = lock(self.free_scans.lock());
+        *lock(self.scan_freed.wait_while(free, |free| *free == 0)) -= 1;
+        let _permit = ScanPermit(self);
+        // Ask for one extra so self-exclusion still yields k hits.
+        let fetch = k + usize::from(exclude.is_some());
+        let (mut neighbors, info) = snap.index.search_explained(query, fetch);
+        if let Some(id) = exclude {
+            neighbors.retain(|n| n.id != id);
         }
+        neighbors.truncate(k);
+        if !explain {
+            return KnnResult { neighbors, cached: false, info: None, agreement: None };
+        }
+        let (mut exact, _) = snap.oracle.search_explained(query, fetch);
+        if let Some(id) = exclude {
+            exact.retain(|n| n.id != id);
+        }
+        exact.truncate(k);
+        let agreement = if exact.is_empty() {
+            1.0
+        } else {
+            let matches = exact.iter().zip(&neighbors).filter(|(e, a)| e.id == a.id).count();
+            matches as f64 / exact.len() as f64
+        };
+        KnnResult { neighbors, cached: false, info: Some(info), agreement: Some(agreement) }
     }
 }
 
@@ -275,113 +309,9 @@ impl std::fmt::Debug for QueryEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("QueryEngine")
             .field("index", &self.index_kind())
-            .field("workers", &self.workers.len())
+            .field("version", &self.snapshot_version().0)
             .finish_non_exhaustive()
     }
-}
-
-fn worker_loop(rx: &Mutex<Receiver<Job>>, shared: &Shared, batch_max: usize) {
-    loop {
-        // The workers share one receiver: hold it only for the blocking
-        // receive and the drain of what is already queued behind it.
-        let mut batch = Vec::with_capacity(batch_max);
-        {
-            let rx = lock(rx.lock());
-            let Ok(first) = rx.recv() else { return };
-            batch.push(first);
-            batch.extend(rx.try_iter().take(batch_max - 1));
-        }
-        shared.stats.batches.fetch_add(1, Ordering::Relaxed);
-        for job in batch {
-            // Pin one snapshot per request: a swap between submit and
-            // process means the fail-fast checks ran against the old
-            // generation, so every access below must re-validate.
-            let snap = shared.snapshot();
-            let resp = process(shared, &snap, job.req);
-            shared.stats.latency.record(job.started.elapsed());
-            // A caller that gave up (disconnected reply channel) is fine.
-            let _ = job.reply.send(resp);
-        }
-    }
-}
-
-fn process(shared: &Shared, snap: &Snapshot, req: Request) -> Result<Response, ServeError> {
-    match req {
-        Request::KnnNode { id, k, explain } => {
-            if !explain {
-                if let Some(hit) = lock(shared.cache.lock()).get(&(snap.version, id.0, k)) {
-                    shared.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok(Response::Knn(KnnResult {
-                        neighbors: hit.as_ref().clone(),
-                        cached: true,
-                        info: None,
-                        agreement: None,
-                    }));
-                }
-            }
-            shared.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
-            // Re-validate: the node existed at submit time, but a swap may
-            // have installed a smaller store since.
-            let query = snap.store.row(id)?.to_vec();
-            let mut result = knn(snap, &query, k, explain, Some(id));
-            if !explain {
-                lock(shared.cache.lock())
-                    .insert((snap.version, id.0, k), Arc::new(result.neighbors.clone()));
-            }
-            result.cached = false;
-            Ok(Response::Knn(result))
-        }
-        Request::KnnVector { vector, k, explain } => {
-            if vector.len() != snap.store.dim() {
-                return Err(ServeError::Dimension {
-                    expected: snap.store.dim(),
-                    got: vector.len(),
-                });
-            }
-            shared.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
-            Ok(Response::Knn(knn(snap, &vector, k, explain, None)))
-        }
-        Request::Score { pairs } => {
-            let scores = pairs
-                .into_iter()
-                .map(|(a, b)| snap.store.link_score(a, b))
-                .collect::<Result<Vec<f64>, _>>()?;
-            Ok(Response::Scores(scores))
-        }
-    }
-}
-
-/// Run one k-NN search, excluding `exclude` from the results, optionally
-/// with probe diagnostics and oracle rank agreement.
-fn knn(
-    snap: &Snapshot,
-    query: &[f32],
-    k: usize,
-    explain: bool,
-    exclude: Option<NodeId>,
-) -> KnnResult {
-    // Ask for one extra so self-exclusion still yields k hits.
-    let fetch = k + usize::from(exclude.is_some());
-    let (mut neighbors, info) = snap.index.search_explained(query, fetch);
-    if let Some(id) = exclude {
-        neighbors.retain(|n| n.id != id);
-    }
-    neighbors.truncate(k);
-    if !explain {
-        return KnnResult { neighbors, cached: false, info: None, agreement: None };
-    }
-    let (mut exact, _) = snap.oracle.search_explained(query, fetch);
-    if let Some(id) = exclude {
-        exact.retain(|n| n.id != id);
-    }
-    exact.truncate(k);
-    let agreement = if exact.is_empty() {
-        1.0
-    } else {
-        let matches = exact.iter().zip(&neighbors).filter(|(e, a)| e.id == a.id).count();
-        matches as f64 / exact.len() as f64
-    };
-    KnnResult { neighbors, cached: false, info: Some(info), agreement: Some(agreement) }
 }
 
 #[cfg(test)]
@@ -417,7 +347,6 @@ mod tests {
         let snap = e.stats();
         assert_eq!(snap.cache_hits, 1);
         assert_eq!(snap.requests, 2);
-        assert!(snap.batches >= 1);
     }
 
     #[test]
@@ -544,10 +473,109 @@ mod tests {
         assert_eq!(e.stats().reloads, 3);
     }
 
+    /// A brute-force index that calls `probe` around every search.
+    struct ProbedIndex<P: Fn(bool) + Send + Sync> {
+        inner: BruteForceIndex,
+        /// `probe(true)` before a search, `probe(false)` after it.
+        probe: P,
+    }
+
+    impl<P: Fn(bool) + Send + Sync> KnnIndex for ProbedIndex<P> {
+        fn search_explained(&self, query: &[f32], k: usize) -> (Vec<Neighbor>, SearchInfo) {
+            (self.probe)(true);
+            let out = self.inner.search_explained(query, k);
+            (self.probe)(false);
+            out
+        }
+
+        fn kind(&self) -> &'static str {
+            "brute"
+        }
+    }
+
     #[test]
-    fn drop_joins_workers() {
-        let e = brute_engine(10);
-        e.knn_node(NodeId(0), 1, false).unwrap();
-        drop(e); // must not hang
+    fn cache_hit_answers_while_the_only_scan_is_blocked() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::mpsc;
+        use std::time::Duration;
+
+        let s = store(60, 8, 42);
+        let armed = Arc::new(AtomicBool::new(false));
+        let (entered_tx, entered_rx) = mpsc::channel::<()>();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let (entered_tx, release_rx) = (Mutex::new(entered_tx), Mutex::new(release_rx));
+        let gate = Arc::clone(&armed);
+        let index = ProbedIndex {
+            inner: BruteForceIndex::new(Arc::clone(&s)),
+            probe: move |before: bool| {
+                if before && gate.swap(false, Ordering::SeqCst) {
+                    lock(entered_tx.lock()).send(()).unwrap();
+                    lock(release_rx.lock()).recv().unwrap();
+                }
+            },
+        };
+        let config = EngineConfig { workers: 1, cache_capacity: 16 };
+        let e = Arc::new(QueryEngine::new(s, Box::new(index), config));
+        let warm = e.knn_node(NodeId(3), 5, false).unwrap();
+
+        // A miss takes the only scan permit and blocks inside the index.
+        armed.store(true, Ordering::SeqCst);
+        let blocked = std::thread::spawn({
+            let e = Arc::clone(&e);
+            move || e.knn_node(NodeId(7), 5, false).unwrap()
+        });
+        entered_rx.recv_timeout(Duration::from_secs(10)).expect("the miss reached the index");
+
+        let (hit_tx, hit_rx) = mpsc::channel();
+        let hitter = std::thread::spawn({
+            let e = Arc::clone(&e);
+            move || hit_tx.send(e.knn_node(NodeId(3), 5, false).unwrap()).unwrap()
+        });
+        let hit = hit_rx.recv_timeout(Duration::from_secs(2));
+        // Release before asserting so a failure reports instead of hanging.
+        release_tx.send(()).unwrap();
+        assert!(!blocked.join().unwrap().cached);
+        hitter.join().unwrap();
+        let hit = hit.expect("a cache hit must not wait for a scan permit");
+        assert!(hit.cached);
+        assert_eq!(hit.neighbors, warm.neighbors);
+    }
+
+    #[test]
+    fn concurrent_scans_never_exceed_workers() {
+        use std::sync::atomic::AtomicUsize;
+
+        for workers in [1, 2] {
+            let s = store(300, 8, 5);
+            let running = Arc::new(AtomicUsize::new(0));
+            let peak = Arc::new(AtomicUsize::new(0));
+            let (run, top) = (Arc::clone(&running), Arc::clone(&peak));
+            let index = ProbedIndex {
+                inner: BruteForceIndex::new(Arc::clone(&s)),
+                probe: move |before: bool| {
+                    if before {
+                        top.fetch_max(run.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
+                        std::thread::sleep(std::time::Duration::from_micros(200));
+                    } else {
+                        run.fetch_sub(1, Ordering::SeqCst);
+                    }
+                },
+            };
+            let config = EngineConfig { workers, cache_capacity: 0 };
+            let e = QueryEngine::new(s, Box::new(index), config);
+            std::thread::scope(|scope| {
+                for t in 0..8u32 {
+                    let e = &e;
+                    scope.spawn(move || {
+                        for i in 0..10 {
+                            e.knn_node(NodeId(t * 10 + i), 3, false).unwrap();
+                        }
+                    });
+                }
+            });
+            let peak = peak.load(Ordering::SeqCst);
+            assert!((1..=workers).contains(&peak), "{peak} scans ran at once, cap {workers}");
+            assert_eq!(running.load(Ordering::SeqCst), 0);
+        }
     }
 }

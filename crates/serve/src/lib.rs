@@ -8,8 +8,9 @@
 //! * [`BruteForceIndex`] / [`IvfIndex`] — exact and cluster-pruned k-NN
 //!   over the rows; the brute-force scan doubles as the correctness
 //!   oracle for the approximate index.
-//! * [`QueryEngine`] — a batched multi-threaded query layer with a
-//!   hot-node LRU cache and latency counters.
+//! * [`QueryEngine`] — the query layer: queries run on the caller's
+//!   thread against a pinned, hot-swappable snapshot, with a hot-node
+//!   LRU cache, a cap on concurrent index scans, and latency counters.
 //! * [`Server`] — the one socket front end (std-only): a bounded
 //!   connection-worker pool with admission control and drain-then-cut
 //!   shutdown ([`ServerConfig`]) under any [`Protocol`]; line-delimited
@@ -88,8 +89,6 @@ pub enum ServeError {
     },
     /// A protocol request was malformed.
     BadRequest(String),
-    /// The engine's workers have shut down.
-    Closed,
 }
 
 impl fmt::Display for ServeError {
@@ -102,7 +101,6 @@ impl fmt::Display for ServeError {
                 write!(f, "query dimension {got} does not match snapshot dimension {expected}")
             }
             ServeError::BadRequest(msg) => write!(f, "bad request: {msg}"),
-            ServeError::Closed => f.write_str("query engine is shut down"),
         }
     }
 }

@@ -63,7 +63,7 @@
 //! finish writing their responses before remaining sockets are
 //! force-closed and the workers joined.
 
-use crate::engine::QueryEngine;
+use crate::engine::{QueryEngine, Snapshot};
 use crate::index::KnnIndex;
 use crate::json::Json;
 use crate::request::{
@@ -255,7 +255,7 @@ impl EngineHandler {
 
 impl LineHandler for EngineHandler {
     fn handle_line(&self, line: &str) -> Json {
-        let backend = EngineBackend { engine: &self.engine, reloader: self.reloader.as_ref() };
+        let backend = EngineBackend::new(&self.engine, self.reloader.as_ref());
         request::handle_line(&backend, &self.limits, line)
     }
 
@@ -647,14 +647,24 @@ fn is_timeout(e: &io::Error) -> bool {
 /// Malformed or over-limit requests are answered with `"ok":false` and
 /// counted in the engine's `rejected` stat.
 pub fn handle_line(engine: &QueryEngine, limits: &RequestLimits, line: &str) -> Json {
-    request::handle_line(&EngineBackend { engine, reloader: None }, limits, line)
+    request::handle_line(&EngineBackend::new(engine, None), limits, line)
 }
 
 /// The standalone [`Backend`]: a [`QueryEngine`], with an optional
-/// [`Reloader`] behind the `reload` op.
+/// [`Reloader`] behind the `reload` op. Built per request line, it pins
+/// one snapshot, so key resolution, `k` bounds, the search and the
+/// neighbour labels of that line all read the same generation even when
+/// a `reload` lands mid-line.
 struct EngineBackend<'a> {
     engine: &'a QueryEngine,
+    snap: Arc<Snapshot>,
     reloader: Option<&'a Reloader>,
+}
+
+impl<'a> EngineBackend<'a> {
+    fn new(engine: &'a QueryEngine, reloader: Option<&'a Reloader>) -> Self {
+        EngineBackend { engine, snap: engine.pin(), reloader }
+    }
 }
 
 impl Backend for EngineBackend<'_> {
@@ -665,22 +675,22 @@ impl Backend for EngineBackend<'_> {
     }
 
     fn num_nodes(&self) -> usize {
-        self.engine.store().num_nodes()
+        self.snap.store.num_nodes()
     }
 
     fn resolve(&self, key: &str) -> Result<NodeId, String> {
-        self.engine.store().resolve(key).map_err(|e| e.to_string())
+        self.snap.store.resolve(key).map_err(|e| e.to_string())
     }
 
     fn knn(&self, query: KnnQuery<NodeId>, k: usize, explain: bool) -> Result<KnnAnswer, String> {
+        let (engine, snap) = (self.engine, &self.snap);
         let result = match query {
-            KnnQuery::Node(id) => self.engine.knn_node(id, k, explain),
-            KnnQuery::Vector(q) => self.engine.knn_vector(q, k, explain),
+            KnnQuery::Node(id) => engine.knn_node_on(snap, id, k, explain),
+            KnnQuery::Vector(q) => engine.knn_vector_on(snap, &q, k, explain),
         }
         .map_err(|e| e.to_string())?;
-        let store = self.engine.store();
         let neighbors =
-            result.neighbors.iter().map(|nb| (nb.dist, nb.id.0, store.label(nb.id))).collect();
+            result.neighbors.iter().map(|nb| (nb.dist, nb.id.0, snap.store.label(nb.id))).collect();
         // `rank_agreement` is only meaningful when the brute-force
         // comparison actually ran; `null` otherwise (never a fabricated
         // 1.0).
@@ -698,27 +708,26 @@ impl Backend for EngineBackend<'_> {
     }
 
     fn score(&self, pairs: Vec<(NodeId, NodeId)>) -> Result<Vec<f64>, String> {
-        self.engine.score_pairs(pairs).map_err(|e| e.to_string())
+        self.engine.score_pairs_on(&self.snap, &pairs).map_err(|e| e.to_string())
     }
 
     fn stats_doc(&self) -> Json {
-        let engine = self.engine;
-        let snap = engine.stats();
+        let (index, store) = (&self.snap.index, &self.snap.store);
+        let snap = self.engine.stats();
         Json::obj([
             ("ok", Json::Bool(true)),
             ("role", Json::Str(snap.role.as_str().to_string())),
             ("shard_id", snap.shard_id.map_or(Json::Null, |s| Json::Num(s as f64))),
-            ("index", Json::Str(engine.index_kind().to_string())),
-            ("nprobe", engine.index_nprobe().map_or(Json::Null, |n| Json::Num(n as f64))),
-            ("nodes", Json::Num(engine.store().num_nodes() as f64)),
-            ("dim", Json::Num(engine.store().dim() as f64)),
+            ("index", Json::Str(index.kind().to_string())),
+            ("nprobe", index.nprobe().map_or(Json::Null, |n| Json::Num(n as f64))),
+            ("nodes", Json::Num(store.num_nodes() as f64)),
+            ("dim", Json::Num(store.dim() as f64)),
             ("requests", Json::Num(snap.requests as f64)),
             ("cache_hits", Json::Num(snap.cache_hits as f64)),
             ("cache_misses", Json::Num(snap.cache_misses as f64)),
             ("rejected", Json::Num(snap.rejected as f64)),
             ("timeouts", Json::Num(snap.timeouts as f64)),
             ("overloads", Json::Num(snap.overloads as f64)),
-            ("batches", Json::Num(snap.batches as f64)),
             ("snapshot_version", Json::Num(snap.snapshot_version as f64)),
             ("reloads", Json::Num(snap.reloads as f64)),
             ("last_reload_unix", Json::Num(snap.last_reload_unix as f64)),
@@ -899,10 +908,11 @@ pub fn query_lines_detailed<A: ToSocketAddrs>(
 mod tests {
     use super::*;
     use crate::engine::EngineConfig;
-    use crate::index::BruteForceIndex;
+    use crate::index::{BruteForceIndex, Neighbor, SearchInfo};
     use crate::store::EmbeddingStore;
     use ehna_tgraph::{NameMap, NodeEmbeddings};
     use std::io::Read;
+    use std::sync::{OnceLock, Weak};
 
     fn engine() -> Arc<QueryEngine> {
         let emb = NodeEmbeddings::from_vec(2, vec![0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 5.0, 5.0]);
@@ -1101,6 +1111,60 @@ mod tests {
         let resp = handle_line(&e, &limits(), r#"{"op":"stats"}"#);
         assert_eq!(resp.get("role").and_then(Json::as_str), Some("shard"));
         assert_eq!(resp.get("shard_id").and_then(Json::as_usize), Some(1));
+    }
+
+    /// Brute force over one store that, on its first search, hot-swaps
+    /// `next` into the engine: a reload landing in the middle of a line.
+    struct SwapOnSearch {
+        inner: BruteForceIndex,
+        engine: Arc<OnceLock<Weak<QueryEngine>>>,
+        next: Mutex<Option<Arc<EmbeddingStore>>>,
+    }
+
+    impl KnnIndex for SwapOnSearch {
+        fn search_explained(&self, query: &[f32], k: usize) -> (Vec<Neighbor>, SearchInfo) {
+            if let Some(store) = lock(self.next.lock()).take() {
+                let engine = self.engine.get().and_then(Weak::upgrade).expect("engine is live");
+                engine.swap_snapshot(Arc::clone(&store), Box::new(BruteForceIndex::new(store)));
+            }
+            self.inner.search_explained(query, k)
+        }
+
+        fn kind(&self) -> &'static str {
+            "brute"
+        }
+    }
+
+    #[test]
+    fn a_line_reads_one_snapshot_when_a_reload_lands_mid_search() {
+        let named = |names: [&str; 4]| {
+            let emb = NodeEmbeddings::from_vec(2, vec![0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 5.0, 5.0]);
+            let mut map = NameMap::new();
+            for n in names {
+                map.intern(n);
+            }
+            Arc::new(EmbeddingStore::new(emb, Some(map)).unwrap())
+        };
+        // Same ids and rows, different names.
+        let (first, second) = (named(["a", "b", "c", "far"]), named(["A", "B", "C", "FAR"]));
+        let slot = Arc::new(OnceLock::new());
+        let index = SwapOnSearch {
+            inner: BruteForceIndex::new(Arc::clone(&first)),
+            engine: Arc::clone(&slot),
+            next: Mutex::new(Some(second)),
+        };
+        let e = Arc::new(QueryEngine::new(first, Box::new(index), EngineConfig::default()));
+        assert!(slot.set(Arc::downgrade(&e)).is_ok());
+        let resp = handle_line(&e, &limits(), r#"{"op":"knn","node":"a","k":2}"#);
+        assert_eq!(e.snapshot_version().0, 2, "the search swapped in the second store");
+        let labels: Vec<&str> = resp
+            .get("neighbors")
+            .and_then(Json::as_arr)
+            .unwrap()
+            .iter()
+            .map(|nb| nb.get("node").and_then(Json::as_str).unwrap())
+            .collect();
+        assert_eq!(labels, ["b", "c"], "labels must come from the searched store: {resp}");
     }
 
     #[test]

@@ -200,14 +200,12 @@ pub struct OpCounts {
 /// relaxed atomics.
 #[derive(Debug)]
 pub struct EngineStats {
-    /// Per-request latency (submit → reply).
+    /// Per-request latency of engine-served queries (call → answer).
     pub latency: LatencyHistogram,
     /// Requests answered from the hot-node cache.
     pub cache_hits: AtomicU64,
     /// Requests computed against the index.
     pub cache_misses: AtomicU64,
-    /// Worker batches drained (≥1 request each).
-    pub batches: AtomicU64,
     /// Requests refused as malformed or over the configured limits
     /// (bad JSON, invalid `k`, too many pairs, oversized request line).
     pub rejected: AtomicU64,
@@ -240,7 +238,6 @@ impl Default for EngineStats {
             latency: LatencyHistogram::default(),
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             timeouts: AtomicU64::new(0),
             overloads: AtomicU64::new(0),
@@ -273,8 +270,6 @@ pub struct StatsSnapshot {
     pub timeouts: u64,
     /// Connections shed at the admission gate (`overloaded` response).
     pub overloads: u64,
-    /// Worker batches drained.
-    pub batches: u64,
     /// Hot swaps performed.
     pub reloads: u64,
     /// Version of the snapshot currently served.
@@ -329,7 +324,6 @@ impl EngineStats {
             rejected,
             timeouts: self.timeouts.load(Ordering::Relaxed),
             overloads: self.overloads.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
             reloads: self.reloads.load(Ordering::Relaxed),
             snapshot_version: self.snapshot_version.load(Ordering::Relaxed),
             last_reload_unix: self.last_reload_unix.load(Ordering::Relaxed),
@@ -388,11 +382,9 @@ mod tests {
         let s = EngineStats::default();
         s.latency.record(Duration::from_micros(5));
         s.cache_hits.fetch_add(2, Ordering::Relaxed);
-        s.batches.fetch_add(1, Ordering::Relaxed);
         let snap = s.snapshot();
         assert_eq!(snap.requests, 1);
         assert_eq!(snap.cache_hits, 2);
-        assert_eq!(snap.batches, 1);
         assert!(snap.p50_us > 0);
     }
 

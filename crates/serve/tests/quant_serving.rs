@@ -47,11 +47,7 @@ fn blobs(n: usize, dim: usize, centers: usize, seed: u64) -> NodeEmbeddings {
 
 fn brute_store(store: Arc<EmbeddingStore>) -> Arc<QueryEngine> {
     let index: Box<dyn KnnIndex> = Box::new(BruteForceIndex::new(Arc::clone(&store)));
-    Arc::new(QueryEngine::new(
-        store,
-        index,
-        EngineConfig { workers: 1, cache_capacity: 0, ..Default::default() },
-    ))
+    Arc::new(QueryEngine::new(store, index, EngineConfig { workers: 1, cache_capacity: 0 }))
 }
 
 #[test]
@@ -130,7 +126,7 @@ fn tie_heavy_ordering_is_identical_across_brute_and_full_probe_ivf() {
         let ivf = Arc::new(QueryEngine::new(
             Arc::clone(&store),
             Box::new(ivf_index),
-            EngineConfig { workers: 1, cache_capacity: 0, ..Default::default() },
+            EngineConfig { workers: 1, cache_capacity: 0 },
         ));
         for probe in 0..N as u32 {
             let a = brute.knn_node(NodeId(probe), K, false).unwrap().neighbors;

@@ -58,11 +58,7 @@ fn engine_for(snap: &Path, names: &Path) -> Arc<QueryEngine> {
         EmbeddingStore::open(snap.to_str().unwrap(), Some(names.to_str().unwrap())).unwrap(),
     );
     let index: Box<dyn KnnIndex> = Box::new(BruteForceIndex::new(Arc::clone(&store)));
-    Arc::new(QueryEngine::new(
-        store,
-        index,
-        EngineConfig { workers: 1, cache_capacity: 0, ..Default::default() },
-    ))
+    Arc::new(QueryEngine::new(store, index, EngineConfig { workers: 1, cache_capacity: 0 }))
 }
 
 /// A reloader that re-opens the same shard files (the `ehna serve`
@@ -573,11 +569,8 @@ fn rolling_reload_under_load_swaps_every_shard() {
         Arc::new(EmbeddingStore::open(snap.to_str().unwrap(), None).unwrap())
     };
     let index: Box<dyn KnnIndex> = Box::new(BruteForceIndex::new(Arc::clone(&oracle_store)));
-    let oracle = QueryEngine::new(
-        oracle_store,
-        index,
-        EngineConfig { workers: 1, cache_capacity: 0, ..Default::default() },
-    );
+    let oracle =
+        QueryEngine::new(oracle_store, index, EngineConfig { workers: 1, cache_capacity: 0 });
     let limits = RequestLimits::default();
     for req in [r#"{"op":"knn","node":"4","k":6}"#, r#"{"op":"knn","node":"29","k":3}"#] {
         let want = handle_line(&oracle, &limits, req).to_string();
@@ -615,11 +608,8 @@ fn timing_shard() -> ShardHandle {
 fn mem_shard(frame_deadline: Duration) -> (Arc<QueryEngine>, ShardHandle) {
     let store = Arc::new(EmbeddingStore::new(table(8, 4, 3), None).unwrap());
     let index: Box<dyn KnnIndex> = Box::new(BruteForceIndex::new(Arc::clone(&store)));
-    let engine = Arc::new(QueryEngine::new(
-        store,
-        index,
-        EngineConfig { workers: 1, cache_capacity: 0, ..Default::default() },
-    ));
+    let engine =
+        Arc::new(QueryEngine::new(store, index, EngineConfig { workers: 1, cache_capacity: 0 }));
     let config = ShardConfig { frame_deadline, ..Default::default() };
     let handle = ShardServer::bind(
         "127.0.0.1:0",

@@ -56,11 +56,7 @@ fn engine_for(snap: &Path, names: Option<&Path>, cache_capacity: usize) -> Arc<Q
     // hit flips `"cached":true` in the response, so the *hit patterns*
     // have to line up for byte-level comparison — which is itself part
     // of the guarantee under test.
-    Arc::new(QueryEngine::new(
-        store,
-        index,
-        EngineConfig { workers: 1, cache_capacity, ..Default::default() },
-    ))
+    Arc::new(QueryEngine::new(store, index, EngineConfig { workers: 1, cache_capacity }))
 }
 
 /// Everything a running cluster needs torn down at the end.
@@ -577,7 +573,7 @@ fn shard_local_ivf_recall_stays_above_095() {
         let engine = Arc::new(QueryEngine::new(
             store,
             index,
-            EngineConfig { workers: 1, cache_capacity: 0, ..Default::default() },
+            EngineConfig { workers: 1, cache_capacity: 0 },
         ));
         let shard = ShardServer::bind(
             "127.0.0.1:0",
