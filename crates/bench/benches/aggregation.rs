@@ -1,17 +1,25 @@
 //! The EHNA aggregation: one training step (forward + backward + update)
-//! and one inference batch, at harness-default shapes (d=32, k=5, l=5).
+//! and one inference batch, at the shapes these series were first
+//! recorded at (d=32, k=5, l=5, batch 64).
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
-use ehna_bench::methods::ehna_config;
-use ehna_bench::TrainBudget;
-use ehna_core::Trainer;
+use ehna_core::{EhnaConfig, Trainer};
 use ehna_datasets::{generate, Dataset, Scale};
 use ehna_tgraph::{NodeId, Timestamp};
 use std::time::Duration;
 
 fn bench_aggregation(c: &mut Criterion) {
     let g = generate(Dataset::DiggLike, Scale::Tiny, 1);
-    let cfg = ehna_config(32, 7, TrainBudget::Quick);
+    let cfg = EhnaConfig {
+        dim: 32,
+        num_walks: 5,
+        walk_length: 5,
+        batch_size: 64,
+        epochs: 8,
+        lr: 2e-3,
+        seed: 7,
+        ..Default::default()
+    };
 
     // A fixed batch of late edges (rich history).
     let edges: Vec<(NodeId, NodeId, Timestamp)> =

@@ -5,13 +5,26 @@
 //! `BENCH_training_pipeline.md`).
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
-use ehna_bench::methods::ehna_config;
-use ehna_bench::TrainBudget;
 use ehna_core::variants::ALL_VARIANTS;
 use ehna_core::{EhnaConfig, Trainer, TrainingReport};
 use ehna_datasets::{generate, Dataset, Scale};
 use ehna_tgraph::{NodeId, TemporalGraph, Timestamp};
 use std::time::Duration;
+
+/// The step shape these series were first recorded at (d = 32, k = l = 5,
+/// batch 64), kept fixed so the timings stay comparable.
+fn step_config() -> EhnaConfig {
+    EhnaConfig {
+        dim: 32,
+        num_walks: 5,
+        walk_length: 5,
+        batch_size: 64,
+        epochs: 8,
+        lr: 2e-3,
+        seed: 7,
+        ..Default::default()
+    }
+}
 
 fn bench_training(c: &mut Criterion) {
     let g = generate(Dataset::DblpLike, Scale::Tiny, 1);
@@ -21,7 +34,7 @@ fn bench_training(c: &mut Criterion) {
     let mut group = c.benchmark_group("training");
     group.sample_size(10).measurement_time(Duration::from_secs(8));
     for variant in ALL_VARIANTS {
-        let cfg = variant.configure(ehna_config(32, 7, TrainBudget::Quick));
+        let cfg = variant.configure(step_config());
         group.bench_function(format!("step_{}", variant.name()), |b| {
             b.iter_batched(
                 || Trainer::new(&g, cfg.clone()).expect("valid config"),
@@ -39,12 +52,7 @@ const PIPELINE_THREADS: usize = 4;
 const PIPELINE_EPOCHS: usize = 3;
 
 fn pipeline_config(depth: usize, epochs: usize) -> EhnaConfig {
-    EhnaConfig {
-        threads: PIPELINE_THREADS,
-        pipeline_depth: depth,
-        epochs,
-        ..ehna_config(32, 7, TrainBudget::Quick)
-    }
+    EhnaConfig { threads: PIPELINE_THREADS, pipeline_depth: depth, epochs, ..step_config() }
 }
 
 fn timed_train(g: &TemporalGraph, depth: usize, epochs: usize) -> TrainingReport {

@@ -76,7 +76,7 @@ fn main() {
         LinkPredictionConfig { seed: args.seed, ..Default::default() },
     );
     let bidirectional = ehna_tgraph::algo::is_bipartite(&graph);
-    let base = EhnaConfig { bidirectional, ..ehna_config(args.dim, args.seed, args.budget) };
+    let base = EhnaConfig { bidirectional, ..ehna_config(args.dim, args.seed) };
     let host_cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
 
     let mut rows = Vec::new();

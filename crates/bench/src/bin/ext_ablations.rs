@@ -32,7 +32,7 @@ fn f1_for(task: &LinkPredictionTask, config: EhnaConfig) -> f64 {
 
 fn main() {
     let args = Args::from_env();
-    let base = ehna_config(args.dim, args.seed, args.budget);
+    let base = ehna_config(args.dim, args.seed);
 
     // ---- 1. kernel ablation on the social network -----------------------
     let digg = generate(Dataset::DiggLike, args.scale, args.seed);

@@ -40,7 +40,7 @@ fn main() {
     let nc_cfg = NodeClassificationConfig { seed: args.seed, ..Default::default() };
     for m in PAPER_METHOD_ORDER {
         eprintln!("[nodeclass] {} ...", m.name());
-        let emb = train(m, &graph, args.dim, args.seed, args.budget);
+        let emb = train(m, &graph, args.dim, args.seed);
         let r = evaluate(&emb, &labels, &nc_cfg);
         table.row([m.name().to_string(), f4(r.accuracy), f4(r.macro_f1)]);
     }

@@ -41,7 +41,7 @@ fn main() {
         let mut columns: Vec<Vec<f64>> = Vec::new();
         for m in PAPER_METHOD_ORDER {
             eprintln!("[fig4] {} / {} ...", d.name(), m.name());
-            let emb = train(m, &graph, args.dim, args.seed, args.budget);
+            let emb = train(m, &graph, args.dim, args.seed);
             let mut rng = StdRng::seed_from_u64(args.seed ^ 0xF164);
             columns.push(precision_at(&graph, &emb, &ps, &cfg, &mut rng));
         }

@@ -47,7 +47,7 @@ fn main() {
         &graph,
         LinkPredictionConfig { seed: args.seed, ..Default::default() },
     );
-    let base = ehna_config(args.dim, args.seed, args.budget);
+    let base = ehna_config(args.dim, args.seed);
 
     // (a) safety margin.
     sweep(

@@ -49,7 +49,7 @@ fn run_dataset(args: &Args, d: Dataset) {
         .iter()
         .map(|&m| {
             eprintln!("[linkpred] {} / {} ...", d.name(), m.name());
-            train(m, task.train_graph(), args.dim, args.seed, args.budget)
+            train(m, task.train_graph(), args.dim, args.seed)
         })
         .collect();
 

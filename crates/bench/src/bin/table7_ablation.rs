@@ -37,13 +37,7 @@ fn main() {
         );
         for (vi, &variant) in ALL_VARIANTS.iter().enumerate() {
             eprintln!("[ablation] {} / {} ...", d.name(), variant.name());
-            let emb = train(
-                MethodName::Ehna(variant),
-                task.train_graph(),
-                args.dim,
-                args.seed,
-                args.budget,
-            );
+            let emb = train(MethodName::Ehna(variant), task.train_graph(), args.dim, args.seed);
             let m = task.evaluate(&emb, EdgeOperator::WeightedL2);
             rows[vi].push(f4(m.f1));
         }

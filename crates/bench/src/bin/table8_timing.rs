@@ -13,7 +13,7 @@
 use ehna_baselines::{Ctdne, EmbeddingMethod, Htne, Line, Node2Vec, SkipGramConfig};
 use ehna_bench::methods::ehna_config;
 use ehna_bench::table::Table;
-use ehna_bench::{Args, TrainBudget};
+use ehna_bench::Args;
 use ehna_core::Trainer;
 use ehna_datasets::{generate, ALL_DATASETS};
 use ehna_tgraph::TemporalGraph;
@@ -28,21 +28,16 @@ fn time_it(f: impl FnOnce()) -> f64 {
 }
 
 fn one_epoch_rows(graph: &TemporalGraph, args: &Args) -> Vec<(String, f64)> {
-    let quick = args.budget == TrainBudget::Quick;
     let dim = args.dim;
     let seed = args.seed;
     let n2v = |threads| Node2Vec {
-        walks: Node2VecConfig {
-            length: if quick { 20 } else { 80 },
-            walks_per_node: if quick { 4 } else { 10 },
-            ..Default::default()
-        },
+        walks: Node2VecConfig { length: 80, walks_per_node: 10, ..Default::default() },
         sgns: SkipGramConfig { dim, epochs: 1, ..Default::default() },
         threads,
     };
     let ctdne = |threads| Ctdne {
-        walks: CtdneConfig { length: if quick { 20 } else { 80 }, ..Default::default() },
-        walks_per_node: if quick { 4 } else { 10 },
+        walks: CtdneConfig { length: 80, ..Default::default() },
+        walks_per_node: 10,
         sgns: SkipGramConfig { dim, epochs: 1, ..Default::default() },
         threads,
     };
@@ -74,8 +69,7 @@ fn one_epoch_rows(graph: &TemporalGraph, args: &Args) -> Vec<(String, f64)> {
     rows.push((
         "LINE".to_string(),
         time_it(|| {
-            Line { dim, samples_per_edge: if quick { 10 } else { 50 }, ..Default::default() }
-                .embed(graph, seed);
+            Line { dim, samples_per_edge: 50, ..Default::default() }.embed(graph, seed);
         }),
     ));
     rows.push((
@@ -85,7 +79,7 @@ fn one_epoch_rows(graph: &TemporalGraph, args: &Args) -> Vec<(String, f64)> {
         }),
     ));
     rows.push(("EHNA".to_string(), {
-        let cfg = ehna_config(dim, seed, args.budget);
+        let cfg = ehna_config(dim, seed);
         let mut trainer = Trainer::new(graph, cfg).expect("valid config");
         time_it(|| {
             trainer.train_epoch();

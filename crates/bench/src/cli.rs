@@ -1,7 +1,8 @@
-//! Tiny hand-rolled flag parser shared by the harness binaries (keeps the
-//! workspace free of an argument-parsing dependency).
+//! The flags every harness binary shares, read through the same
+//! [`Flags`] parser the `ehna` subcommands use.
 
-use crate::methods::TrainBudget;
+use ehna_cli::flags::Flags;
+use ehna_cli::CliError;
 use ehna_datasets::Scale;
 use std::path::PathBuf;
 
@@ -15,68 +16,57 @@ pub struct Args {
     pub dim: usize,
     /// Master seed.
     pub seed: u64,
-    /// Training effort.
-    pub budget: TrainBudget,
     /// Output directory for TSV files.
     pub out: PathBuf,
     /// Restrict to one dataset (name), if given.
     pub only_dataset: Option<String>,
 }
 
-impl Default for Args {
-    fn default() -> Self {
-        Args {
-            scale: Scale::Tiny,
-            dim: 32,
-            seed: 42,
-            budget: TrainBudget::Quick,
-            out: PathBuf::from("results"),
-            only_dataset: None,
-        }
-    }
-}
+const USAGE: &str = "usage: <bin> [--scale tiny|small|medium] [--dim N] [--seed N] \
+                     [--out DIR] [--dataset digg|yelp|tmall|dblp]";
 
 impl Args {
-    /// Parse from an iterator of arguments (excluding `argv[0]`).
+    /// Parse from the arguments (excluding `argv[0]`).
     ///
     /// # Errors
-    /// Returns a usage message on unknown flags or bad values.
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
-        let mut out = Args::default();
-        let mut it = args.into_iter();
-        while let Some(flag) = it.next() {
-            let mut value =
-                |name: &str| it.next().ok_or_else(|| format!("flag {name} needs a value"));
-            match flag.as_str() {
-                "--scale" => out.scale = value("--scale")?.parse()?,
-                "--dim" => {
-                    out.dim = value("--dim")?.parse().map_err(|e| format!("bad --dim: {e}"))?;
-                }
-                "--seed" => {
-                    out.seed = value("--seed")?.parse().map_err(|e| format!("bad --seed: {e}"))?;
-                }
-                "--budget" => out.budget = value("--budget")?.parse()?,
-                "--out" => out.out = PathBuf::from(value("--out")?),
-                "--dataset" => out.only_dataset = Some(value("--dataset")?),
-                "--help" | "-h" => return Err(usage()),
-                other => return Err(format!("unknown flag '{other}'\n{}", usage())),
+    /// A usage error carrying the usage text on `--help`, unknown flags,
+    /// positionals, missing or bad values.
+    pub fn parse(args: &[String]) -> Result<Self, CliError> {
+        Self::read(args).map_err(|e| {
+            if e.message.ends_with(USAGE) {
+                e
+            } else {
+                CliError::usage(format!("{}\n{USAGE}", e.message))
             }
-        }
-        if out.dim == 0 || out.dim % 2 != 0 {
-            return Err("--dim must be a positive even number (LINE splits it)".into());
-        }
-        Ok(out)
+        })
     }
 
-    /// Parse from the process environment.
-    pub fn from_env() -> Self {
-        match Args::parse(std::env::args().skip(1)) {
-            Ok(a) => a,
-            Err(msg) => {
-                eprintln!("{msg}");
-                std::process::exit(2);
-            }
+    fn read(args: &[String]) -> Result<Self, CliError> {
+        let flags = Flags::parse(args, USAGE)?;
+        flags.expect_known(&["scale", "dim", "seed", "out", "dataset"])?;
+        if let Some(stray) = flags.positionals().first() {
+            return Err(CliError::usage(format!("unexpected argument '{stray}'")));
         }
+        let dim = flags.get_or("dim", 32usize)?;
+        if dim == 0 || dim % 2 != 0 {
+            return Err(CliError::usage("--dim must be a positive even number (LINE splits it)"));
+        }
+        Ok(Args {
+            scale: flags.get_or("scale", Scale::Tiny)?,
+            dim,
+            seed: flags.get_or("seed", 42u64)?,
+            out: flags.get_or("out", PathBuf::from("results"))?,
+            only_dataset: flags.get("dataset").map(str::to_string),
+        })
+    }
+
+    /// Parse from the process environment; usage errors exit 2.
+    pub fn from_env() -> Self {
+        let argv: Vec<String> = std::env::args().skip(1).collect();
+        Args::parse(&argv).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(e.code);
+        })
     }
 
     /// Create the output directory and return a file path within it.
@@ -86,25 +76,28 @@ impl Args {
     }
 }
 
-fn usage() -> String {
-    "usage: <bin> [--scale tiny|small|medium] [--dim N] [--seed N] \
-     [--budget quick|full] [--out DIR] [--dataset digg|yelp|tmall|dblp]"
-        .to_string()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn parse(s: &[&str]) -> Result<Args, String> {
-        Args::parse(s.iter().map(|x| x.to_string()))
+    fn parse(s: &[&str]) -> Result<Args, CliError> {
+        Args::parse(&s.iter().map(|x| x.to_string()).collect::<Vec<_>>())
+    }
+
+    fn usage_error(s: &[&str]) -> CliError {
+        let err = parse(s).unwrap_err();
+        assert_eq!(err.code, 2, "{s:?}: {}", err.message);
+        assert!(err.message.ends_with(USAGE), "{s:?}: {}", err.message);
+        err
     }
 
     #[test]
     fn defaults() {
         let a = parse(&[]).unwrap();
-        assert_eq!(a.dim, 32);
         assert_eq!(a.scale, Scale::Tiny);
+        assert_eq!(a.dim, 32);
+        assert_eq!(a.seed, 42);
+        assert_eq!(a.out, PathBuf::from("results"));
         assert!(a.only_dataset.is_none());
     }
 
@@ -117,8 +110,6 @@ mod tests {
             "32",
             "--seed",
             "7",
-            "--budget",
-            "full",
             "--out",
             "/tmp/r",
             "--dataset",
@@ -128,17 +119,34 @@ mod tests {
         assert_eq!(a.scale, Scale::Small);
         assert_eq!(a.dim, 32);
         assert_eq!(a.seed, 7);
-        assert_eq!(a.budget, TrainBudget::Full);
         assert_eq!(a.out, PathBuf::from("/tmp/r"));
         assert_eq!(a.only_dataset.as_deref(), Some("yelp"));
     }
 
     #[test]
+    fn budget_is_an_unknown_flag() {
+        let err = usage_error(&["--budget", "full"]);
+        assert!(err.message.contains("unknown flag --budget"), "{}", err.message);
+    }
+
+    #[test]
+    fn stray_positional_is_rejected() {
+        let err = usage_error(&["--seed", "1", "digg"]);
+        assert!(err.message.contains("'digg'"), "{}", err.message);
+    }
+
+    #[test]
+    fn odd_or_zero_dim_is_rejected() {
+        usage_error(&["--dim", "63"]);
+        usage_error(&["--dim", "0"]);
+    }
+
+    #[test]
     fn rejects_bad_input() {
-        assert!(parse(&["--scale", "huge"]).is_err());
-        assert!(parse(&["--dim", "0"]).is_err());
-        assert!(parse(&["--dim", "63"]).is_err());
-        assert!(parse(&["--bogus"]).is_err());
-        assert!(parse(&["--dim"]).is_err());
+        usage_error(&["--scale", "huge"]);
+        usage_error(&["--seed", "x"]);
+        usage_error(&["--bogus"]);
+        usage_error(&["--dim"]);
+        assert_eq!(usage_error(&["--help"]).message, USAGE);
     }
 }

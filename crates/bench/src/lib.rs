@@ -13,8 +13,9 @@
 //! | `table8_timing` | Table VIII — training time per epoch |
 //! | `fig5_sensitivity` | Figure 5 — parameter sensitivity on yelp-like |
 //!
+//! Every method trains with the paper's settings (see [`methods`]).
 //! Common flags: `--scale tiny|small|medium`, `--dim N`, `--seed N`,
-//! `--budget quick|full`, `--out DIR`.
+//! `--out DIR`, `--dataset NAME`.
 
 pub mod cli;
 pub mod methods;
@@ -22,4 +23,3 @@ pub mod table;
 
 pub use cli::Args;
 pub use ehna_cli::method::PAPER_METHOD_ORDER;
-pub use methods::TrainBudget;

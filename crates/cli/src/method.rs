@@ -239,10 +239,9 @@ impl MethodName {
                 if let Some(err) = &r.checkpoint_error {
                     return Err(CliError::runtime(format!("periodic checkpoint failed: {err}")));
                 }
-                // Save the final checkpoint *before* inference: embedding
-                // extraction advances the trainer's RNG on the fallback
-                // path, and a resumed run must continue from the post-
-                // training state, not the post-inference one.
+                // Save the final checkpoint *before* inference:
+                // `into_embeddings` consumes the trainer, so this is the
+                // last point at which its state can be written.
                 if let Some(path) = &opts.checkpoint {
                     trainer.checkpoint_to_path(path).map_err(|e| {
                         CliError::runtime(format!(

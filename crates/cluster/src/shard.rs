@@ -268,16 +268,18 @@ impl Ehnp {
                 "'k' exceeds the server limit of {max_k} (got {k})"
             )));
         }
+        // One snapshot for the cap, the search, the labels and explain:
+        // a reload landing mid-request must not mix generations.
+        let snap = engine.pin();
         // Cap at the shard's row count rather than erroring: the global
         // over-fetch can exceed a small shard.
-        let k = (k as usize).min(engine.store().num_nodes());
-        let result = engine.knn_vector(vector, k, explain)?;
-        let store = engine.store();
+        let k = (k as usize).min(snap.store.num_nodes());
+        let result = engine.knn_vector_on(&snap, &vector, k, explain)?;
         let neighbors =
-            result.neighbors.iter().map(|nb| (nb.id.0, nb.dist, store.label(nb.id))).collect();
+            result.neighbors.iter().map(|nb| (nb.id.0, nb.dist, snap.store.label(nb.id))).collect();
         // nprobe 0 means "exact index" on the wire (brute force probes
         // nothing); the router renders that as `null` in explain output.
-        let nprobe = engine.index_nprobe().unwrap_or(0) as u32;
+        let nprobe = snap.index.nprobe().unwrap_or(0) as u32;
         let info = result
             .info
             .map(|i| (i.probed.iter().map(|&c| c as u32).collect(), i.scanned as u64, nprobe));
@@ -289,8 +291,11 @@ impl Ehnp {
 mod tests {
     use super::*;
     use crate::client::MuxClient;
-    use ehna_serve::{BruteForceIndex, EmbeddingStore, EngineConfig};
-    use ehna_tgraph::NodeEmbeddings;
+    use ehna_serve::{
+        BruteForceIndex, EmbeddingStore, EngineConfig, KnnIndex, Neighbor, SearchInfo,
+    };
+    use ehna_tgraph::{NameMap, NodeEmbeddings};
+    use std::sync::{Mutex, OnceLock, Weak};
 
     fn shard_engine(n: usize, dim: usize) -> Arc<QueryEngine> {
         let data: Vec<f32> = (0..n * dim).map(|i| (i % 17) as f32).collect();
@@ -371,6 +376,65 @@ mod tests {
             other => panic!("reload got {other:?}"),
         }
 
+        drop(client);
+        handle.shutdown();
+    }
+
+    /// Brute force over one store that, on its first search, hot-swaps
+    /// `next` into the engine: a reload landing in the middle of a request.
+    struct SwapOnSearch {
+        inner: BruteForceIndex,
+        engine: Arc<OnceLock<Weak<QueryEngine>>>,
+        next: Mutex<Option<Arc<EmbeddingStore>>>,
+    }
+
+    impl KnnIndex for SwapOnSearch {
+        fn search_explained(&self, query: &[f32], k: usize) -> (Vec<Neighbor>, SearchInfo) {
+            if let Some(store) = self.next.lock().unwrap().take() {
+                let engine = self.engine.get().and_then(Weak::upgrade).expect("engine is live");
+                engine.swap_snapshot(Arc::clone(&store), Box::new(BruteForceIndex::new(store)));
+            }
+            self.inner.search_explained(query, k)
+        }
+
+        fn kind(&self) -> &'static str {
+            "brute"
+        }
+    }
+
+    #[test]
+    fn knn_reads_one_snapshot_when_a_reload_lands_mid_search() {
+        let named = |names: [&str; 4]| {
+            let emb = NodeEmbeddings::from_vec(2, vec![0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 5.0, 5.0]);
+            let mut map = NameMap::new();
+            for n in names {
+                map.intern(n);
+            }
+            Arc::new(EmbeddingStore::new(emb, Some(map)).unwrap())
+        };
+        // Same ids and rows, different names.
+        let (first, second) = (named(["a", "b", "c", "far"]), named(["A", "B", "C", "FAR"]));
+        let slot = Arc::new(OnceLock::new());
+        let index = SwapOnSearch {
+            inner: BruteForceIndex::new(Arc::clone(&first)),
+            engine: Arc::clone(&slot),
+            next: Mutex::new(Some(second)),
+        };
+        let engine = Arc::new(QueryEngine::new(first, Box::new(index), EngineConfig::default()));
+        assert!(slot.set(Arc::downgrade(&engine)).is_ok());
+        let handle = start(Arc::clone(&engine));
+        let client =
+            MuxClient::connect(handle.addr(), Duration::from_secs(2), Duration::from_secs(2))
+                .unwrap();
+        let knn = Request::Knn { k: 2, explain: false, vector: vec![0.0, 0.0] };
+        match client.call(&knn, Duration::from_secs(5)).unwrap() {
+            Response::Knn { neighbors, .. } => {
+                let labels: Vec<&str> = neighbors.iter().map(|nb| nb.2.as_str()).collect();
+                assert_eq!(labels, ["a", "b"], "labels must come from the searched store");
+            }
+            other => panic!("knn got {other:?}"),
+        }
+        assert_eq!(engine.snapshot_version().0, 2, "the search swapped in the second store");
         drop(client);
         handle.shutdown();
     }

@@ -59,10 +59,12 @@ pub struct SnapshotVersion(pub u64);
 /// One immutable generation of serving state. A query pins an `Arc` to
 /// it, so a hot swap never invalidates data mid-search — in-flight
 /// queries finish on the snapshot they started on.
-pub(crate) struct Snapshot {
+pub struct Snapshot {
     version: u64,
-    pub(crate) store: Arc<EmbeddingStore>,
-    pub(crate) index: Box<dyn KnnIndex>,
+    /// The rows and names of this generation.
+    pub store: Arc<EmbeddingStore>,
+    /// The index searching `store`.
+    pub index: Box<dyn KnnIndex>,
     oracle: BruteForceIndex,
 }
 
@@ -109,8 +111,9 @@ impl QueryEngine {
     }
 
     /// The snapshot currently being served, pinned: it stays valid (and
-    /// unchanged) across a concurrent swap.
-    pub(crate) fn pin(&self) -> Arc<Snapshot> {
+    /// unchanged) across a concurrent swap. A request that reads the
+    /// store more than once pins once and reads this snapshot throughout.
+    pub fn pin(&self) -> Arc<Snapshot> {
         lock(self.snap.read()).clone()
     }
 
@@ -212,7 +215,10 @@ impl QueryEngine {
     }
 
     /// [`knn_vector`](Self::knn_vector) against a pinned snapshot.
-    pub(crate) fn knn_vector_on(
+    ///
+    /// # Errors
+    /// Dimension mismatch.
+    pub fn knn_vector_on(
         &self,
         snap: &Snapshot,
         vector: &[f32],

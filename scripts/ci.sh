@@ -199,6 +199,21 @@ timeout --kill-after=10 120 \
 timeout --kill-after=10 180 \
     cargo test -p ehna-cli --test serve_end_to_end train_attn_aggregator_round_trip -q
 
+echo "== experiment records (wall-clock bounded)"
+# The committed tables must be what the code writes: regenerate the
+# seed-42 digg link-prediction table (Table III, every method on the
+# paper's settings) and diff it byte for byte against the committed
+# TSV. A change that moves any method's training or the evaluation
+# fails here until scripts/run_all_experiments.sh regenerates the
+# records. Hard timeout like the other gates.
+cargo build --release -p ehna-bench --bin table3_6_linkpred -q
+records_dir="$(mktemp -d)"
+timeout --kill-after=10 300 \
+    ./target/release/table3_6_linkpred --scale tiny --dataset digg --seed 42 \
+    --out "$records_dir" > /dev/null
+diff "$records_dir/table3_6_digg_tiny.tsv" results/table3_6_digg_tiny.tsv
+rm -rf "$records_dir"
+
 echo "== cargo test (workspace, pipelined: EHNA_PIPELINE_DEPTH=3)"
 # Re-run the suite with a non-default prefetch depth so the pipelined
 # training path is exercised suite-wide; results must be identical to

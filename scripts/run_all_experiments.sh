@@ -2,21 +2,21 @@
 # Regenerate every table and figure of the paper plus the extension
 # experiments, then patch EXPERIMENTS.md with the measured numbers.
 #
-# Usage: scripts/run_all_experiments.sh [scale] [budget]
+# Every method trains with the paper's settings (crates/bench/src/methods.rs).
+#
+# Usage: scripts/run_all_experiments.sh [scale]
 #   scale:  tiny (default) | small | medium
-#   budget: quick (default) | full
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 SCALE="${1:-tiny}"
-BUDGET="${2:-quick}"
 
 cargo build --release -p ehna-bench --bins
 
 for bin in table1_stats table8_timing fig4_reconstruction table3_6_linkpred \
            table7_ablation fig5_sensitivity ext_ablations ext_nodeclass; do
-    echo "=== $bin (scale=$SCALE budget=$BUDGET) ==="
-    "./target/release/$bin" --scale "$SCALE" --budget "$BUDGET" --seed 42
+    echo "=== $bin (scale=$SCALE) ==="
+    "./target/release/$bin" --scale "$SCALE" --seed 42
 done
 
 python3 scripts/fill_experiments.py "$SCALE"
