@@ -20,9 +20,9 @@
 //! cargo run --release -p ehna-bench --bin bench_aggregators -- --scale tiny --dim 128
 //! ```
 
-use ehna_bench::methods::ehna_config;
 use ehna_bench::Args;
-use ehna_core::{AggregatorKind, EhnaConfig, Trainer};
+use ehna_cli::method::ehna_config;
+use ehna_core::{AggregatorKind, EhnaConfig, EhnaVariant, Trainer};
 use ehna_datasets::{generate, Dataset};
 use ehna_eval::{EdgeOperator, LinkPredictionConfig, LinkPredictionTask};
 use std::fmt::Write as _;
@@ -75,8 +75,7 @@ fn main() {
         &graph,
         LinkPredictionConfig { seed: args.seed, ..Default::default() },
     );
-    let bidirectional = ehna_tgraph::algo::is_bipartite(&graph);
-    let base = EhnaConfig { bidirectional, ..ehna_config(args.dim, args.seed) };
+    let base = ehna_config(EhnaVariant::Full, &args.train_options_for(&graph));
     let host_cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
 
     let mut rows = Vec::new();

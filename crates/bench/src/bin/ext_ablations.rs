@@ -15,10 +15,10 @@
 //! cargo run --release -p ehna-bench --bin ext_ablations -- --scale tiny
 //! ```
 
-use ehna_bench::methods::ehna_config;
 use ehna_bench::table::{f4, Table};
 use ehna_bench::Args;
-use ehna_core::{EhnaConfig, Trainer};
+use ehna_cli::method::ehna_config;
+use ehna_core::{EhnaConfig, EhnaVariant, Trainer};
 use ehna_datasets::{generate, Dataset};
 use ehna_eval::{EdgeOperator, LinkPredictionConfig, LinkPredictionTask};
 use ehna_walks::DecayKernel;
@@ -32,7 +32,7 @@ fn f1_for(task: &LinkPredictionTask, config: EhnaConfig) -> f64 {
 
 fn main() {
     let args = Args::from_env();
-    let base = ehna_config(args.dim, args.seed);
+    let base = ehna_config(EhnaVariant::Full, &args.train_options());
 
     // ---- 1. kernel ablation on the social network -----------------------
     let digg = generate(Dataset::DiggLike, args.scale, args.seed);

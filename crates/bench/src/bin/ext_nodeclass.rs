@@ -10,7 +10,6 @@
 //! cargo run --release -p ehna-bench --bin ext_nodeclass -- --scale tiny
 //! ```
 
-use ehna_bench::methods::train;
 use ehna_bench::table::{f4, Table};
 use ehna_bench::{Args, PAPER_METHOD_ORDER};
 use ehna_datasets::CommunityConfig;
@@ -40,7 +39,9 @@ fn main() {
     let nc_cfg = NodeClassificationConfig { seed: args.seed, ..Default::default() };
     for m in PAPER_METHOD_ORDER {
         eprintln!("[nodeclass] {} ...", m.name());
-        let emb = train(m, &graph, args.dim, args.seed);
+        let emb = m
+            .train(&graph, &args.train_options_for(&graph))
+            .expect("valid harness training options");
         let r = evaluate(&emb, &labels, &nc_cfg);
         table.row([m.name().to_string(), f4(r.accuracy), f4(r.macro_f1)]);
     }

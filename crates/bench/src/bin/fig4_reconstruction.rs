@@ -11,7 +11,6 @@
 //! cargo run --release -p ehna-bench --bin fig4_reconstruction -- --scale tiny
 //! ```
 
-use ehna_bench::methods::train;
 use ehna_bench::table::{f4, Table};
 use ehna_bench::{Args, PAPER_METHOD_ORDER};
 use ehna_datasets::{generate, ALL_DATASETS};
@@ -41,7 +40,9 @@ fn main() {
         let mut columns: Vec<Vec<f64>> = Vec::new();
         for m in PAPER_METHOD_ORDER {
             eprintln!("[fig4] {} / {} ...", d.name(), m.name());
-            let emb = train(m, &graph, args.dim, args.seed);
+            let emb = m
+                .train(&graph, &args.train_options_for(&graph))
+                .expect("valid harness training options");
             let mut rng = StdRng::seed_from_u64(args.seed ^ 0xF164);
             columns.push(precision_at(&graph, &emb, &ps, &cfg, &mut rng));
         }

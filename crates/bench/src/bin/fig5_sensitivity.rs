@@ -9,10 +9,10 @@
 //! cargo run --release -p ehna-bench --bin fig5_sensitivity -- --scale tiny
 //! ```
 
-use ehna_bench::methods::ehna_config;
 use ehna_bench::table::{f4, Table};
 use ehna_bench::Args;
-use ehna_core::{EhnaConfig, Trainer};
+use ehna_cli::method::ehna_config;
+use ehna_core::{EhnaConfig, EhnaVariant, Trainer};
 use ehna_datasets::{generate, Dataset};
 use ehna_eval::operators::ALL_OPERATORS;
 use ehna_eval::{LinkPredictionConfig, LinkPredictionTask};
@@ -47,7 +47,7 @@ fn main() {
         &graph,
         LinkPredictionConfig { seed: args.seed, ..Default::default() },
     );
-    let base = ehna_config(args.dim, args.seed);
+    let base = ehna_config(EhnaVariant::Full, &args.train_options());
 
     // (a) safety margin.
     sweep(

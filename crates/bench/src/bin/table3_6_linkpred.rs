@@ -10,7 +10,6 @@
 //! cargo run --release -p ehna-bench --bin table3_6_linkpred -- --scale tiny
 //! ```
 
-use ehna_bench::methods::train;
 use ehna_bench::table::{f4, pct, Table};
 use ehna_bench::{Args, PAPER_METHOD_ORDER};
 use ehna_datasets::{generate, Dataset, ALL_DATASETS};
@@ -49,7 +48,8 @@ fn run_dataset(args: &Args, d: Dataset) {
         .iter()
         .map(|&m| {
             eprintln!("[linkpred] {} / {} ...", d.name(), m.name());
-            train(m, task.train_graph(), args.dim, args.seed)
+            let g = task.train_graph();
+            m.train(g, &args.train_options_for(g)).expect("valid harness training options")
         })
         .collect();
 

@@ -8,7 +8,6 @@
 //! cargo run --release -p ehna-bench --bin table7_ablation -- --scale tiny
 //! ```
 
-use ehna_bench::methods::train;
 use ehna_bench::table::{f4, Table};
 use ehna_bench::Args;
 use ehna_cli::method::MethodName;
@@ -37,7 +36,10 @@ fn main() {
         );
         for (vi, &variant) in ALL_VARIANTS.iter().enumerate() {
             eprintln!("[ablation] {} / {} ...", d.name(), variant.name());
-            let emb = train(MethodName::Ehna(variant), task.train_graph(), args.dim, args.seed);
+            let g = task.train_graph();
+            let emb = MethodName::Ehna(variant)
+                .train(g, &args.train_options_for(g))
+                .expect("valid harness training options");
             let m = task.evaluate(&emb, EdgeOperator::WeightedL2);
             rows[vi].push(f4(m.f1));
         }

@@ -11,10 +11,10 @@
 //! ```
 
 use ehna_baselines::{Ctdne, EmbeddingMethod, Htne, Line, Node2Vec, SkipGramConfig};
-use ehna_bench::methods::ehna_config;
 use ehna_bench::table::Table;
 use ehna_bench::Args;
-use ehna_core::Trainer;
+use ehna_cli::method::ehna_config;
+use ehna_core::{EhnaVariant, Trainer};
 use ehna_datasets::{generate, ALL_DATASETS};
 use ehna_tgraph::TemporalGraph;
 use ehna_walks::{CtdneConfig, Node2VecConfig};
@@ -79,7 +79,7 @@ fn one_epoch_rows(graph: &TemporalGraph, args: &Args) -> Vec<(String, f64)> {
         }),
     ));
     rows.push(("EHNA".to_string(), {
-        let cfg = ehna_config(dim, seed);
+        let cfg = ehna_config(EhnaVariant::Full, &args.train_options());
         let mut trainer = Trainer::new(graph, cfg).expect("valid config");
         time_it(|| {
             trainer.train_epoch();

@@ -1,9 +1,12 @@
 //! The flags every harness binary shares, read through the same
-//! [`Flags`] parser the `ehna` subcommands use.
+//! [`Flags`] parser the `ehna` subcommands use, and the training options
+//! they resolve to.
 
 use ehna_cli::flags::Flags;
+use ehna_cli::method::TrainOptions;
 use ehna_cli::CliError;
 use ehna_datasets::Scale;
+use ehna_tgraph::TemporalGraph;
 use std::path::PathBuf;
 
 /// Flags common to every harness binary.
@@ -67,6 +70,21 @@ impl Args {
             eprintln!("{e}");
             std::process::exit(e.code);
         })
+    }
+
+    /// The paper's training options ([`TrainOptions::default`]) at this
+    /// run's `--dim` and `--seed`.
+    pub fn train_options(&self) -> TrainOptions {
+        TrainOptions { dim: self.dim, seed: self.seed, ..Default::default() }
+    }
+
+    /// [`Args::train_options`] for training on `graph`: the bidirectional
+    /// objective (Eq. 7) iff `graph` is bipartite (§IV-D).
+    pub fn train_options_for(&self, graph: &TemporalGraph) -> TrainOptions {
+        TrainOptions {
+            bidirectional: ehna_tgraph::algo::is_bipartite(graph),
+            ..self.train_options()
+        }
     }
 
     /// Create the output directory and return a file path within it.
@@ -139,6 +157,46 @@ mod tests {
     fn odd_or_zero_dim_is_rejected() {
         usage_error(&["--dim", "63"]);
         usage_error(&["--dim", "0"]);
+    }
+
+    #[test]
+    fn harness_options_resolve_to_the_papers_ehna_config() {
+        use ehna_cli::method::ehna_config;
+        use ehna_core::variants::ALL_VARIANTS;
+        use ehna_core::EhnaConfig;
+        let args = parse(&["--dim", "16", "--seed", "7"]).unwrap();
+        for variant in ALL_VARIANTS {
+            let expected = variant.configure(EhnaConfig {
+                dim: 16,
+                num_walks: 10,
+                walk_length: 10,
+                batch_size: 512,
+                epochs: 6,
+                lr: 1e-3,
+                seed: 7,
+                threads: 1,
+                pipeline_depth: 2,
+                ..Default::default()
+            });
+            let got = ehna_config(variant, &args.train_options());
+            assert_eq!(format!("{got:?}"), format!("{expected:?}"), "{variant}");
+        }
+    }
+
+    #[test]
+    fn bipartite_graphs_train_on_eq_7() {
+        use ehna_tgraph::GraphBuilder;
+        let graph = |edges: &[(u32, u32)]| {
+            let mut b = GraphBuilder::new();
+            for (t, &(u, v)) in edges.iter().enumerate() {
+                b.add_edge(u, v, t as i64, 1.0).unwrap();
+            }
+            b.build().unwrap()
+        };
+        let args = parse(&[]).unwrap();
+        assert!(args.train_options_for(&graph(&[(0, 1), (2, 1)])).bidirectional);
+        assert!(!args.train_options_for(&graph(&[(0, 1), (2, 1), (0, 2)])).bidirectional);
+        assert!(!args.train_options().bidirectional);
     }
 
     #[test]

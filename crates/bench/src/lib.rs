@@ -13,12 +13,14 @@
 //! | `table8_timing` | Table VIII — training time per epoch |
 //! | `fig5_sensitivity` | Figure 5 — parameter sensitivity on yelp-like |
 //!
-//! Every method trains with the paper's settings (see [`methods`]).
-//! Common flags: `--scale tiny|small|medium`, `--dim N`, `--seed N`,
-//! `--out DIR`, `--dataset NAME`.
+//! Every method trains with the paper's settings, the `ehna`
+//! subcommands' defaults: [`ehna_cli::method`] builds it from
+//! [`Args::train_options`] (or [`Args::train_options_for`], which adds
+//! the bidirectional objective on bipartite graphs). Common flags:
+//! `--scale tiny|small|medium`, `--dim N`, `--seed N`, `--out DIR`,
+//! `--dataset NAME`.
 
 pub mod cli;
-pub mod methods;
 pub mod table;
 
 pub use cli::Args;

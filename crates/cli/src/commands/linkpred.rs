@@ -1,8 +1,7 @@
 //! `ehna linkpred` — the §V-E future-link-prediction evaluation.
 
-use crate::commands::io_err;
+use crate::commands::{io_err, methods, train_options};
 use crate::flags::Flags;
-use crate::method::{MethodName, TrainOptions};
 use crate::CliError;
 use ehna_eval::operators::ALL_OPERATORS;
 use ehna_eval::{LinkPredictionConfig, LinkPredictionTask};
@@ -16,30 +15,17 @@ usage: ehna linkpred FILE [--method NAME]... [--dim N] [--epochs N]
 
 Holds out the newest fraction of edges (default 0.2), trains each method
 on the remainder, and reports AUC/F1/precision/recall for all four edge
-operators.";
+operators. The training flags and their defaults (the paper's settings)
+are those of `ehna train --help`.";
 
 /// Run the subcommand.
 pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let flags = Flags::parse(args, HELP)?;
     flags.expect_known(&["method", "dim", "epochs", "walks", "walk-length", "seed", "holdout"])?;
     let input = flags.one_positional("edge-list file")?;
-    let mut methods: Vec<MethodName> = Vec::new();
-    for name in flags.all("method") {
-        methods.push(MethodName::parse(name)?);
-    }
-    if methods.is_empty() {
-        methods.push(MethodName::parse("ehna")?);
-    }
-    let seed = flags.get_or("seed", 42u64)?;
+    let methods = methods(&flags)?;
     let holdout = flags.get_or("holdout", 0.2f64)?;
-    let opts = TrainOptions {
-        dim: flags.get_or("dim", 64usize)?,
-        epochs: flags.get_or("epochs", 3usize)?,
-        num_walks: flags.get_or("walks", 5usize)?,
-        walk_length: flags.get_or("walk-length", 5usize)?,
-        seed,
-        ..Default::default()
-    };
+    let opts = train_options(&flags)?;
 
     let graph = read_edge_list_path(input)?;
     if holdout <= 0.0 || holdout >= 1.0 {
@@ -47,7 +33,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     }
     let task = LinkPredictionTask::prepare(
         &graph,
-        LinkPredictionConfig { holdout, seed, ..Default::default() },
+        LinkPredictionConfig { holdout, seed: opts.seed, ..Default::default() },
     );
     writeln!(
         out,

@@ -16,7 +16,9 @@ pub mod stream;
 pub mod train;
 
 use crate::flags::Flags;
+use crate::method::{MethodName, TrainOptions};
 use crate::CliError;
+use ehna_core::EhnaVariant;
 use ehna_serve::{RequestLimits, ServerConfig};
 use std::time::Duration;
 
@@ -55,4 +57,95 @@ pub(crate) fn server_config(flags: &Flags) -> Result<ServerConfig, CliError> {
             flags.get_or("drain-ms", defaults.drain_deadline.as_millis() as u64)?,
         ),
     })
+}
+
+/// The methods named by the repeatable `--method` flag, `ehna` when it
+/// is absent (the evaluation subcommands).
+pub(crate) fn methods(flags: &Flags) -> Result<Vec<MethodName>, CliError> {
+    match flags.all("method") {
+        [] => Ok(vec![MethodName::Ehna(EhnaVariant::Full)]),
+        names => names.iter().map(|name| MethodName::parse(name)).collect(),
+    }
+}
+
+/// The training flags every training subcommand shares: `--dim`,
+/// `--epochs`, `--walks`, `--walk-length` and `--seed`. Unset flags keep
+/// [`TrainOptions::default`], the paper's settings.
+pub(crate) fn train_options(flags: &Flags) -> Result<TrainOptions, CliError> {
+    let defaults = TrainOptions::default();
+    Ok(TrainOptions {
+        dim: flags.get_or("dim", defaults.dim)?,
+        epochs: flags.get_or("epochs", defaults.epochs)?,
+        num_walks: flags.get_or("walks", defaults.num_walks)?,
+        walk_length: flags.get_or("walk-length", defaults.walk_length)?,
+        seed: flags.get_or("seed", defaults.seed)?,
+        ..defaults
+    })
+}
+
+/// [`train_options`] plus the architecture flags `ehna train` and
+/// `ehna stream` share: `--p`, `--q`, `--bidirectional`, `--aggregator`
+/// and `--heads`. (`ehna reconstruct --p` is its precision@P list, so it
+/// reads only [`train_options`].)
+pub(crate) fn ehna_train_options(flags: &Flags) -> Result<TrainOptions, CliError> {
+    let opts = train_options(flags)?;
+    Ok(TrainOptions {
+        p: flags.get_or("p", opts.p)?,
+        q: flags.get_or("q", opts.q)?,
+        bidirectional: flags.get_or("bidirectional", opts.bidirectional)?,
+        aggregator: flags.get_opt("aggregator")?,
+        heads: flags.get_opt("heads")?,
+        ..opts
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ehna_core::AggregatorKind;
+
+    #[test]
+    fn method_list_defaults_to_ehna() {
+        assert_eq!(methods(&flags(&[])).unwrap(), vec![MethodName::Ehna(EhnaVariant::Full)]);
+        let named = methods(&flags(&["--method", "line", "--method", "htne"])).unwrap();
+        assert_eq!(named, vec![MethodName::Line, MethodName::Htne]);
+        assert!(methods(&flags(&["--method", "gcn"])).is_err());
+    }
+
+    fn flags(args: &[&str]) -> Flags {
+        Flags::parse(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>(), "help").unwrap()
+    }
+
+    #[test]
+    fn unset_training_flags_keep_the_default_options() {
+        let want = format!("{:?}", TrainOptions::default());
+        assert_eq!(format!("{:?}", train_options(&flags(&[])).unwrap()), want);
+        assert_eq!(format!("{:?}", ehna_train_options(&flags(&[])).unwrap()), want);
+    }
+
+    #[test]
+    fn only_the_ehna_helper_reads_the_walk_bias() {
+        // `reconstruct --p` is a precision@P list; the shared helper
+        // leaves it alone.
+        let f = flags(&["--p", "100,1000", "--epochs", "2"]);
+        let opts = train_options(&f).unwrap();
+        assert_eq!((opts.epochs, opts.p), (2, 1.0));
+        assert!(ehna_train_options(&f).is_err());
+
+        let opts = ehna_train_options(&flags(&[
+            "--p",
+            "0.5",
+            "--q",
+            "2",
+            "--bidirectional",
+            "true",
+            "--aggregator",
+            "attn",
+            "--heads",
+            "2",
+        ]))
+        .unwrap();
+        assert_eq!((opts.p, opts.q, opts.bidirectional), (0.5, 2.0, true));
+        assert_eq!((opts.aggregator, opts.heads), (Some(AggregatorKind::Attn), Some(2)));
+    }
 }

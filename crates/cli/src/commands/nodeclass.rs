@@ -1,9 +1,8 @@
 //! `ehna nodeclass` — node classification on the temporal stochastic
 //! block model (extension experiment; see `ehna-eval::nodeclass`).
 
-use crate::commands::io_err;
+use crate::commands::{io_err, methods, train_options};
 use crate::flags::Flags;
-use crate::method::{MethodName, TrainOptions};
 use crate::CliError;
 use ehna_datasets::CommunityConfig;
 use ehna_eval::nodeclass::{evaluate, NodeClassificationConfig};
@@ -12,12 +11,14 @@ use std::io::Write;
 const HELP: &str = "ehna nodeclass — node classification on a temporal SBM
 
 usage: ehna nodeclass [--method NAME]... [--nodes N] [--communities K]
-                      [--events N] [--dim N] [--epochs N] [--seed N]
+                      [--events N] [--dim N] [--epochs N] [--walks N]
+                      [--walk-length N] [--seed N]
 
 Generates a temporal stochastic block model whose communities are both
 structurally and temporally coherent, trains each method, and reports
 accuracy and macro-F1 of one-vs-rest logistic regression on the
-embeddings.";
+embeddings. The training flags and their defaults (the paper's settings,
+--dim 64) are those of `ehna train --help`.";
 
 /// Run the subcommand.
 pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
@@ -36,30 +37,16 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     if !flags.positionals().is_empty() {
         return Err(CliError::usage("nodeclass takes no positional arguments"));
     }
-    let mut methods: Vec<MethodName> = Vec::new();
-    for name in flags.all("method") {
-        methods.push(MethodName::parse(name)?);
-    }
-    if methods.is_empty() {
-        methods.push(MethodName::parse("ehna")?);
-    }
-    let seed = flags.get_or("seed", 42u64)?;
+    let methods = methods(&flags)?;
     let cfg = CommunityConfig {
         num_nodes: flags.get_or("nodes", 400usize)?,
         num_communities: flags.get_or("communities", 4usize)?,
         num_events: flags.get_or("events", 4_000usize)?,
         ..Default::default()
     };
-    let opts = TrainOptions {
-        dim: flags.get_or("dim", 32usize)?,
-        epochs: flags.get_or("epochs", 3usize)?,
-        num_walks: flags.get_or("walks", 5usize)?,
-        walk_length: flags.get_or("walk-length", 5usize)?,
-        seed,
-        ..Default::default()
-    };
+    let opts = train_options(&flags)?;
 
-    let (graph, labels) = cfg.generate(seed);
+    let (graph, labels) = cfg.generate(opts.seed);
     writeln!(
         out,
         "temporal SBM: {} nodes, {} edges, {} communities",
@@ -69,7 +56,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     )
     .map_err(io_err)?;
     writeln!(out, "{:<10} {:>10} {:>10}", "method", "accuracy", "macro-F1").map_err(io_err)?;
-    let nc = NodeClassificationConfig { seed, ..Default::default() };
+    let nc = NodeClassificationConfig { seed: opts.seed, ..Default::default() };
     for method in methods {
         let emb = method.train(&graph, &opts)?;
         let r = evaluate(&emb, &labels, &nc);

@@ -1,8 +1,7 @@
 //! `ehna reconstruct` — the §V-D network-reconstruction evaluation.
 
-use crate::commands::io_err;
+use crate::commands::{io_err, methods, train_options};
 use crate::flags::Flags;
-use crate::method::{MethodName, TrainOptions};
 use crate::CliError;
 use ehna_eval::reconstruction::precision_at;
 use ehna_eval::ReconstructionConfig;
@@ -14,11 +13,14 @@ use std::io::Write;
 const HELP: &str = "ehna reconstruct — network reconstruction (paper §V-D)
 
 usage: ehna reconstruct FILE [--method NAME]... [--dim N] [--epochs N]
+                        [--walks N] [--walk-length N]
                         [--p 100,1000,10000] [--sample-nodes N]
                         [--repetitions N] [--seed N]
 
 Trains on the full network and reports Precision@P: the fraction of the
-top-P dot-product-ranked node pairs that are true edges.";
+top-P dot-product-ranked node pairs that are true edges. The training
+flags and their defaults (the paper's settings) are those of `ehna train
+--help`; --p here is the list of P values, not the walk bias.";
 
 /// Run the subcommand.
 pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
@@ -35,27 +37,13 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         "seed",
     ])?;
     let input = flags.one_positional("edge-list file")?;
-    let mut methods: Vec<MethodName> = Vec::new();
-    for name in flags.all("method") {
-        methods.push(MethodName::parse(name)?);
-    }
-    if methods.is_empty() {
-        methods.push(MethodName::parse("ehna")?);
-    }
-    let seed = flags.get_or("seed", 42u64)?;
+    let methods = methods(&flags)?;
     let ps: Vec<usize> = flags.get_list("p", vec![100, 1_000, 10_000])?;
     let cfg = ReconstructionConfig {
         sample_nodes: flags.get_or("sample-nodes", 600usize)?,
         repetitions: flags.get_or("repetitions", 5usize)?,
     };
-    let opts = TrainOptions {
-        dim: flags.get_or("dim", 64usize)?,
-        epochs: flags.get_or("epochs", 3usize)?,
-        num_walks: flags.get_or("walks", 5usize)?,
-        walk_length: flags.get_or("walk-length", 5usize)?,
-        seed,
-        ..Default::default()
-    };
+    let opts = train_options(&flags)?;
 
     let graph = read_edge_list_path(input)?;
     let mut header = format!("{:<10}", "method");
@@ -65,7 +53,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     writeln!(out, "{header}").map_err(io_err)?;
     for method in methods {
         let emb = method.train(&graph, &opts)?;
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x5EC0);
+        let mut rng = StdRng::seed_from_u64(opts.seed ^ 0x5EC0);
         let precisions = precision_at(&graph, &emb, &ps, &cfg, &mut rng);
         let mut row = format!("{:<10}", method.name());
         for v in precisions {

@@ -148,11 +148,7 @@ pub fn prepare(args: &[String], out: &mut dyn Write) -> Result<PreparedServe, Cl
         Some(k) => k.to_string(),
         None => if store.num_nodes() >= 4096 { "ivf" } else { "brute" }.to_string(),
     };
-    let clusters: Option<usize> = flags
-        .get("clusters")
-        .map(str::parse)
-        .transpose()
-        .map_err(|e| CliError::usage(format!("bad --clusters: {e}")))?;
+    let clusters: Option<usize> = flags.get_opt("clusters")?;
     let nprobe: usize = flags.get_or("nprobe", 8usize)?;
     let index: Box<dyn KnnIndex> = match kind.as_str() {
         "brute" => Box::new(BruteForceIndex::new(Arc::clone(&store))),

@@ -1,9 +1,9 @@
 //! `ehna stream` — replay an edge log into a trained model, refreshing
 //! embeddings incrementally and hot-swapping a live `ehna serve`.
 
-use crate::commands::io_err;
+use crate::commands::{ehna_train_options, io_err};
 use crate::flags::Flags;
-use crate::method::{ehna_config, MethodName, TrainOptions};
+use crate::method::{ehna_config, MethodName};
 use crate::CliError;
 use ehna_core::load_checkpoint_path;
 use ehna_serve::{query_lines, Json};
@@ -31,9 +31,10 @@ hot-swap it in (`{\"op\":\"reload\"}`) with zero downtime.
 
 The architecture flags (--method, --dim, --walks, --walk-length, --p,
 --q, --bidirectional, --aggregator, --heads) must match the `ehna train`
-run that produced --checkpoint; mismatches are rejected at load. --nodes pads the base
-graph with isolated trailing ids when the checkpoint was trained with
-node headroom.
+run that produced --checkpoint, and have its defaults (`ehna train
+--help`); mismatches are rejected at load. --nodes pads the base graph
+with isolated trailing ids when the checkpoint was trained with node
+headroom.
 
 flags:
   --base FILE          edge list the checkpoint was trained on
@@ -93,36 +94,12 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             method.name()
         )));
     };
-    let train_opts = TrainOptions {
-        dim: flags.get_or("dim", 64usize)?,
-        num_walks: flags.get_or("walks", 5usize)?,
-        walk_length: flags.get_or("walk-length", 5usize)?,
-        p: flags.get_or("p", 1.0f64)?,
-        q: flags.get_or("q", 1.0f64)?,
-        seed: flags.get_or("seed", 42u64)?,
-        bidirectional: flags.get_or("bidirectional", false)?,
-        aggregator: flags
-            .get("aggregator")
-            .map(str::parse)
-            .transpose()
-            .map_err(|e: String| CliError::usage(format!("--aggregator: {e}")))?,
-        heads: flags
-            .get("heads")
-            .map(str::parse)
-            .transpose()
-            .map_err(|e: std::num::ParseIntError| CliError::usage(format!("--heads: {e}")))?,
-        ..TrainOptions::default()
-    };
-    let config = ehna_config(variant, &train_opts);
+    let config = ehna_config(variant, &ehna_train_options(&flags)?);
 
     let stream_opts = StreamOptions {
         finetune_steps: flags.get_or("finetune-steps", 1usize)?,
         full_rebuild_every: flags.get_or("full-rebuild-every", 0u64)?,
-        finetune_lr: flags
-            .get("finetune-lr")
-            .map(str::parse)
-            .transpose()
-            .map_err(|e| CliError::usage(format!("bad --finetune-lr: {e}")))?,
+        finetune_lr: flags.get_opt("finetune-lr")?,
     };
     let reload_addr = flags.get("reload").map(str::to_string);
     let poll_ms: u64 = flags.get_or("poll-ms", 500u64)?;
@@ -130,12 +107,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let max_batches: u64 = flags.get_or("max-batches", 0u64)?;
 
     let mut graph = read_edge_list_path(base)?;
-    if let Some(n) = flags
-        .get("nodes")
-        .map(str::parse)
-        .transpose()
-        .map_err(|e: std::num::ParseIntError| CliError::usage(format!("bad --nodes: {e}")))?
-    {
+    if let Some(n) = flags.get_opt::<usize>("nodes")? {
         if n > graph.num_nodes() {
             graph = graph.padded_to(n);
         }

@@ -1,6 +1,6 @@
 //! `ehna train` — train embeddings on an edge list and save a snapshot.
 
-use crate::commands::io_err;
+use crate::commands::{ehna_train_options, io_err};
 use crate::flags::Flags;
 use crate::method::{MethodName, TrainOptions};
 use crate::CliError;
@@ -18,6 +18,12 @@ usage: ehna train FILE --method NAME [--dim N] [--epochs N] [--walks N]
 
 methods: ehna, ehna-na, ehna-rw, ehna-sl, ehna-attn, node2vec, ctdne,
 line, htne
+Unset flags take the paper's settings (§V): --dim 64, --seed 42 and, for
+EHNA, --epochs 6, --walks 10 and --walk-length 10 with batch 512 and
+learning rate 1e-3. --epochs and --walk-length set EHNA's values only.
+--walks also sets node2vec's and ctdne's walks per node, and --p/--q
+node2vec's walk bias; both walk 80 steps and train 2 SGNS epochs. line
+trains 50 samples per edge and htne 10 epochs.
 --threads sets the walk-sampling workers and --pipeline-depth how many
 sampled batches the prefetcher may run ahead of the optimizer (0 =
 synchronous; results are identical at any depth). EHNA methods print a
@@ -31,8 +37,8 @@ RNG) atomically after training; --checkpoint-every N also writes it every
 N epochs, rotating the previous file to FILE.bak. --resume continues
 training from --checkpoint bit-identically to a run that was never
 interrupted (falling back to FILE.bak if FILE is damaged).
-The snapshot is the binary NodeEmbeddings format (load with
-NodeEmbeddings::load or `ehna linkpred --emb SNAPSHOT`).";
+The snapshot is the binary NodeEmbeddings format, read by `ehna serve`,
+`ehna export` and `ehna quantize`.";
 
 /// Run the subcommand.
 pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
@@ -61,32 +67,14 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         flags.get("method").ok_or_else(|| CliError::usage("--method is required"))?,
     )?;
     let snapshot = flags.get("out").ok_or_else(|| CliError::usage("--out is required"))?;
+    let opts = ehna_train_options(&flags)?;
     let opts = TrainOptions {
-        dim: flags.get_or("dim", 64usize)?,
-        epochs: flags.get_or("epochs", 3usize)?,
-        num_walks: flags.get_or("walks", 5usize)?,
-        walk_length: flags.get_or("walk-length", 5usize)?,
-        p: flags.get_or("p", 1.0f64)?,
-        q: flags.get_or("q", 1.0f64)?,
-        seed: flags.get_or("seed", 42u64)?,
-        bidirectional: flags.get_or("bidirectional", false)?,
-        threads: flags.get_or("threads", 1usize)?,
-        pipeline_depth: flags.get("pipeline-depth").map(str::parse).transpose().map_err(
-            |e: std::num::ParseIntError| CliError::usage(format!("--pipeline-depth: {e}")),
-        )?,
+        threads: flags.get_or("threads", opts.threads)?,
+        pipeline_depth: flags.get_opt("pipeline-depth")?,
         checkpoint: flags.get("checkpoint").map(std::path::PathBuf::from),
-        checkpoint_every: flags.get_or("checkpoint-every", 0usize)?,
+        checkpoint_every: flags.get_or("checkpoint-every", opts.checkpoint_every)?,
         resume: flags.has("resume"),
-        aggregator: flags
-            .get("aggregator")
-            .map(str::parse)
-            .transpose()
-            .map_err(|e: String| CliError::usage(format!("--aggregator: {e}")))?,
-        heads: flags
-            .get("heads")
-            .map(str::parse)
-            .transpose()
-            .map_err(|e: std::num::ParseIntError| CliError::usage(format!("--heads: {e}")))?,
+        ..opts
     };
 
     let graph = read_edge_list_path(input)?;
@@ -155,6 +143,20 @@ mod tests {
         }
         write_edge_list_path(&b.build().unwrap(), &path).unwrap();
         path
+    }
+
+    #[test]
+    fn help_states_the_default_training_options() {
+        let d = TrainOptions::default();
+        for flag in [
+            format!("--dim {}", d.dim),
+            format!("--seed {}", d.seed),
+            format!("--epochs {}", d.epochs),
+            format!("--walks {}", d.num_walks),
+            format!("--walk-length {}", d.walk_length),
+        ] {
+            assert!(HELP.contains(&flag), "help lacks `{flag}`");
+        }
     }
 
     #[test]

@@ -85,12 +85,19 @@ impl Flags {
     where
         T::Err: std::fmt::Display,
     {
-        match self.get(name) {
-            None => Ok(default),
-            Some(raw) => {
+        Ok(self.get_opt(name)?.unwrap_or(default))
+    }
+
+    /// Typed flag, `None` when absent.
+    pub fn get_opt<T: FromStr>(&self, name: &str) -> Result<Option<T>, CliError>
+    where
+        T::Err: std::fmt::Display,
+    {
+        self.get(name)
+            .map(|raw| {
                 raw.parse::<T>().map_err(|e| CliError::usage(format!("bad --{name} '{raw}': {e}")))
-            }
-        }
+            })
+            .transpose()
     }
 
     /// Comma-separated list flag, e.g. `--p 100,1000`.
@@ -145,6 +152,9 @@ mod tests {
         let f = parse(&["--seed", "notanumber"]);
         assert!(f.get_or("seed", 0u64).is_err());
         assert_eq!(f.get_or("dim", 64usize).unwrap(), 64);
+        assert_eq!(f.get_opt::<usize>("dim").unwrap(), None);
+        let err = f.get_opt::<u64>("seed").unwrap_err();
+        assert_eq!((err.code, err.message.starts_with("bad --seed 'notanumber'")), (2, true));
     }
 
     #[test]

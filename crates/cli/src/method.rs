@@ -1,5 +1,6 @@
 //! Method selection by name, covering the baselines and all EHNA
-//! variants.
+//! variants, and the one training policy every `ehna` subcommand and
+//! experiment harness trains with: the paper's §V settings.
 
 use crate::CliError;
 use ehna_baselines::{Ctdne, EmbeddingMethod, Htne, Line, Node2Vec, SkipGramConfig};
@@ -8,23 +9,26 @@ use ehna_core::{
 };
 use ehna_tgraph::ioutil::backup_path;
 use ehna_tgraph::{NodeEmbeddings, TemporalGraph};
-use ehna_walks::{CtdneConfig, Node2VecConfig};
+use ehna_walks::Node2VecConfig;
 use std::path::PathBuf;
 
-/// Per-method training knobs exposed on the CLI.
+/// Per-method training knobs exposed on the CLI. The default is the
+/// paper's §V setting; the baselines' own budgets (Node2Vec and CTDNE
+/// walks of length 80 with 2 SGNS epochs, LINE 50 samples per edge,
+/// HTNE 10 epochs) are fixed in [`MethodName::train_full`].
 #[derive(Debug, Clone)]
 pub struct TrainOptions {
     /// Embedding dimensionality.
     pub dim: usize,
-    /// Epochs (EHNA / HTNE) or SGNS passes (walk methods).
+    /// Training epochs (EHNA).
     pub epochs: usize,
-    /// Walks per target / per node.
+    /// Walks per target (EHNA, `k`) and per node (Node2Vec, CTDNE).
     pub num_walks: usize,
-    /// Walk length.
+    /// Walk length `ℓ` (EHNA).
     pub walk_length: usize,
-    /// node2vec-style return parameter.
+    /// node2vec-style return parameter (EHNA, Node2Vec).
     pub p: f64,
-    /// node2vec-style in-out parameter.
+    /// node2vec-style in-out parameter (EHNA, Node2Vec).
     pub q: f64,
     /// Seed.
     pub seed: u64,
@@ -56,9 +60,9 @@ impl Default for TrainOptions {
     fn default() -> Self {
         TrainOptions {
             dim: 64,
-            epochs: 3,
-            num_walks: 5,
-            walk_length: 5,
+            epochs: 6,
+            num_walks: 10,
+            walk_length: 10,
             p: 1.0,
             q: 1.0,
             seed: 42,
@@ -74,12 +78,14 @@ impl Default for TrainOptions {
     }
 }
 
-/// The [`EhnaConfig`] a [`TrainOptions`] set resolves to for `variant`.
+/// The [`EhnaConfig`] a [`TrainOptions`] set resolves to for `variant`;
+/// batch size (512) and learning rate (1e-3) are [`EhnaConfig`]'s
+/// defaults.
 ///
-/// Shared by `ehna train` and `ehna stream`: a streaming session must
-/// reconstruct exactly the architecture (dim, layers, aggregation,
-/// attention, walk style) the checkpoint was trained with, or the
-/// checkpoint loader rejects it.
+/// Shared by `ehna train`, `ehna stream` and the experiment harnesses: a
+/// streaming session must reconstruct exactly the architecture (dim,
+/// layers, aggregation, attention, walk style) the checkpoint was trained
+/// with, or the checkpoint loader rejects it.
 pub fn ehna_config(variant: EhnaVariant, opts: &TrainOptions) -> EhnaConfig {
     let defaults = EhnaConfig::default();
     variant.configure(EhnaConfig {
@@ -89,8 +95,6 @@ pub fn ehna_config(variant: EhnaVariant, opts: &TrainOptions) -> EhnaConfig {
         p: opts.p,
         q: opts.q,
         epochs: opts.epochs,
-        batch_size: 128,
-        lr: 2e-3,
         seed: opts.seed,
         bidirectional: opts.bidirectional,
         threads: opts.threads,
@@ -255,36 +259,30 @@ impl MethodName {
             }
             MethodName::Node2Vec => Node2Vec {
                 walks: Node2VecConfig {
-                    length: opts.walk_length.max(10) * 4,
                     walks_per_node: opts.num_walks,
                     p: opts.p,
                     q: opts.q,
+                    ..Default::default()
                 },
-                sgns: SkipGramConfig { dim: opts.dim, epochs: opts.epochs, ..Default::default() },
-                threads: 1,
+                sgns: SkipGramConfig { dim: opts.dim, ..Default::default() },
+                ..Default::default()
             }
             .embed(graph, opts.seed),
             MethodName::Ctdne => Ctdne {
-                walks: CtdneConfig { length: opts.walk_length.max(10) * 4, ..Default::default() },
                 walks_per_node: opts.num_walks,
-                sgns: SkipGramConfig { dim: opts.dim, epochs: opts.epochs, ..Default::default() },
-                threads: 1,
+                sgns: SkipGramConfig { dim: opts.dim, ..Default::default() },
+                ..Default::default()
             }
             .embed(graph, opts.seed),
             MethodName::Line => {
                 if opts.dim % 2 != 0 {
                     return Err(CliError::usage("LINE needs an even --dim".to_string()));
                 }
-                Line {
-                    dim: opts.dim,
-                    samples_per_edge: 20 * opts.epochs.max(1),
-                    ..Default::default()
-                }
-                .embed(graph, opts.seed)
+                Line { dim: opts.dim, samples_per_edge: 50, ..Default::default() }
+                    .embed(graph, opts.seed)
             }
             MethodName::Htne => {
-                Htne { dim: opts.dim, epochs: opts.epochs.max(1) * 2, ..Default::default() }
-                    .embed(graph, opts.seed)
+                Htne { dim: opts.dim, epochs: 10, ..Default::default() }.embed(graph, opts.seed)
             }
         };
         Ok(TrainOutcome { embeddings: emb, report, warnings })

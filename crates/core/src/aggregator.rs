@@ -78,9 +78,10 @@ impl Aggregator for LstmAggregator {
         let e_targets = g.gather(&model.store, model.embeddings, &target_ids);
         let units = build_units(model, hns);
 
-        // Group units by walk length for shared LSTM unrolling: walks of
-        // different (early-terminated) lengths cannot share one
-        // unrolling.
+        // Group units by sequence length for shared LSTM unrolling:
+        // sequences of different lengths cannot share one unrolling. A
+        // two-level unit is one walk (1 or ℓ + 1 nodes); an EHNA-SL unit
+        // concatenates its target's k walks (k to k(ℓ + 1) nodes).
         let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
         for (u, (_, w)) in units.iter().enumerate() {
             groups.entry(w.nodes.len()).or_default().push(u);

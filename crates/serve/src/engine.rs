@@ -161,12 +161,6 @@ impl QueryEngine {
         self.pin().index.kind()
     }
 
-    /// Clusters probed per query, when the serving index is approximate
-    /// (`None` for exact indexes).
-    pub fn index_nprobe(&self) -> Option<usize> {
-        self.pin().index.nprobe()
-    }
-
     /// Top-`k` neighbors of a stored node (the node itself is excluded).
     ///
     /// # Errors

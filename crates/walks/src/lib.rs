@@ -7,7 +7,9 @@
 //!   along interactions whose timestamps never increase (Definition 2
 //!   relevance), with transition probabilities combining a time-decay
 //!   kernel (Eq. 1) and the node2vec-style `1/p, 1, 1/q` second-order bias
-//!   (Eq. 2). Walks terminate early when no relevant neighbor exists.
+//!   (Eq. 2). A walk has `ℓ + 1` nodes, or just the target when it has no
+//!   relevant interaction to start from: the interaction a walk arrived
+//!   by is always relevant again, so a started walk never stops early.
 //! * [`node2vec`] — the classic static second-order biased walk
 //!   (baseline + the EHNA-RW ablation).
 //! * [`ctdne`] — forward-in-time temporal walks (the CTDNE baseline).

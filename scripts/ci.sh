@@ -201,17 +201,21 @@ timeout --kill-after=10 180 \
 
 echo "== experiment records (wall-clock bounded)"
 # The committed tables must be what the code writes: regenerate the
-# seed-42 digg link-prediction table (Table III, every method on the
-# paper's settings) and diff it byte for byte against the committed
-# TSV. A change that moves any method's training or the evaluation
-# fails here until scripts/run_all_experiments.sh regenerates the
-# records. Hard timeout like the other gates.
+# seed-42 digg and tmall link-prediction tables (Tables III and V, every
+# method on the paper's settings) and diff them byte for byte against
+# the committed TSVs. tmall is bipartite, so its table also pins the
+# Eq. 7 choice (bidirectional iff bipartite). A change that moves any
+# method's training or the evaluation fails here until
+# scripts/run_all_experiments.sh regenerates the records. Hard timeouts
+# like the other gates.
 cargo build --release -p ehna-bench --bin table3_6_linkpred -q
 records_dir="$(mktemp -d)"
-timeout --kill-after=10 300 \
-    ./target/release/table3_6_linkpred --scale tiny --dataset digg --seed 42 \
-    --out "$records_dir" > /dev/null
-diff "$records_dir/table3_6_digg_tiny.tsv" results/table3_6_digg_tiny.tsv
+for dataset in digg tmall; do
+    timeout --kill-after=10 300 \
+        ./target/release/table3_6_linkpred --scale tiny --dataset "$dataset" --seed 42 \
+        --out "$records_dir" > /dev/null
+    diff "$records_dir/table3_6_${dataset}_tiny.tsv" "results/table3_6_${dataset}_tiny.tsv"
+done
 rm -rf "$records_dir"
 
 echo "== cargo test (workspace, pipelined: EHNA_PIPELINE_DEPTH=3)"

@@ -62,6 +62,10 @@ def main():
                 for s in ["margin", "walk_length", "log2_p", "log2_q"]
             ],
         ),
+        "EXT": section(
+            "EXT",
+            [r(f"ext_{e}_{scale}.tsv") for e in ["kernel", "bidir", "dim", "nodeclass"]],
+        ),
     }
     with open(DOC) as f:
         text = f.read()

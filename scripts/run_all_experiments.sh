@@ -2,7 +2,8 @@
 # Regenerate every table and figure of the paper plus the extension
 # experiments, then patch EXPERIMENTS.md with the measured numbers.
 #
-# Every method trains with the paper's settings (crates/bench/src/methods.rs).
+# Every method trains with the paper's settings (TrainOptions::default() in
+# crates/cli/src/method.rs, the `ehna` subcommands' defaults too).
 #
 # Usage: scripts/run_all_experiments.sh [scale]
 #   scale:  tiny (default) | small | medium

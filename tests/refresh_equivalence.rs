@@ -265,3 +265,32 @@ fn invalid_batches_leave_state_unchanged() {
     let ok = vec![TemporalEdge::new(NodeId(0), NodeId(9), Timestamp(1000), 1.0)];
     assert_eq!(sp.apply_batch(&ok).unwrap().edges, 1);
 }
+
+/// The batch-norm running statistics as bits: `(mean, var, initialized)`.
+fn bn_bits(bn: &ehna_nn::layers::BatchNorm1d) -> (Vec<u32>, Vec<u32>, bool) {
+    let (mean, var, initialized) = bn.running_stats();
+    (
+        mean.iter().map(|x| x.to_bits()).collect(),
+        var.iter().map(|x| x.to_bits()).collect(),
+        initialized,
+    )
+}
+
+#[test]
+fn finetune_leaves_batchnorm_running_stats_frozen() {
+    // Fine-tune batches run batch-norm in train mode, but the stream
+    // freezes the running statistics: clean rows drift only through the
+    // shared weights, never through a moved BN offset.
+    let (prefix, suffix) = split();
+    let trained = trained_model(&graph_of(&prefix));
+    let (node, walk) = (bn_bits(&trained.bn_node), bn_bits(&trained.bn_walk));
+    assert!(node.2 && walk.2, "training never initialized the running stats");
+
+    let opts = StreamOptions { finetune_steps: 1, ..StreamOptions::default() };
+    let mut inc = StreamProcessor::new(graph_of(&prefix), trained, opts).unwrap();
+    for batch in &suffix {
+        assert!(inc.apply_batch(batch).unwrap().finetune_loss.is_some());
+    }
+    assert_eq!(bn_bits(&inc.model().bn_node), node, "bn_node running stats moved");
+    assert_eq!(bn_bits(&inc.model().bn_walk), walk, "bn_walk running stats moved");
+}

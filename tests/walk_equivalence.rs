@@ -13,6 +13,12 @@
 //! timestamps, swept over p, q ∈ {0.25, 1, 4} (q = 1 with p ≠ 1 included),
 //! all three decay kernels, both walk orders and a tight and a loose
 //! candidate cap.
+//!
+//! The same inputs pin the temporal walk's shape: a walk has 1 node (no
+//! interaction to start from) or `ℓ + 1`, never a length in between. The
+//! edge a walk arrived by is always a candidate again with the same
+//! positive weight, so once a walk has taken its first step it never
+//! stops early.
 
 use ehna_tgraph::{GraphBuilder, NodeId, TemporalGraph, Timestamp};
 use ehna_walks::{
@@ -211,6 +217,43 @@ proptest! {
                                 }
                             }
                             prop_assert_eq!(lib.next_u64(), oracle.next_u64(), "draw count {:?}", cfg);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn temporal_walks_have_one_or_l_plus_one_nodes(
+        edges in proptest::collection::vec((0u32..10, 0u32..10, 0i64..6, 0usize..3), 2..80),
+        t_ref in 0i64..8,
+        seed in 0u64..1_000_000,
+    ) {
+        let Some(g) = build(&edges) else { return Ok(()) };
+        let t_ref = Timestamp(t_ref);
+        // Beyond KERNELS: a horizon and a timescale short enough that the
+        // oldest interactions weigh exactly zero.
+        let kernels = KERNELS.into_iter().chain([
+            DecayKernel::Linear { horizon: 1.5 },
+            DecayKernel::Exponential { timescale: 0.002 },
+        ]);
+        for kernel in kernels {
+            for (p, q) in [(1.0, 1.0), (0.25, 4.0), (4.0, 0.25)] {
+                for time_ordered in [true, false] {
+                    for max_candidates in [1, 2, 512] {
+                        for length in [1, 3, 6] {
+                            let cfg = TemporalWalkConfig {
+                                length, p, q, kernel, max_candidates, time_ordered,
+                            };
+                            let walker = TemporalWalker::new(&g, cfg.clone());
+                            let mut rng = StdRng::seed_from_u64(seed);
+                            for v in g.nodes() {
+                                let walk = walker.walk(v, t_ref, &mut rng);
+                                let n = walk.nodes.len();
+                                prop_assert!(n == 1 || n == length + 1, "{} nodes: {:?} from {:?}", n, cfg, v);
+                                prop_assert_eq!(walk.times.len(), n);
+                            }
                         }
                     }
                 }
