@@ -72,3 +72,47 @@ fn full_probe_ivf_ranks_bit_identically_to_brute_force() {
         }
     }
 }
+
+/// A store built from a dense table and one built from the table's
+/// lossless EHNQ `f32` encoding serve the same bits: every row, every
+/// brute-force and full-probe IVF ranking (ids, distance bits, tie
+/// order) and every Eq. 5 link score.
+#[test]
+fn dense_store_serves_exactly_what_its_f32_encoding_serves() {
+    let emb = table();
+    let dense = Arc::new(EmbeddingStore::new(emb.clone(), None).unwrap());
+    let q = QuantizedEmbeddings::encode(&emb, &QuantSpec::new(QuantFormat::F32)).unwrap();
+    let f32s = Arc::new(EmbeddingStore::from_quant(q, None).unwrap());
+    assert_eq!((dense.num_nodes(), dense.dim()), (f32s.num_nodes(), f32s.dim()));
+    let bits = |row: &[f32]| row.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for v in 0..emb.num_nodes() as u32 {
+        let (a, b) = (dense.row(NodeId(v)).unwrap(), f32s.row(NodeId(v)).unwrap());
+        assert_eq!(bits(&a), bits(&b), "row {v}");
+        assert_eq!(bits(&a), bits(emb.get(NodeId(v))), "row {v} against the table");
+    }
+    let key = |hits: &[ehna_serve::Neighbor]| -> Vec<(u32, u64)> {
+        hits.iter().map(|h| (h.id.0, h.dist.to_bits())).collect()
+    };
+    let config =
+        IvfConfig { num_clusters: Some(7), nprobe: 7, kmeans_iters: 6, ..Default::default() };
+    let indexes = |store: &Arc<EmbeddingStore>| -> [Box<dyn KnnIndex>; 2] {
+        [
+            Box::new(BruteForceIndex::new(Arc::clone(store))),
+            Box::new(IvfIndex::build(Arc::clone(store), config.clone())),
+        ]
+    };
+    for (a, b) in indexes(&dense).iter().zip(&indexes(&f32s)) {
+        for probe in 0..emb.num_nodes() as u32 {
+            let query = emb.get(NodeId(probe));
+            let want = a.search(query, 40);
+            assert_eq!(key(&want), key(&b.search(query, 40)), "{}: query {probe}", a.kind());
+        }
+    }
+    for u in (0..emb.num_nodes() as u32).step_by(7) {
+        for v in 0..emb.num_nodes() as u32 {
+            let (a, b) = (NodeId(u), NodeId(v));
+            let want = dense.link_score(a, b).unwrap();
+            assert_eq!(want.to_bits(), f32s.link_score(a, b).unwrap().to_bits(), "({u}, {v})");
+        }
+    }
+}
