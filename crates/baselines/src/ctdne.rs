@@ -36,11 +36,6 @@ impl Default for Ctdne {
 }
 
 impl Ctdne {
-    /// Convenience constructor fixing the embedding dimension.
-    pub fn with_dim(dim: usize) -> Self {
-        Ctdne { sgns: SkipGramConfig { dim, ..Default::default() }, ..Default::default() }
-    }
-
     /// Generate the walk corpus.
     pub fn corpus(&self, graph: &TemporalGraph, seed: u64) -> Vec<Vec<NodeId>> {
         let active = graph.nodes().filter(|&v| graph.degree(v) > 0).count();

@@ -47,13 +47,6 @@ impl Default for Htne {
     }
 }
 
-impl Htne {
-    /// Convenience constructor fixing the embedding dimension.
-    pub fn with_dim(dim: usize) -> Self {
-        Htne { dim, ..Default::default() }
-    }
-}
-
 /// `-‖e_a - e_b‖²` and its cached difference vector.
 fn base_rate(emb: &[f32], a: usize, b: usize, d: usize) -> f32 {
     let (ea, eb) = (&emb[a * d..(a + 1) * d], &emb[b * d..(b + 1) * d]);

@@ -31,11 +31,6 @@ impl Default for Line {
 }
 
 impl Line {
-    /// Convenience constructor fixing the embedding dimension.
-    pub fn with_dim(dim: usize) -> Self {
-        Line { dim, ..Default::default() }
-    }
-
     /// Train one proximity order. `second_order` selects whether context
     /// vectors are separate (2nd order) or shared with vertex vectors
     /// (1st order).

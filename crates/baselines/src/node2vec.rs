@@ -26,11 +26,6 @@ impl Default for Node2Vec {
 }
 
 impl Node2Vec {
-    /// Convenience constructor fixing the embedding dimension.
-    pub fn with_dim(dim: usize) -> Self {
-        Node2Vec { sgns: SkipGramConfig { dim, ..Default::default() }, ..Default::default() }
-    }
-
     /// Generate the walk corpus, optionally multi-threaded.
     pub fn corpus(&self, graph: &TemporalGraph, seed: u64) -> Vec<Vec<NodeId>> {
         let walker = Node2VecWalker::new(graph, self.walks.clone());

@@ -14,7 +14,7 @@ const DIM: usize = 64;
 const K: usize = 10;
 
 /// Clustered points, the shape trained embeddings actually take.
-fn clustered_store(n: usize, blobs: usize, seed: u64) -> Arc<EmbeddingStore> {
+fn clustered_table(n: usize, blobs: usize, seed: u64) -> NodeEmbeddings {
     let mut rng = StdRng::seed_from_u64(seed);
     let centers: Vec<Vec<f32>> =
         (0..blobs).map(|_| (0..DIM).map(|_| rng.gen_range(-8.0f32..8.0)).collect()).collect();
@@ -23,7 +23,11 @@ fn clustered_store(n: usize, blobs: usize, seed: u64) -> Arc<EmbeddingStore> {
         let c = &centers[v % blobs];
         data.extend(c.iter().map(|x| x + rng.gen_range(-0.5f32..0.5)));
     }
-    Arc::new(EmbeddingStore::new(NodeEmbeddings::from_vec(DIM, data), None).expect("store"))
+    NodeEmbeddings::from_vec(DIM, data)
+}
+
+fn clustered_store(n: usize, blobs: usize, seed: u64) -> Arc<EmbeddingStore> {
+    Arc::new(EmbeddingStore::new(clustered_table(n, blobs, seed), None).expect("store"))
 }
 
 fn bench_knn(c: &mut Criterion) {
@@ -58,9 +62,8 @@ fn bench_knn(c: &mut Criterion) {
 /// iteration divided by it is the per-candidate cost.
 fn bench_ivf_int8(c: &mut Criterion) {
     let n = 100_000;
-    let dense = clustered_store(n, 128, 0xBE_7C);
-    let emb = dense.dense().expect("dense store");
-    let q = QuantizedEmbeddings::encode(emb, &QuantSpec::new(QuantFormat::Int8)).expect("int8");
+    let emb = clustered_table(n, 128, 0xBE_7C);
+    let q = QuantizedEmbeddings::encode(&emb, &QuantSpec::new(QuantFormat::Int8)).expect("int8");
     let store = Arc::new(EmbeddingStore::from_quant(q, None).expect("store"));
     let cfg =
         IvfConfig { num_clusters: Some(64), nprobe: 4, kmeans_iters: 5, ..Default::default() };

@@ -47,7 +47,7 @@ fn main() {
         &graph,
         LinkPredictionConfig { seed: args.seed, ..Default::default() },
     );
-    let base = ehna_config(EhnaVariant::Full, &args.train_options());
+    let base = ehna_config(EhnaVariant::Full, &args.train_options_for(&graph));
 
     // (a) safety margin.
     sweep(

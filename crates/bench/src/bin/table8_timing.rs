@@ -79,7 +79,7 @@ fn one_epoch_rows(graph: &TemporalGraph, args: &Args) -> Vec<(String, f64)> {
         }),
     ));
     rows.push(("EHNA".to_string(), {
-        let cfg = ehna_config(EhnaVariant::Full, &args.train_options());
+        let cfg = ehna_config(EhnaVariant::Full, &args.train_options_for(graph));
         let mut trainer = Trainer::new(graph, cfg).expect("valid config");
         time_it(|| {
             trainer.train_epoch();

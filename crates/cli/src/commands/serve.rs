@@ -57,7 +57,7 @@ flags:
 
 cluster role (see `ehna shard` / `ehna router`):
   --role KIND           standalone (default) or shard; a shard also
-                        serves EHNP v1 — the binary router protocol —
+                        serves EHNP v2 — the binary router protocol —
                         on --ehnp-addr, sharing the JSON port's engine,
                         stats, and hot-swapped snapshots
   --shard-id N          this shard's id in the cluster (default 0;
@@ -90,7 +90,7 @@ hardening (see README, 'Operating ehna-serve'):
 pub struct PreparedServe {
     /// The JSON line-protocol server (always present).
     pub server: Server,
-    /// The EHNP v1 shard endpoint (`--role shard` only).
+    /// The EHNP v2 shard endpoint (`--role shard` only).
     pub shard: Option<ShardServer>,
 }
 

@@ -118,9 +118,6 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         writeln!(out, "warning: checkpoint {ckpt} was unreadable; loaded its .bak backup")
             .map_err(io_err)?;
     }
-    for w in &ckpt_loaded.warnings {
-        writeln!(out, "warning: {w}").map_err(io_err)?;
-    }
     writeln!(
         out,
         "streaming onto {} nodes, {} edges ({} epochs trained)",

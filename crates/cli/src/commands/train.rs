@@ -327,54 +327,10 @@ mod tests {
             snap.to_str().unwrap(),
         ]);
         let text = run_args(&second).unwrap();
-        assert!(!text.contains("warning:"), "v2 resume must be warning-free: {text}");
+        assert!(!text.contains("warning:"), "resume must be warning-free: {text}");
         for p in [&input, &snap, &ckpt, &bak, &ehna_tgraph::ioutil::backup_path(&snap)] {
             let _ = std::fs::remove_file(p);
         }
-    }
-
-    #[test]
-    fn v1_checkpoint_resume_surfaces_warning() {
-        use ehna_core::{EhnaConfig, Trainer};
-        let input = tiny_file("ehna_cli_train_v1_in.txt");
-        let dir = std::env::temp_dir();
-        let snap = dir.join("ehna_cli_train_v1_out.bin");
-        let ckpt = dir.join("ehna_cli_train_v1.ckpt");
-
-        // A genuine legacy v1 file whose architecture matches the CLI's
-        // EHNA config at --dim 8.
-        let graph = ehna_tgraph::read_edge_list_path(&input).unwrap();
-        let config = EhnaConfig { dim: 8, num_walks: 2, walk_length: 3, ..Default::default() };
-        let trainer = Trainer::new(&graph, config).unwrap();
-        let f = std::fs::File::create(&ckpt).unwrap();
-        ehna_core::write_checkpoint_v1_for_tests(trainer.model(), f).unwrap();
-
-        let args = [
-            input.to_str().unwrap(),
-            "--method",
-            "ehna",
-            "--dim",
-            "8",
-            "--walks",
-            "2",
-            "--walk-length",
-            "3",
-            "--epochs",
-            "1",
-            "--resume",
-            "--checkpoint",
-            ckpt.to_str().unwrap(),
-            "--out",
-            snap.to_str().unwrap(),
-        ];
-        let text = run_args(&args).unwrap();
-        assert!(text.contains("warning:"), "v1 resume must warn: {text}");
-        assert!(text.contains("not be bit-faithful"), "caveat missing: {text}");
-        for p in [&input, &snap, &ckpt] {
-            let _ = std::fs::remove_file(p);
-        }
-        let _ = std::fs::remove_file(ehna_tgraph::ioutil::backup_path(&ckpt));
-        let _ = std::fs::remove_file(ehna_tgraph::ioutil::backup_path(&snap));
     }
 
     #[test]

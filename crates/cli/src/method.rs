@@ -229,7 +229,6 @@ impl MethodName {
                     if let Some(w) = ckpt.resume_warning() {
                         warnings.push(w);
                     }
-                    warnings.extend(ckpt.warnings.iter().cloned());
                     Trainer::from_checkpoint(graph, ckpt).map_err(CliError::usage)?
                 } else {
                     Trainer::new(graph, config).map_err(CliError::usage)?

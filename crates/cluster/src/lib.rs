@@ -7,7 +7,7 @@
 //! * [`plan::plan_shards`] partitions a snapshot round-robin into N
 //!   shard snapshots plus a checksummed [`manifest::ClusterManifest`]
 //!   (`ehna shard`).
-//! * [`shard::ShardServer`] serves one partition over EHNP v1
+//! * [`shard::ShardServer`] serves one partition over EHNP v2
 //!   ([`proto`]), a compact length-prefixed binary protocol with
 //!   request-id multiplexing, alongside the usual JSON debug port.
 //! * [`router::Router`] speaks the existing JSON line protocol to

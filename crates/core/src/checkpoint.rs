@@ -1,40 +1,27 @@
 //! Model + trainer checkpointing: persist a trained [`EhnaModel`]
 //! (parameters, batch-norm running statistics, architecture-defining
-//! config fields) and — format v2 — the full trainer state needed for a
-//! *bit-faithful* resume: epochs trained, Adam moments, and the main
-//! RNG position.
+//! config fields) and, optionally, the full trainer state needed for a
+//! *bit-faithful* resume: Adam moments and the main RNG position.
 //!
-//! # EHNC format
+//! # EHNC format (v3)
 //!
-//! Little-endian throughout. Version 1 (legacy, still loadable):
-//!
-//! ```text
-//! magic "EHNC" | version=1 | arch fields | 2 x BN stats | ParamStore
-//! ```
-//!
-//! Version 2 wraps the payload in an FNV-1a 64 checksum and appends the
-//! trainer-state section; version 3 adds two architecture fields —
-//! aggregator kind and head count — right after `walk_style`:
+//! Little-endian throughout:
 //!
 //! ```text
-//! magic | version=3 | arch fields | aggregator u32 | heads u32
+//! magic "EHNC" | version=3 | arch fields | aggregator u32 | heads u32
 //!   | 2 x BN stats | epochs_trained u64
 //!   | ParamStore | has_state u32
 //!   | [rng state 4 x u64 | Adam blob]   (iff has_state == 1)
 //!   | checksum u64                       (FNV-1a 64 of all prior bytes)
 //! ```
 //!
-//! Loads reject trailing garbage (all versions), verify the checksum
-//! (v2+), and cap every length field before allocating, so truncation or
-//! byte corruption at any position yields `InvalidData` — never a panic
-//! or a silently-wrong model. A v1 file (or a v2+ file saved without
-//! trainer state) still loads, but the resulting resume is
-//! optimizer-cold; [`LoadedCheckpoint::resume_warning`] describes the
-//! caveat for surfacing through the CLI. Pre-v3 files predate the
-//! aggregator field: they always hold LSTM parameters, so they load as
-//! the `lstm` aggregator with a [`LoadedCheckpoint::warnings`] entry —
-//! and loading one under an `attn` config is an aggregator mismatch,
-//! rejected like any other architecture difference.
+//! Loads accept only this layout (earlier versions fail as unsupported),
+//! reject trailing garbage, verify the checksum, and cap every length
+//! field before allocating, so truncation or byte corruption at any
+//! position yields `InvalidData` — never a panic or a silently-wrong
+//! model. A file saved without trainer state loads, but the resulting
+//! resume is optimizer-cold; [`LoadedCheckpoint::resume_warning`]
+//! describes the caveat for surfacing through the CLI.
 
 use crate::config::{AggregatorKind, EhnaConfig, WalkStyle};
 use crate::model::EhnaModel;
@@ -48,9 +35,7 @@ use std::path::Path;
 /// Magic: the `u32` 0x45484E43 ("EHNC" read big-endian), written
 /// little-endian, so the file opens with the bytes `CNHE`.
 const MAGIC: u32 = 0x45484E43;
-const VERSION_V1: u32 = 1;
-const VERSION_V2: u32 = 2;
-pub(crate) const VERSION: u32 = 3;
+const VERSION: u32 = 3;
 
 fn aggregator_code(kind: AggregatorKind) -> u32 {
     match kind {
@@ -87,7 +72,7 @@ fn expect_eof<R: Read>(r: &mut R) -> io::Result<()> {
     }
 }
 
-/// The resumable (non-model) trainer state carried by a v2 checkpoint.
+/// The resumable (non-model) trainer state a checkpoint may carry.
 #[derive(Debug, Clone)]
 pub struct TrainerState {
     /// Exact xoshiro256++ state of the trainer's main RNG (negative
@@ -102,15 +87,9 @@ pub struct TrainerState {
 pub struct LoadedCheckpoint {
     /// The restored model (parameters, BN statistics, `epochs_trained`).
     pub model: EhnaModel,
-    /// Trainer state for bit-faithful resume; `None` for v1 files and
-    /// model-only v2+ saves.
+    /// Trainer state for bit-faithful resume; `None` for model-only
+    /// saves.
     pub state: Option<TrainerState>,
-    /// The on-disk format version (1–3).
-    pub version: u32,
-    /// Non-fatal caveats encountered while loading (e.g. a pre-v3 file
-    /// defaulting to the `lstm` aggregator), for surfacing through the
-    /// CLI.
-    pub warnings: Vec<String>,
 }
 
 impl LoadedCheckpoint {
@@ -121,30 +100,28 @@ impl LoadedCheckpoint {
         if self.state.is_some() {
             return None;
         }
-        Some(format!(
-            "checkpoint (EHNC v{}) carries no optimizer state: resuming restarts \
-             Adam cold and redraws RNG streams, so the continued run will not be \
-             bit-faithful to an uninterrupted one",
-            self.version
-        ))
+        Some(
+            "checkpoint carries no optimizer state: resuming restarts Adam cold and \
+             redraws RNG streams, so the continued run will not be bit-faithful to \
+             an uninterrupted one"
+                .to_string(),
+        )
     }
 }
 
-/// Serialize a checkpoint in layout `version` (1–3). `state` carries the
-/// trainer's RNG position and optimizer for a bit-faithful resume; `None`
-/// writes a model-only file (loadable everywhere, resume is
-/// optimizer-cold). v1 has no room for state and no checksum.
+/// Serialize a checkpoint. `state` carries the trainer's RNG position
+/// and optimizer for a bit-faithful resume; `None` writes a model-only
+/// file (resume is optimizer-cold).
 pub(crate) fn write_checkpoint<W: Write>(
     w: W,
     model: &EhnaModel,
     state: Option<(&Adam, [u64; 4])>,
-    version: u32,
 ) -> io::Result<()> {
     let mut w = ChecksumWriter::new(w);
-    w.write_all(&ioutil::header(MAGIC.to_le_bytes(), version))?;
+    w.write_all(&ioutil::header(MAGIC.to_le_bytes(), VERSION))?;
     // Architecture-defining fields (must match at load).
     let config = &model.config;
-    let mut arch = vec![
+    let arch = [
         checked_u32(model.num_nodes(), "node count")?,
         checked_u32(config.dim, "dim")?,
         checked_u32(config.lstm_layers, "lstm_layers")?,
@@ -154,10 +131,9 @@ pub(crate) fn write_checkpoint<W: Write>(
             WalkStyle::Temporal => 0,
             WalkStyle::Static => 1,
         },
+        aggregator_code(config.aggregator),
+        checked_u32(config.heads, "heads")?,
     ];
-    if version >= VERSION {
-        arch.extend([aggregator_code(config.aggregator), checked_u32(config.heads, "heads")?]);
-    }
     for field in arch {
         w.write_all(&field.to_le_bytes())?;
     }
@@ -168,14 +144,9 @@ pub(crate) fn write_checkpoint<W: Write>(
         write_f32s(&mut w, mean)?;
         write_f32s(&mut w, var)?;
     }
-    if version >= VERSION_V2 {
-        w.write_all(&model.epochs_trained.to_le_bytes())?;
-    }
+    w.write_all(&model.epochs_trained.to_le_bytes())?;
     // Parameters.
     model.store.save(&mut w)?;
-    if version == VERSION_V1 {
-        return w.flush();
-    }
     // Trainer state.
     match state {
         None => w.write_all(&0u32.to_le_bytes())?,
@@ -193,10 +164,10 @@ pub(crate) fn write_checkpoint<W: Write>(
     w.flush()
 }
 
-/// Restore a checkpoint (v1 or v2) with whatever trainer state it
-/// carries. See [`EhnaModel::load_checkpoint`] for the validation
-/// contract; this variant additionally rejects v2 payloads whose
-/// trailing checksum does not match.
+/// Restore a checkpoint with whatever trainer state it carries. See
+/// [`EhnaModel::load_checkpoint`] for the validation contract; this
+/// variant additionally rejects payloads whose trailing checksum does
+/// not match.
 ///
 /// # Errors
 /// `InvalidData` on format, checksum, or architecture mismatches.
@@ -206,7 +177,7 @@ pub fn load_checkpoint_full<R: Read>(
     config: EhnaConfig,
 ) -> io::Result<LoadedCheckpoint> {
     let mut r = ChecksumReader::new(r);
-    let version = ioutil::read_header(&mut r, MAGIC.to_le_bytes(), VERSION_V1..=VERSION)?;
+    ioutil::read_header(&mut r, MAGIC.to_le_bytes(), VERSION..=VERSION)?;
     let nodes = read_u32(&mut r)? as usize;
     if nodes != graph.num_nodes() {
         return Err(bad(&format!(
@@ -223,24 +194,12 @@ pub fn load_checkpoint_full<R: Read>(
         1 => WalkStyle::Static,
         _ => return Err(bad("unknown walk style")),
     };
-    let mut warnings = Vec::new();
-    let (aggregator, heads) = if version >= VERSION {
-        let kind = match read_u32(&mut r)? {
-            0 => AggregatorKind::Lstm,
-            1 => AggregatorKind::Attn,
-            _ => return Err(bad("unknown aggregator kind")),
-        };
-        (kind, read_u32(&mut r)? as usize)
-    } else {
-        // Pre-v3 files predate the aggregator field; they always hold
-        // the paper's LSTM parameter set.
-        warnings.push(format!(
-            "checkpoint (EHNC v{version}) predates the aggregator field: \
-             loading as the '{}' aggregator",
-            AggregatorKind::Lstm.name()
-        ));
-        (AggregatorKind::Lstm, config.heads)
+    let aggregator = match read_u32(&mut r)? {
+        0 => AggregatorKind::Lstm,
+        1 => AggregatorKind::Attn,
+        _ => return Err(bad("unknown aggregator kind")),
     };
+    let heads = read_u32(&mut r)? as usize;
     if aggregator != config.aggregator {
         return Err(bad(&format!(
             "aggregator mismatch: checkpoint holds '{}' parameters but the \
@@ -273,44 +232,34 @@ pub fn load_checkpoint_full<R: Read>(
         }
         bn.set_running_stats(&mean, &var, init);
     }
-    if version >= VERSION_V2 {
-        model.epochs_trained = read_u64(&mut r)?;
-    }
+    model.epochs_trained = read_u64(&mut r)?;
     let loaded = ParamStore::load(&mut r)?;
     model.store.load_values_from(&loaded).map_err(|e| bad(&e))?;
-    let state = if version >= VERSION_V2 {
-        match read_u32(&mut r)? {
-            0 => None,
-            1 => {
-                let mut rng_state = [0u64; 4];
-                for word in &mut rng_state {
-                    *word = read_u64(&mut r)?;
-                }
-                if rng_state == [0u64; 4] {
-                    // Absorbing xoshiro256++ state: cannot come from a
-                    // seeded generator, only from corruption.
-                    return Err(bad("degenerate RNG state"));
-                }
-                let optimizer = Adam::load(&mut r)?;
-                Some(TrainerState { rng_state, optimizer })
+    let state = match read_u32(&mut r)? {
+        0 => None,
+        1 => {
+            let mut rng_state = [0u64; 4];
+            for word in &mut rng_state {
+                *word = read_u64(&mut r)?;
             }
-            _ => return Err(bad("bad trainer-state flag")),
+            if rng_state == [0u64; 4] {
+                // Absorbing xoshiro256++ state: cannot come from a
+                // seeded generator, only from corruption.
+                return Err(bad("degenerate RNG state"));
+            }
+            let optimizer = Adam::load(&mut r)?;
+            Some(TrainerState { rng_state, optimizer })
         }
-    } else {
-        None
+        _ => return Err(bad("bad trainer-state flag")),
     };
-    if version >= VERSION_V2 {
-        let computed = r.digest();
-        let mut inner = r.into_inner();
-        let stored = read_u64(&mut inner)?;
-        if stored != computed {
-            return Err(bad("checksum mismatch: checkpoint is corrupt"));
-        }
-        expect_eof(&mut inner)?;
-    } else {
-        expect_eof(&mut r)?;
+    let computed = r.digest();
+    let mut inner = r.into_inner();
+    let stored = read_u64(&mut inner)?;
+    if stored != computed {
+        return Err(bad("checksum mismatch: checkpoint is corrupt"));
     }
-    Ok(LoadedCheckpoint { model, state, version, warnings })
+    expect_eof(&mut inner)?;
+    Ok(LoadedCheckpoint { model, state })
 }
 
 /// Load a checkpoint from `path`, falling back to the `.bak` sibling
@@ -340,14 +289,14 @@ pub fn load_checkpoint_path(
 }
 
 impl EhnaModel {
-    /// Serialize the trained model to `w` (EHNC v2, without trainer
+    /// Serialize the trained model to `w` (EHNC v3, without trainer
     /// state — use [`Trainer::save_checkpoint`](crate::Trainer::save_checkpoint)
     /// to capture optimizer and RNG state for a bit-faithful resume).
     ///
     /// # Errors
     /// IO failures, or counts that overflow the format's fields.
     pub fn save_checkpoint<W: Write>(&self, w: W) -> io::Result<()> {
-        write_checkpoint(w, self, None, VERSION)
+        write_checkpoint(w, self, None)
     }
 
     /// Restore a checkpoint saved by [`EhnaModel::save_checkpoint`] or
@@ -369,22 +318,6 @@ impl EhnaModel {
     ) -> io::Result<EhnaModel> {
         load_checkpoint_full(r, graph, config).map(|c| c.model)
     }
-}
-
-/// Write a checkpoint in the legacy v1 layout (no checksum, no trainer
-/// state, no epoch count). Exists so compatibility tests can produce
-/// genuine v1 bytes; production code always writes v3.
-#[doc(hidden)]
-pub fn write_checkpoint_v1_for_tests<W: Write>(model: &EhnaModel, w: W) -> io::Result<()> {
-    write_checkpoint(w, model, None, VERSION_V1)
-}
-
-/// Write a checkpoint in the v2 layout (checksummed, no aggregator
-/// fields). Exists so compatibility tests can produce genuine v2 bytes;
-/// production code always writes v3.
-#[doc(hidden)]
-pub fn write_checkpoint_v2_for_tests<W: Write>(model: &EhnaModel, w: W) -> io::Result<()> {
-    write_checkpoint(w, model, None, VERSION_V2)
 }
 
 #[cfg(test)]
@@ -438,7 +371,6 @@ mod tests {
         trainer.save_checkpoint(&mut buf).unwrap();
 
         let ckpt = load_checkpoint_full(&buf[..], &g, cfg()).unwrap();
-        assert_eq!(ckpt.version, VERSION);
         assert_eq!(ckpt.model.epochs_trained, 2);
         let state = ckpt.state.as_ref().expect("trainer checkpoint must carry state");
         assert!(state.optimizer.steps() > 0, "optimizer step count lost");
@@ -458,20 +390,17 @@ mod tests {
     }
 
     #[test]
-    fn v1_checkpoint_still_loads_with_warning() {
+    fn pre_v3_headers_are_unsupported() {
         let g = toy();
-        let mut trainer = Trainer::new(&g, cfg()).unwrap();
-        trainer.train();
-        let emb_before = trainer.embeddings();
-
+        let trainer = Trainer::new(&g, cfg()).unwrap();
         let mut buf = Vec::new();
-        write_checkpoint_v1_for_tests(trainer.model(), &mut buf).unwrap();
-        let ckpt = load_checkpoint_full(&buf[..], &g, cfg()).unwrap();
-        assert_eq!(ckpt.version, VERSION_V1);
-        assert!(ckpt.state.is_none());
-        assert!(ckpt.resume_warning().is_some());
-        let mut restored = Trainer::from_model(&g, ckpt.model).unwrap();
-        assert_eq!(emb_before, restored.embeddings(), "v1 model diverges");
+        trainer.model().save_checkpoint(&mut buf).unwrap();
+        for version in [1u32, 2] {
+            buf[4..8].copy_from_slice(&version.to_le_bytes());
+            let err = load_checkpoint_full(&buf[..], &g, cfg()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "v{version}: {err}");
+            assert!(err.to_string().contains("version"), "v{version}: {err}");
+        }
     }
 
     #[test]
@@ -504,7 +433,6 @@ mod tests {
         trainer.save_checkpoint(&mut buf).unwrap();
 
         let ckpt = load_checkpoint_full(&buf[..], &g, attn_cfg.clone()).unwrap();
-        assert!(ckpt.warnings.is_empty(), "unexpected warnings: {:?}", ckpt.warnings);
         let mut restored = Trainer::from_model(&g, ckpt.model).unwrap();
         assert_eq!(emb_before, restored.embeddings(), "restored attn model diverges");
 
@@ -516,32 +444,6 @@ mod tests {
         let wrong_heads = EhnaConfig { heads: 2, ..attn_cfg };
         let err = EhnaModel::load_checkpoint(&buf[..], &g, wrong_heads).unwrap_err();
         assert!(err.to_string().contains("head count"), "wrong error: {err}");
-    }
-
-    #[test]
-    fn v2_checkpoint_loads_as_lstm_with_warning() {
-        let g = toy();
-        let mut trainer = Trainer::new(&g, cfg()).unwrap();
-        trainer.train();
-        let emb_before = trainer.embeddings();
-        let mut buf = Vec::new();
-        write_checkpoint_v2_for_tests(trainer.model(), &mut buf).unwrap();
-
-        let ckpt = load_checkpoint_full(&buf[..], &g, cfg()).unwrap();
-        assert_eq!(ckpt.version, VERSION_V2);
-        assert_eq!(ckpt.model.config.aggregator, AggregatorKind::Lstm);
-        assert!(
-            ckpt.warnings.iter().any(|w| w.contains("aggregator")),
-            "missing aggregator warning: {:?}",
-            ckpt.warnings
-        );
-        let mut restored = Trainer::from_model(&g, ckpt.model).unwrap();
-        assert_eq!(emb_before, restored.embeddings(), "v2 model diverges");
-
-        // A v2 file can never satisfy an attn config.
-        let attn_cfg = EhnaConfig { aggregator: AggregatorKind::Attn, ..cfg() };
-        let err = load_checkpoint_full(&buf[..], &g, attn_cfg).unwrap_err();
-        assert!(err.to_string().contains("aggregator"), "wrong error: {err}");
     }
 
     #[test]
@@ -572,17 +474,11 @@ mod tests {
     fn trailing_garbage_rejected() {
         let g = toy();
         let trainer = Trainer::new(&g, cfg()).unwrap();
-        // v2 with appended bytes (e.g. two concatenated checkpoints).
+        // Appended bytes (e.g. two concatenated checkpoints).
         let mut buf = Vec::new();
         trainer.model().save_checkpoint(&mut buf).unwrap();
         buf.push(0);
         let err = EhnaModel::load_checkpoint(&buf[..], &g, cfg()).unwrap_err();
         assert!(err.to_string().contains("trailing"), "wrong error: {err}");
-        // v1 likewise: the legacy loader used to accept any remainder.
-        let mut buf = Vec::new();
-        write_checkpoint_v1_for_tests(trainer.model(), &mut buf).unwrap();
-        let clean = buf.clone();
-        buf.extend_from_slice(&clean);
-        assert!(EhnaModel::load_checkpoint(&buf[..], &g, cfg()).is_err());
     }
 }

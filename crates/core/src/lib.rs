@@ -53,8 +53,6 @@ pub mod variants;
 
 pub use aggregator::{Aggregator, AttnAggregator, LstmAggregator};
 pub use checkpoint::{load_checkpoint_full, load_checkpoint_path, LoadedCheckpoint, TrainerState};
-#[doc(hidden)]
-pub use checkpoint::{write_checkpoint_v1_for_tests, write_checkpoint_v2_for_tests};
 pub use config::{AggregatorKind, EhnaConfig, WalkStyle, MAX_PIPELINE_DEPTH};
 pub use ehna_tgraph::NodeEmbeddings;
 pub use infer::refresh_rows;

@@ -108,7 +108,7 @@ impl<'g> Trainer<'g> {
     /// Resume from an existing (e.g. checkpoint-restored) model *without*
     /// trainer state: the optimizer restarts fresh and the RNG is
     /// re-seeded, so the continuation is not bit-faithful — prefer
-    /// [`Trainer::from_checkpoint`] with a v2 checkpoint for that.
+    /// [`Trainer::from_checkpoint`] with a full trainer checkpoint for that.
     ///
     /// Epoch accounting does continue: `model.epochs_trained` seeds the
     /// epoch counter, so the resumed run's `(seed, epoch, batch)`
@@ -148,11 +148,11 @@ impl<'g> Trainer<'g> {
         })
     }
 
-    /// Resume from a loaded checkpoint. With trainer state present (a v2
+    /// Resume from a loaded checkpoint. With trainer state present (a
     /// file written by [`Trainer::save_checkpoint`]) the optimizer
     /// moments, step count, RNG position, and epoch counter are restored
     /// exactly, making the continued run bit-identical to one that never
-    /// stopped. Without it (v1 file or model-only save) this degrades to
+    /// stopped. Without it (a model-only save) this degrades to
     /// [`Trainer::from_model`] — check
     /// [`LoadedCheckpoint::resume_warning`] before consuming the
     /// checkpoint and surface it to the operator.
@@ -190,7 +190,7 @@ impl<'g> Trainer<'g> {
         self.checkpoint_hook = Some(hook);
     }
 
-    /// Serialize a full v2 checkpoint — model, optimizer moments, RNG
+    /// Serialize a full checkpoint — model, optimizer moments, RNG
     /// position, epoch count — from which [`Trainer::from_checkpoint`]
     /// resumes bit-faithfully.
     ///
@@ -198,7 +198,7 @@ impl<'g> Trainer<'g> {
     /// IO failures, or counts that overflow the format's fields.
     pub fn save_checkpoint<W: Write>(&self, w: W) -> std::io::Result<()> {
         let state = Some((&self.optimizer, self.rng.state()));
-        checkpoint::write_checkpoint(w, &self.model, state, checkpoint::VERSION)
+        checkpoint::write_checkpoint(w, &self.model, state)
     }
 
     /// [`Trainer::save_checkpoint`] through the crash-safe persistence

@@ -5,7 +5,6 @@
 //! we evaluate on a random node sample (processing all `|V|(|V|−1)/2`
 //! pairs is infeasible at scale) and average over repetitions.
 
-use crate::metrics;
 use ehna_tgraph::{NodeEmbeddings, NodeId, TemporalGraph};
 use rand::Rng;
 
@@ -85,29 +84,6 @@ fn sample_nodes<R: Rng + ?Sized>(graph: &TemporalGraph, count: usize, rng: &mut 
     pool
 }
 
-/// Convenience: the AUC of edge-vs-nonedge discrimination by dot product
-/// over a pair sample (a scalar summary used in tests and ablations).
-pub fn reconstruction_auc<R: Rng + ?Sized>(
-    graph: &TemporalGraph,
-    embeddings: &NodeEmbeddings,
-    pairs: usize,
-    rng: &mut R,
-) -> f64 {
-    let mut scores = Vec::with_capacity(2 * pairs);
-    let mut labels = Vec::with_capacity(2 * pairs);
-    let edges = graph.edges();
-    for _ in 0..pairs {
-        let e = &edges[rng.gen_range(0..edges.len())];
-        scores.push(embeddings.dot(e.src, e.dst));
-        labels.push(true);
-    }
-    for (a, b) in crate::split::sample_negative_pairs(graph, pairs, rng) {
-        scores.push(embeddings.dot(a, b));
-        labels.push(false);
-    }
-    metrics::auc(&scores, &labels)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,14 +150,6 @@ mod tests {
         assert!(ps[0] >= ps[1] && ps[1] >= ps[2], "{ps:?}");
         // At P = all 15 pairs, precision = 6/15.
         assert!((ps[2] - 0.4).abs() < 1e-12);
-    }
-
-    #[test]
-    fn auc_summary_ranks_oracle_above_random() {
-        let (g, e) = oracle_setup();
-        let mut rng = StdRng::seed_from_u64(4);
-        let auc = reconstruction_auc(&g, &e, 50, &mut rng);
-        assert!(auc > 0.95, "oracle auc {auc}");
     }
 
     #[test]

@@ -179,7 +179,7 @@ impl Default for IvfConfig {
 /// Each inverted list keeps its rows' codes in a [`LaneBlocks`] copy
 /// (dimension-major blocks of [`LANES`] rows), so a probe scores
 /// [`LANES`] candidates per kernel call, bit-identical to per-row
-/// [`RowDistance::dist`](crate::RowDistance::dist). The copy costs one
+/// [`QuantScorer::dist`](ehna_tgraph::quant::QuantScorer::dist). The copy costs one
 /// extra set of code bytes per indexed row.
 #[derive(Debug)]
 pub struct IvfIndex {
@@ -217,7 +217,7 @@ impl IvfIndex {
         }
         let mut centroids = vec![0.0f32; c * dim];
         for (slot, &row) in order.iter().take(c).enumerate() {
-            store.rows().row_into(row, &mut centroids[slot * dim..(slot + 1) * dim]);
+            store.rows.decode_row_into(row, &mut centroids[slot * dim..(slot + 1) * dim]);
         }
 
         let mut assign = vec![0usize; n];
@@ -230,7 +230,7 @@ impl IvfIndex {
             let mut sums = vec![0.0f64; c * dim];
             let mut counts = vec![0usize; c];
             for (v, a) in assign.iter_mut().enumerate() {
-                store.rows().row_into(v, &mut row);
+                store.rows.decode_row_into(v, &mut row);
                 *a = nearest_centroid(&blocked, &row);
                 counts[*a] += 1;
                 for (s, &x) in sums[*a * dim..(*a + 1) * dim].iter_mut().zip(&row) {
@@ -243,7 +243,7 @@ impl IvfIndex {
                     // centroid stays meaningful.
                     if n > 0 {
                         let row = rng.gen_range(0..n);
-                        store.rows().row_into(row, &mut centroids[cl * dim..(cl + 1) * dim]);
+                        store.rows.decode_row_into(row, &mut centroids[cl * dim..(cl + 1) * dim]);
                     }
                     continue;
                 }
@@ -259,8 +259,10 @@ impl IvfIndex {
         for (v, &a) in assign.iter().enumerate() {
             ids[a].push(v as u32);
         }
-        let lists =
-            ids.into_iter().map(|ids| IvfList { blocks: store.rows().blocks(&ids), ids }).collect();
+        let lists = ids
+            .into_iter()
+            .map(|ids| IvfList { blocks: store.rows.lane_blocks(&ids), ids })
+            .collect();
         IvfIndex {
             centroids: blocked_centroids(&centroids, dim),
             store,
@@ -362,7 +364,7 @@ mod tests {
     use ehna_tgraph::{NodeEmbeddings, QuantFormat, QuantSpec, QuantizedEmbeddings};
 
     /// `n` points in `clusters` well-separated Gaussian-ish blobs.
-    fn blobs(n: usize, clusters: usize, dim: usize, seed: u64) -> Arc<EmbeddingStore> {
+    fn blob_table(n: usize, clusters: usize, dim: usize, seed: u64) -> NodeEmbeddings {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut data = Vec::with_capacity(n * dim);
         for v in 0..n {
@@ -372,7 +374,11 @@ mod tests {
                 data.push(center + rng.gen_range(-0.5..0.5));
             }
         }
-        Arc::new(EmbeddingStore::new(NodeEmbeddings::from_vec(dim, data), None).unwrap())
+        NodeEmbeddings::from_vec(dim, data)
+    }
+
+    fn blobs(n: usize, clusters: usize, dim: usize, seed: u64) -> Arc<EmbeddingStore> {
+        Arc::new(EmbeddingStore::new(blob_table(n, clusters, dim, seed), None).unwrap())
     }
 
     fn recall(exact: &[Neighbor], approx: &[Neighbor]) -> f64 {
@@ -492,7 +498,8 @@ mod tests {
         }
         let mut centroids = vec![0.0f32; c * dim];
         for (slot, &row) in order.iter().take(c).enumerate() {
-            centroids[slot * dim..(slot + 1) * dim].copy_from_slice(&store.rows().row(row));
+            centroids[slot * dim..(slot + 1) * dim]
+                .copy_from_slice(&store.row(NodeId(row as u32)).unwrap());
         }
         let nearest = |centroids: &[f32], row: &[f32]| {
             let mut best = (0usize, f64::INFINITY);
@@ -507,13 +514,13 @@ mod tests {
         let mut assign = vec![0usize; n];
         for _ in 0..config.kmeans_iters.max(1) {
             for (v, a) in assign.iter_mut().enumerate() {
-                *a = nearest(&centroids, &store.rows().row(v));
+                *a = nearest(&centroids, &store.row(NodeId(v as u32)).unwrap());
             }
             let mut sums = vec![0.0f64; c * dim];
             let mut counts = vec![0usize; c];
             for (v, &a) in assign.iter().enumerate() {
                 counts[a] += 1;
-                let row = store.rows().row(v);
+                let row = store.row(NodeId(v as u32)).unwrap();
                 for (s, &x) in sums[a * dim..(a + 1) * dim].iter_mut().zip(row.iter()) {
                     *s += x as f64;
                 }
@@ -522,7 +529,8 @@ mod tests {
                 if count == 0 {
                     if n > 0 {
                         let row = rng.gen_range(0..n);
-                        centroids[cl * dim..(cl + 1) * dim].copy_from_slice(&store.rows().row(row));
+                        centroids[cl * dim..(cl + 1) * dim]
+                            .copy_from_slice(&store.row(NodeId(row as u32)).unwrap());
                     }
                     continue;
                 }
@@ -546,15 +554,11 @@ mod tests {
         // equal, so tie-breaking (first centroid wins) and empty-cluster
         // reseeding are both exercised.
         let ties = NodeEmbeddings::from_vec(3, (0..150 * 3).map(|i| (i / 3 % 3) as f32).collect());
-        let blobs_dense = blobs(300, 6, 13, 3);
-        let int8 = QuantizedEmbeddings::encode(
-            blobs_dense.dense().unwrap(),
-            &QuantSpec::new(QuantFormat::Int8),
-        )
-        .unwrap();
+        let blobs = blob_table(300, 6, 13, 3);
+        let int8 = QuantizedEmbeddings::encode(&blobs, &QuantSpec::new(QuantFormat::Int8)).unwrap();
         let stores = [
             Arc::new(EmbeddingStore::new(ties, None).unwrap()),
-            Arc::clone(&blobs_dense),
+            Arc::new(EmbeddingStore::new(blobs, None).unwrap()),
             Arc::new(EmbeddingStore::from_quant(int8, None).unwrap()),
         ];
         for store in stores {
@@ -576,7 +580,7 @@ mod tests {
                 assert_eq!(ivf.lists.len(), lists.len());
                 for (list, ids) in ivf.lists.iter().zip(&lists) {
                     assert_eq!(&list.ids, ids, "{clusters} clusters");
-                    assert_eq!(list.blocks, store.rows().blocks(ids));
+                    assert_eq!(list.blocks, store.rows.lane_blocks(ids));
                 }
                 // The query's centroid ranking follows per-row distances.
                 for probe in [0u32, 77, 149] {

@@ -54,7 +54,7 @@ pub use server::{
     LineHandler, Protocol, QueryError, Server, ServerConfig, ServerHandle,
 };
 pub use stats::{EngineStats, LatencyHistogram, OpCounters, OpCounts, Role, StatsSnapshot};
-pub use store::{canonical_node_id, EmbeddingStore, RowDistance, RowSource, MAX_NAME_LEN};
+pub use store::{canonical_node_id, EmbeddingStore, MAX_NAME_LEN};
 
 use std::fmt;
 use std::io;

@@ -1,10 +1,10 @@
-//! The immutable serving snapshot: an embedding row source (dense f32 or
-//! quantized EHNQ, heap- or mmap-backed) plus the optional name interner,
-//! loadable once and shared across every worker and connection behind an
-//! `Arc`.
+//! The immutable serving snapshot: one EHNQ row table (heap- or
+//! mmap-backed; a dense table is held as its lossless `f32` encoding)
+//! plus the optional name interner, loadable once and shared across every
+//! worker and connection behind an `Arc`.
 
 use crate::ServeError;
-use ehna_tgraph::quant::{sq_dist_f64, LaneBlocks, QuantScorer, QuantizedEmbeddings, LANES};
+use ehna_tgraph::quant::{sq_dist_f64, QuantFormat, QuantScorer, QuantSpec, QuantizedEmbeddings};
 use ehna_tgraph::{NameMap, NodeEmbeddings, NodeId};
 use std::borrow::Cow;
 use std::fs::File;
@@ -39,157 +39,12 @@ pub fn canonical_node_id(key: &str) -> Option<u32> {
     key.parse::<u32>().ok()
 }
 
-/// A read-only table of f32-decodable embedding rows — the storage
-/// abstraction behind [`EmbeddingStore`]. Implemented by the dense
-/// in-memory [`NodeEmbeddings`] and by [`QuantizedEmbeddings`] in any
-/// format, heap- or mmap-backed.
-pub trait RowSource: Send + Sync + std::fmt::Debug {
-    /// Number of rows.
-    fn num_nodes(&self) -> usize;
-    /// Embedding dimensionality.
-    fn dim(&self) -> usize;
-    /// Storage format label for stats/logs (`"dense"`, `"f32"`, `"f16"`,
-    /// `"int8"`, `"pq"`).
-    fn format_label(&self) -> &'static str;
-    /// Bytes of per-row payload (excluding amortized codebooks/scales).
-    fn code_bytes_per_node(&self) -> usize;
-    /// Whether the backing bytes are a memory mapping.
-    fn is_mmap(&self) -> bool {
-        false
-    }
-    /// The dense matrix behind this source, when it is one (lets callers
-    /// that need contiguous f32 rows skip per-row decoding).
-    fn as_dense(&self) -> Option<&NodeEmbeddings> {
-        None
-    }
-    /// Row `idx` decoded to f32. Borrowed (zero-copy) where the storage
-    /// allows, owned where decoding is required.
-    fn row(&self, idx: usize) -> Cow<'_, [f32]>;
-    /// Decode row `idx` into `out` (length `dim`) without allocating.
-    fn row_into(&self, idx: usize, out: &mut [f32]) {
-        out.copy_from_slice(&self.row(idx));
-    }
-    /// The rows `ids` (in order) relaid into [`LaneBlocks`], for
-    /// [`RowDistance::dist_block`] on this source's scorers.
-    fn blocks(&self, ids: &[u32]) -> LaneBlocks;
-    /// A per-query distance evaluator over the rows. Build one per query:
-    /// quantized sources may do per-query precomputation (the PQ scorer
-    /// builds its asymmetric-distance table here).
-    fn scorer(&self, query: &[f32]) -> Box<dyn RowDistance + '_>;
-}
-
-/// Squared-euclidean distance from one fixed query to any row, following
-/// the pinned accumulation contract of
-/// [`sq_dist_f64`].
-pub trait RowDistance: Send + Sync {
-    /// Distance from the query to row `idx`.
-    fn dist(&self, idx: usize) -> f64;
-    /// Distances to the rows of block `b` of `blocks` (built by this
-    /// scorer's source's [`RowSource::blocks`]), bit-identical to
-    /// [`RowDistance::dist`] per row; padding lanes are unspecified.
-    fn dist_block(&self, blocks: &LaneBlocks, b: usize, out: &mut [f64; LANES]);
-}
-
-struct DenseScorer<'a> {
-    emb: &'a NodeEmbeddings,
-    query: Vec<f32>,
-}
-
-impl RowDistance for DenseScorer<'_> {
-    #[inline]
-    fn dist(&self, idx: usize) -> f64 {
-        sq_dist_f64(&self.query, self.emb.get(NodeId(idx as u32)))
-    }
-
-    fn dist_block(&self, blocks: &LaneBlocks, b: usize, out: &mut [f64; LANES]) {
-        blocks.sq_dist_f32(&self.query, b, out);
-    }
-}
-
-impl RowSource for NodeEmbeddings {
-    fn num_nodes(&self) -> usize {
-        NodeEmbeddings::num_nodes(self)
-    }
-
-    fn dim(&self) -> usize {
-        NodeEmbeddings::dim(self)
-    }
-
-    fn format_label(&self) -> &'static str {
-        "dense"
-    }
-
-    fn code_bytes_per_node(&self) -> usize {
-        NodeEmbeddings::dim(self) * 4
-    }
-
-    fn as_dense(&self) -> Option<&NodeEmbeddings> {
-        Some(self)
-    }
-
-    fn row(&self, idx: usize) -> Cow<'_, [f32]> {
-        Cow::Borrowed(self.get(NodeId(idx as u32)))
-    }
-
-    fn blocks(&self, ids: &[u32]) -> LaneBlocks {
-        LaneBlocks::from_f32_rows(self.dim(), ids.iter().map(|&v| self.get(NodeId(v))))
-    }
-
-    fn scorer(&self, query: &[f32]) -> Box<dyn RowDistance + '_> {
-        Box::new(DenseScorer { emb: self, query: query.to_vec() })
-    }
-}
-
-impl RowDistance for QuantScorer<'_> {
-    #[inline]
-    fn dist(&self, idx: usize) -> f64 {
-        QuantScorer::dist(self, idx)
-    }
-
-    fn dist_block(&self, blocks: &LaneBlocks, b: usize, out: &mut [f64; LANES]) {
-        QuantScorer::dist_block(self, blocks, b, out);
-    }
-}
-
-impl RowSource for QuantizedEmbeddings {
-    fn num_nodes(&self) -> usize {
-        QuantizedEmbeddings::num_nodes(self)
-    }
-
-    fn dim(&self) -> usize {
-        QuantizedEmbeddings::dim(self)
-    }
-
-    fn format_label(&self) -> &'static str {
-        self.format().label()
-    }
-
-    fn code_bytes_per_node(&self) -> usize {
-        QuantizedEmbeddings::code_bytes_per_node(self)
-    }
-
-    fn is_mmap(&self) -> bool {
-        QuantizedEmbeddings::is_mmap(self)
-    }
-
-    fn row(&self, idx: usize) -> Cow<'_, [f32]> {
-        QuantizedEmbeddings::row(self, idx)
-    }
-
-    fn row_into(&self, idx: usize, out: &mut [f32]) {
-        self.decode_row_into(idx, out);
-    }
-
-    fn blocks(&self, ids: &[u32]) -> LaneBlocks {
-        self.lane_blocks(ids)
-    }
-
-    fn scorer(&self, query: &[f32]) -> Box<dyn RowDistance + '_> {
-        Box::new(QuantizedEmbeddings::scorer(self, query))
-    }
-}
-
 /// An immutable, shareable store over a trained embedding snapshot.
+///
+/// Every table is served from one [`QuantizedEmbeddings`]: an EHNQ
+/// artifact as opened, a dense matrix as its lossless
+/// [`QuantFormat::F32`] encoding, whose rows, distances and tie order
+/// are the matrix's bit for bit.
 ///
 /// Scoring follows the model's native metric (squared Euclidean distance,
 /// paper Eq. 5): **lower scores mean stronger predicted links**, matching
@@ -197,35 +52,28 @@ impl RowSource for QuantizedEmbeddings {
 /// offline evaluation.
 #[derive(Debug)]
 pub struct EmbeddingStore {
-    rows: Box<dyn RowSource>,
+    pub(crate) rows: QuantizedEmbeddings,
     names: Option<NameMap>,
 }
 
 impl EmbeddingStore {
     /// Wrap a dense embedding matrix, optionally with the name interner
-    /// the graph was built with.
+    /// the graph was built with. The rows are encoded as EHNQ `f32`.
     ///
     /// # Errors
     /// [`ServeError::Snapshot`] if the name count differs from the row
-    /// count.
+    /// count, or the table does not fit EHNQ (`dim` above
+    /// [`MAX_DIM`](ehna_tgraph::quant::MAX_DIM)).
     pub fn new(emb: NodeEmbeddings, names: Option<NameMap>) -> Result<Self, ServeError> {
-        Self::from_source(Box::new(emb), names)
+        Self::from_quant(encode_f32(&emb)?, names)
     }
 
     /// Wrap a quantized table, optionally with names.
     ///
     /// # Errors
     /// [`ServeError::Snapshot`] on a name/row count mismatch.
-    pub fn from_quant(q: QuantizedEmbeddings, names: Option<NameMap>) -> Result<Self, ServeError> {
-        Self::from_source(Box::new(q), names)
-    }
-
-    /// Wrap any row source, optionally with names.
-    ///
-    /// # Errors
-    /// [`ServeError::Snapshot`] on a name/row count mismatch.
-    pub fn from_source(
-        rows: Box<dyn RowSource>,
+    pub fn from_quant(
+        rows: QuantizedEmbeddings,
         names: Option<NameMap>,
     ) -> Result<Self, ServeError> {
         if let Some(ref map) = names {
@@ -253,9 +101,9 @@ impl EmbeddingStore {
     /// Load a snapshot, auto-detecting the format from its magic bytes:
     /// `EHNQ` opens as a quantized table (zero-copy mmap when `mmap` is
     /// set, which keeps open time O(1) in table size); the legacy
-    /// big-endian `EHNA` format always deserializes onto the heap
-    /// (`mmap` is ignored — run `ehna quantize` to produce an mmap-able
-    /// artifact).
+    /// big-endian `EHNA` format deserializes onto the heap and is encoded
+    /// as EHNQ `f32` (`mmap` is ignored — run `ehna quantize` to produce
+    /// an mmap-able artifact).
     ///
     /// The snapshot header is validated *first*, so the names file is
     /// read with hard caps derived from the declared row count: a
@@ -275,18 +123,7 @@ impl EmbeddingStore {
             Some(path) => Some(open_names(path.as_ref(), rows.num_nodes())?),
             None => None,
         };
-        Self::from_source(rows, names)
-    }
-
-    /// The dense embedding matrix, when this store is dense-backed
-    /// (`None` for quantized sources — decode rows individually instead).
-    pub fn dense(&self) -> Option<&NodeEmbeddings> {
-        self.rows.as_dense()
-    }
-
-    /// The underlying row source.
-    pub fn rows(&self) -> &dyn RowSource {
-        self.rows.as_ref()
+        Self::from_quant(rows, names)
     }
 
     /// Number of serveable nodes.
@@ -299,9 +136,10 @@ impl EmbeddingStore {
         self.rows.dim()
     }
 
-    /// Storage format label for stats/logs.
+    /// Storage format label for stats/logs (`"f32"`, `"f16"`, `"int8"`,
+    /// `"pq"`).
     pub fn format_label(&self) -> &'static str {
-        self.rows.format_label()
+        self.rows.format().label()
     }
 
     /// Whether rows are served from a memory-mapped file.
@@ -368,25 +206,32 @@ impl EmbeddingStore {
         Ok(sq_dist_f64(&ra, &rb))
     }
 
-    /// A per-query distance evaluator (see [`RowSource::scorer`]).
-    pub fn scorer(&self, query: &[f32]) -> Box<dyn RowDistance + '_> {
+    /// A per-query distance evaluator over the rows (see
+    /// [`QuantizedEmbeddings::scorer`]). Build one per query: the PQ
+    /// scorer builds its asymmetric-distance table here.
+    pub fn scorer(&self, query: &[f32]) -> QuantScorer<'_> {
         self.rows.scorer(query)
     }
 }
 
-fn open_rows(snapshot: &Path, mmap: bool) -> Result<Box<dyn RowSource>, ServeError> {
+/// The lossless EHNQ encoding of a dense table.
+fn encode_f32(emb: &NodeEmbeddings) -> Result<QuantizedEmbeddings, ServeError> {
+    QuantizedEmbeddings::encode(emb, &QuantSpec::new(QuantFormat::F32))
+        .map_err(|e| ServeError::Snapshot(e.to_string()))
+}
+
+fn open_rows(snapshot: &Path, mmap: bool) -> Result<QuantizedEmbeddings, ServeError> {
     let mut magic = [0u8; 4];
     let mut file = File::open(snapshot)?;
     let got = file.read(&mut magic)?;
     drop(file);
     if got == 4 && magic == *b"EHNQ" {
-        let q = QuantizedEmbeddings::open_path(snapshot, mmap)
-            .map_err(|e| ServeError::Snapshot(e.to_string()))?;
-        return Ok(Box::new(q));
+        return QuantizedEmbeddings::open_path(snapshot, mmap)
+            .map_err(|e| ServeError::Snapshot(e.to_string()));
     }
     let emb =
         NodeEmbeddings::load_path(snapshot).map_err(|e| ServeError::Snapshot(e.to_string()))?;
-    Ok(Box::new(emb))
+    encode_f32(&emb)
 }
 
 fn open_names(path: &Path, num_nodes: usize) -> Result<NameMap, ServeError> {
@@ -398,7 +243,6 @@ fn open_names(path: &Path, num_nodes: usize) -> Result<NameMap, ServeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ehna_tgraph::quant::{QuantFormat, QuantSpec};
 
     fn named_store() -> EmbeddingStore {
         let emb = NodeEmbeddings::from_vec(2, vec![0.0, 0.0, 3.0, 4.0, 1.0, 1.0]);
@@ -473,14 +317,21 @@ mod tests {
     }
 
     #[test]
-    fn dense_accessor_roundtrips() {
+    fn dense_table_is_served_as_f32() {
         let s = named_store();
-        assert_eq!(s.format_label(), "dense");
+        assert_eq!(s.format_label(), "f32");
         assert!(!s.is_mmap());
-        let emb = s.dense().expect("dense-backed");
-        assert_eq!(emb.num_nodes(), 3);
-        assert_eq!(emb.get(NodeId(1)), &[3.0, 4.0]);
-        assert_eq!(&*s.row(NodeId(1)).unwrap(), &[3.0, 4.0]);
+        assert_eq!(s.num_nodes(), 3);
+        assert!(matches!(s.row(NodeId(1)).unwrap(), Cow::Borrowed(&[3.0, 4.0])));
+    }
+
+    #[test]
+    fn dense_table_too_wide_for_ehnq_is_a_snapshot_error() {
+        let emb = NodeEmbeddings::zeros(1, ehna_tgraph::quant::MAX_DIM + 1);
+        match EmbeddingStore::new(emb, None) {
+            Err(ServeError::Snapshot(msg)) => assert!(msg.contains("exceeds"), "{msg}"),
+            other => panic!("expected a snapshot error, got {other:?}"),
+        }
     }
 
     #[test]
@@ -489,7 +340,6 @@ mod tests {
         let q = QuantizedEmbeddings::encode(&emb, &QuantSpec::new(QuantFormat::F32)).unwrap();
         let s = EmbeddingStore::from_quant(q, None).unwrap();
         assert_eq!(s.format_label(), "f32");
-        assert!(s.dense().is_none(), "quant stores are not dense-backed");
         assert_eq!(s.link_score(NodeId(0), NodeId(1)).unwrap(), 25.0);
         assert_eq!(&*s.row(NodeId(2)).unwrap(), &[1.0, 1.0]);
         let scorer = s.scorer(&[0.0, 0.0]);

@@ -1,5 +1,5 @@
 //! Graph algorithms used for analysis and validation: Definition 2
-//! temporal reachability, connected components, and bipartiteness.
+//! temporal reachability and bipartiteness.
 
 use crate::{NodeId, TemporalGraph, Timestamp};
 use std::collections::VecDeque;
@@ -47,33 +47,6 @@ pub fn temporal_reachable_set(
         }
     }
     best.iter().enumerate().filter_map(|(i, t)| t.map(|t| (NodeId::from_index(i), t))).collect()
-}
-
-/// Connected components of the static projection. Returns
-/// `(component_id_per_node, component_count)`; isolated nodes get their
-/// own components.
-pub fn connected_components(graph: &TemporalGraph) -> (Vec<u32>, usize) {
-    let n = graph.num_nodes();
-    let mut comp = vec![u32::MAX; n];
-    let mut next = 0u32;
-    let mut queue = VecDeque::new();
-    for start in 0..n {
-        if comp[start] != u32::MAX {
-            continue;
-        }
-        comp[start] = next;
-        queue.push_back(NodeId::from_index(start));
-        while let Some(v) = queue.pop_front() {
-            for nb in graph.neighbors(v) {
-                if comp[nb.node.index()] == u32::MAX {
-                    comp[nb.node.index()] = next;
-                    queue.push_back(nb.node);
-                }
-            }
-        }
-        next += 1;
-    }
-    (comp, next as usize)
 }
 
 /// Whether the static projection is two-colorable (bipartite). User–item
@@ -168,20 +141,6 @@ mod tests {
         let from2: Vec<u32> =
             temporal_reachable_set(&g, NodeId(2), Timestamp(20)).iter().map(|(v, _)| v.0).collect();
         assert_eq!(from2, vec![1, 2]);
-    }
-
-    #[test]
-    fn connected_components_partition() {
-        let mut b = GraphBuilder::with_num_nodes(7);
-        b.add_edge(0, 1, 1, 1.0).unwrap();
-        b.add_edge(1, 2, 2, 1.0).unwrap();
-        b.add_edge(3, 4, 3, 1.0).unwrap();
-        let g = b.build().unwrap();
-        let (comp, count) = connected_components(&g);
-        assert_eq!(count, 4); // {0,1,2}, {3,4}, {5}, {6}
-        assert_eq!(comp[0], comp[2]);
-        assert_ne!(comp[0], comp[3]);
-        assert_ne!(comp[5], comp[6]);
     }
 
     #[test]

@@ -226,7 +226,7 @@ fn relayout<T: Copy + Default>(
 }
 
 impl LaneBlocks {
-    /// Block f32 rows of length `dim` (dense tables, IVF centroids).
+    /// Block f32 rows of length `dim` (IVF centroids).
     ///
     /// # Panics
     /// Panics if a row's length differs from `dim`.

@@ -17,6 +17,20 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 echo "== cargo bench --no-run (benches must compile)"
 cargo bench --workspace --no-run
 
+echo "== e2ebench compiles against the workspace"
+# The end-to-end benchmark is a separate package that links the
+# workspace crates, so a public-API change that breaks it would otherwise
+# surface only when the benchmark runs. An offline cargo run rewrites
+# e2ebench/Cargo.lock, so the committed lock file is put back afterwards.
+e2e_lock="$(mktemp)"
+cp e2ebench/Cargo.lock "$e2e_lock"
+e2e_status=0
+cargo check --offline -q --manifest-path e2ebench/Cargo.toml \
+    --target-dir target/e2ebench-check || e2e_status=$?
+cp "$e2e_lock" e2ebench/Cargo.lock
+rm -f "$e2e_lock"
+[ "$e2e_status" -eq 0 ]
+
 echo "== cargo test (workspace)"
 cargo test --workspace -q
 

@@ -1,9 +1,10 @@
 //! Serving index equivalence: an IVF index probing every list must rank
 //! exactly like the brute-force oracle — same ids, same distance bits —
-//! for the dense store and every EHNQ format. IVF scores its lists 16
-//! rows at a time from blocked copies of the codes, brute force scores
-//! one row at a time, so this pins the block kernels to the per-row
-//! distance contract on ragged list lengths (partial last blocks).
+//! for every EHNQ format. IVF scores its lists 16 rows at a time from
+//! blocked copies of the codes, brute force scores one row at a time, so
+//! this pins the block kernels to the per-row distance contract on ragged
+//! list lengths (partial last blocks). A dense table is served as its
+//! `f32` encoding, bit for bit.
 
 use ehna::tgraph::{NodeEmbeddings, NodeId, QuantFormat, QuantSpec, QuantizedEmbeddings};
 use ehna_serve::{BruteForceIndex, EmbeddingStore, IvfConfig, IvfIndex, KnnIndex};
@@ -31,13 +32,14 @@ fn table() -> NodeEmbeddings {
 }
 
 fn stores(emb: &NodeEmbeddings) -> Vec<Arc<EmbeddingStore>> {
-    let mut stores = vec![Arc::new(EmbeddingStore::new(emb.clone(), None).unwrap())];
-    for format in [QuantFormat::F32, QuantFormat::F16, QuantFormat::Int8, QuantFormat::Pq] {
-        let spec = QuantSpec { pq_m: 4, ..QuantSpec::new(format) };
-        let q = QuantizedEmbeddings::encode(emb, &spec).unwrap();
-        stores.push(Arc::new(EmbeddingStore::from_quant(q, None).unwrap()));
-    }
-    stores
+    [QuantFormat::F32, QuantFormat::F16, QuantFormat::Int8, QuantFormat::Pq]
+        .into_iter()
+        .map(|format| {
+            let spec = QuantSpec { pq_m: 4, ..QuantSpec::new(format) };
+            let q = QuantizedEmbeddings::encode(emb, &spec).unwrap();
+            Arc::new(EmbeddingStore::from_quant(q, None).unwrap())
+        })
+        .collect()
 }
 
 #[test]
