@@ -6,12 +6,12 @@
 //! (methodology in the sibling `BENCH_router.md`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use ehna_cluster::{plan_shards, Router, RouterConfig, ShardConfig, ShardServer};
+use ehna_cluster::{plan_shards_quant, Router, RouterConfig, ShardConfig, ShardServer};
 use ehna_serve::{
     BruteForceIndex, EmbeddingStore, EngineConfig, IvfConfig, IvfIndex, KnnIndex, QueryEngine,
     RequestLimits, Server, ServerConfig,
 };
-use ehna_tgraph::NodeEmbeddings;
+use ehna_tgraph::{NodeEmbeddings, QuantFormat, QuantSpec, QuantizedEmbeddings};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::io::{BufRead, BufReader, BufWriter, Write};
@@ -103,6 +103,8 @@ fn json_entry(label: &str, m: &Measured) -> String {
 
 fn bench_router(c: &mut Criterion) {
     let emb = big_table();
+    let rows =
+        QuantizedEmbeddings::encode(&emb, &QuantSpec::new(QuantFormat::F32)).expect("encode");
     let dir = std::env::temp_dir().join("ehna_bench_router");
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("bench dir");
@@ -137,7 +139,7 @@ fn bench_router(c: &mut Criterion) {
             ehna_cluster::ClusterManifest::load(&shard_dir).expect("manifest")
         } else {
             std::fs::create_dir_all(&shard_dir).expect("shard dir");
-            plan_shards(&emb, None, shards, &shard_dir).expect("plan")
+            plan_shards_quant(&rows, None, shards, &shard_dir).expect("plan")
         };
         let mut replicas = Vec::new();
         let mut teardown = Vec::new();

@@ -124,9 +124,6 @@ fn compare_modes(g: &TemporalGraph, epochs: usize) -> String {
 /// sampling a much larger share of epoch time, which is the regime the
 /// prefetcher exists for (see BENCH_training_pipeline.md).
 fn bench_pipeline(c: &mut Criterion) {
-    // The env override would collapse the sync/pipelined comparison into
-    // one mode; the comparison owns the knob here.
-    std::env::remove_var("EHNA_PIPELINE_DEPTH");
     let digg = generate(Dataset::DiggLike, Scale::Tiny, 1);
 
     let mut group = c.benchmark_group("training_pipeline");

@@ -1,35 +1,34 @@
-//! `ehna export` — convert a binary embedding snapshot to TSV for
+//! `ehna export` — convert an EHNQ embedding snapshot to TSV for
 //! plotting or downstream tooling.
 
-use crate::commands::io_err;
+use crate::commands::{io_err, open_snapshot};
 use crate::flags::Flags;
 use crate::CliError;
-use ehna_tgraph::{NodeEmbeddings, NodeId};
 use std::io::Write;
 
 const HELP: &str = "ehna export — embedding snapshot to TSV
 
 usage: ehna export SNAPSHOT [--out FILE]
 
-Writes one line per node: `node_id\\tv0\\tv1\\t...`. Without --out, prints
-to stdout.";
+Writes one line per node of an EHNQ snapshot (any format; quantized rows
+are decoded): `node_id\\tv0\\tv1\\t...`. Without --out, prints to stdout.";
 
 /// Run the subcommand.
 pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let flags = Flags::parse(args, HELP)?;
     flags.expect_known(&["out"])?;
     let snapshot = flags.one_positional("snapshot file")?;
-    let emb = NodeEmbeddings::load(std::fs::File::open(snapshot).map_err(io_err)?)?;
+    let emb = open_snapshot(snapshot)?;
 
     let mut sink: Box<dyn Write> = match flags.get("out") {
         Some(path) => Box::new(std::fs::File::create(path).map_err(io_err)?),
         None => Box::new(&mut *out),
     };
     for v in 0..emb.num_nodes() {
-        let row = emb.get(NodeId(v as u32));
+        let row = emb.row(v);
         let mut line = String::with_capacity(8 + row.len() * 10);
         line.push_str(&v.to_string());
-        for x in row {
+        for x in row.iter() {
             line.push('\t');
             line.push_str(&format!("{x}"));
         }
@@ -47,13 +46,15 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::commands::write_snapshot;
+    use ehna_tgraph::NodeEmbeddings;
 
     #[test]
     fn exports_tsv() {
         let dir = std::env::temp_dir();
         let snap = dir.join("ehna_cli_export.bin");
         let emb = NodeEmbeddings::from_vec(2, vec![1.0, 2.0, 3.0, 4.0]);
-        emb.save(std::fs::File::create(&snap).unwrap()).unwrap();
+        write_snapshot(&snap, &emb).unwrap();
 
         let args = vec![snap.to_str().unwrap().to_string()];
         let mut buf = Vec::new();

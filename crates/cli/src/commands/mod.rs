@@ -20,11 +20,29 @@ use crate::method::{MethodName, TrainOptions};
 use crate::CliError;
 use ehna_core::EhnaVariant;
 use ehna_serve::{RequestLimits, ServerConfig};
+use ehna_tgraph::ioutil::atomic_write_path;
+use ehna_tgraph::{NodeEmbeddings, QuantFormat, QuantSpec, QuantizedEmbeddings};
+use std::io::Write;
+use std::path::Path;
 use std::time::Duration;
 
 /// Map an IO error into a runtime CLI error.
 pub(crate) fn io_err(e: std::io::Error) -> CliError {
     CliError::runtime(format!("io error: {e}"))
+}
+
+/// Write `emb` to `path` as its lossless EHNQ `f32` encoding, atomically:
+/// a torn write never destroys the previous good snapshot.
+pub(crate) fn write_snapshot(path: &Path, emb: &NodeEmbeddings) -> Result<(), CliError> {
+    let q = QuantizedEmbeddings::encode(emb, &QuantSpec::new(QuantFormat::F32))
+        .map_err(|e| CliError::runtime(format!("cannot encode {}: {e}", path.display())))?;
+    atomic_write_path(path, |w| w.write_all(q.as_bytes())).map_err(io_err)
+}
+
+/// Open an EHNQ snapshot onto the heap, every checksum verified.
+pub(crate) fn open_snapshot(path: &str) -> Result<QuantizedEmbeddings, CliError> {
+    QuantizedEmbeddings::open_path(path, false)
+        .map_err(|e| CliError::runtime(format!("cannot load {path}: {e}")))
 }
 
 /// The per-request limits from `--max-k`, `--max-pairs` and

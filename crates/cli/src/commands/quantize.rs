@@ -1,13 +1,12 @@
-//! `ehna quantize` — convert a dense embedding snapshot into an EHNQ
-//! quantized artifact (f32 / f16 / int8 / pq) for compact, mmap-able
-//! serving.
+//! `ehna quantize` — re-encode a lossless EHNQ `f32` snapshot in another
+//! EHNQ format (f32 / f16 / int8 / pq) for compact, mmap-able serving.
 
-use crate::commands::io_err;
+use crate::commands::{io_err, open_snapshot};
 use crate::flags::Flags;
 use crate::CliError;
 use ehna_tgraph::ioutil::atomic_write_path;
-use ehna_tgraph::{NodeEmbeddings, NodeId, QuantFormat, QuantSpec, QuantizedEmbeddings};
-use std::io::{Read, Write};
+use ehna_tgraph::{NodeId, QuantFormat, QuantSpec, QuantizedEmbeddings};
+use std::io::Write;
 use std::path::Path;
 
 const HELP: &str = "ehna quantize — produce an EHNQ quantized embedding artifact
@@ -15,10 +14,11 @@ const HELP: &str = "ehna quantize — produce an EHNQ quantized embedding artifa
 usage: ehna quantize SNAPSHOT --out FILE [--format f32|f16|int8|pq]
                      [--pq-m N] [--pq-iters N] [--seed N] [--check]
 
-Re-encodes a dense (EHNA) snapshot as an EHNQ v1 artifact: a versioned,
-checksummed, 64-byte-aligned file that `ehna serve` and `ehna shard`
-auto-detect, and that `ehna serve --mmap` maps zero-copy so open time
-stays O(1) in table size. Formats:
+Re-encodes the lossless f32 snapshot `ehna train` and `ehna stream` write
+as another EHNQ v1 artifact: a versioned, checksummed, 64-byte-aligned
+file that `ehna serve` and `ehna shard` read, and that `ehna serve --mmap`
+maps zero-copy so open time stays O(1) in table size. A lossy source
+(f16, int8, pq) is refused, so quantization error never stacks. Formats:
 
   f32    lossless; 4 bytes/dim (alignment + checksums over raw rows)
   f16    IEEE binary16, round-to-nearest-even; 2 bytes/dim
@@ -54,21 +54,18 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     spec.pq_iters = flags.get_or("pq-iters", spec.pq_iters)?;
     spec.seed = flags.get_or("seed", spec.seed)?;
 
-    // A clearer message than the dense loader's parse error when someone
-    // points this at an artifact that is already quantized.
-    let mut magic = [0u8; 4];
-    let got = std::fs::File::open(snapshot)
-        .and_then(|mut f| f.read(&mut magic))
-        .map_err(|e| CliError::runtime(format!("cannot open {snapshot}: {e}")))?;
-    if got == 4 && &magic == b"EHNQ" {
+    let source = open_snapshot(snapshot)?;
+    if source.format() != QuantFormat::F32 {
         return Err(CliError::runtime(format!(
-            "{snapshot} is already an EHNQ artifact; quantize from the dense snapshot \
-             to avoid stacking quantization error"
+            "{snapshot} is a lossy {} artifact; quantize from the f32 snapshot \
+             to avoid stacking quantization error",
+            source.format().label()
         )));
     }
-
-    let emb = NodeEmbeddings::load_path(snapshot)
-        .map_err(|e| CliError::runtime(format!("cannot load {snapshot}: {e}")))?;
+    let emb = source.decode_all();
+    // Only the decoded rows are needed from here on: free the file image
+    // before the encode allocates the output.
+    drop(source);
     writeln!(out, "loaded {} x {} snapshot from {snapshot}", emb.num_nodes(), emb.dim())
         .map_err(io_err)?;
 
@@ -117,16 +114,20 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::commands::write_snapshot;
+    use ehna_tgraph::NodeEmbeddings;
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()
     }
 
+    /// A trained-style snapshot: the lossless f32 encoding `ehna train`
+    /// writes.
     fn dense_snapshot(dir: &Path, n: usize, dim: usize) -> std::path::PathBuf {
         std::fs::create_dir_all(dir).unwrap();
         let snap = dir.join("dense.bin");
         let data: Vec<f32> = (0..n * dim).map(|i| ((i % 23) as f32 - 11.0) * 0.37).collect();
-        NodeEmbeddings::from_vec(dim, data).save_path(&snap).unwrap();
+        write_snapshot(&snap, &NodeEmbeddings::from_vec(dim, data)).unwrap();
         snap
     }
 
@@ -163,24 +164,28 @@ mod tests {
     }
 
     #[test]
-    fn quantizing_an_ehnq_artifact_is_refused() {
-        let dir = std::env::temp_dir().join("ehna_cli_quantize_twice");
+    fn accepts_an_f32_source_and_refuses_a_lossy_one() {
+        let dir = std::env::temp_dir().join("ehna_cli_quantize_sources");
         let _ = std::fs::remove_dir_all(&dir);
         let snap = dense_snapshot(&dir, 8, 4);
-        let first = dir.join("once.ehnq");
-        let mut buf = Vec::new();
-        run(
-            &args(&[snap.to_str().unwrap(), "--format", "f16", "--out", first.to_str().unwrap()]),
-            &mut buf,
-        )
-        .unwrap();
-        let err = run(
-            &args(&[first.to_str().unwrap(), "--format", "int8", "--out", "/tmp/nope.ehnq"]),
-            &mut buf,
-        )
-        .unwrap_err();
-        assert_eq!(err.code, 1);
-        assert!(err.message.contains("already an EHNQ artifact"), "{}", err.message);
+        let quantize = |from: &Path, format: &str, to: &Path| {
+            let mut buf = Vec::new();
+            let argv = [from.to_str().unwrap(), "--format", format, "--out", to.to_str().unwrap()];
+            run(&args(&argv), &mut buf)
+        };
+        // An f32 source re-encodes, in a lossy format or as f32 again.
+        let int8 = dir.join("once.int8.ehnq");
+        quantize(&snap, "int8", &int8).unwrap();
+        let f32 = dir.join("again.f32.ehnq");
+        quantize(&snap, "f32", &f32).unwrap();
+        assert_eq!(std::fs::read(&f32).unwrap(), std::fs::read(&snap).unwrap());
+        // A lossy source is refused, whatever the target format.
+        for target in ["f32", "f16"] {
+            let err = quantize(&int8, target, &dir.join("twice.ehnq")).unwrap_err();
+            assert_eq!(err.code, 1);
+            assert!(err.message.contains("lossy int8 artifact"), "{}", err.message);
+        }
+        assert!(!dir.join("twice.ehnq").exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

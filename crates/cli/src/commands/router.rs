@@ -208,12 +208,17 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ehna_cluster::{plan_shards, ShardConfig, ShardHandle, ShardServer};
+    use ehna_cluster::{plan_shards_quant, ShardConfig, ShardHandle, ShardServer};
     use ehna_serve::{
         query_lines, BruteForceIndex, EmbeddingStore, EngineConfig, Json, KnnIndex, QueryEngine,
         RequestLimits,
     };
-    use ehna_tgraph::NodeEmbeddings;
+    use ehna_tgraph::{NodeEmbeddings, QuantFormat, QuantSpec, QuantizedEmbeddings};
+
+    /// The lossless EHNQ `f32` encoding of `emb`, as `ehna train` writes it.
+    fn f32(emb: &NodeEmbeddings) -> QuantizedEmbeddings {
+        QuantizedEmbeddings::encode(emb, &QuantSpec::new(QuantFormat::F32)).unwrap()
+    }
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()
@@ -225,7 +230,7 @@ mod tests {
         std::fs::create_dir_all(dir).unwrap();
         let data: Vec<f32> = (0..12 * 4).map(|i| ((i * 7) % 5) as f32).collect();
         let emb = NodeEmbeddings::from_vec(4, data);
-        let manifest = plan_shards(&emb, None, shards, dir).unwrap();
+        let manifest = plan_shards_quant(&f32(&emb), None, shards, dir).unwrap();
         manifest
             .shards
             .iter()
@@ -365,7 +370,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let data: Vec<f32> = (0..8 * 2).map(|i| i as f32).collect();
-        plan_shards(&NodeEmbeddings::from_vec(2, data), None, 2, &dir).unwrap();
+        plan_shards_quant(&f32(&NodeEmbeddings::from_vec(2, data)), None, 2, &dir).unwrap();
         let mut buf = Vec::new();
         let err = prepare(
             &args(&["--manifest", dir.to_str().unwrap(), "--shard", "127.0.0.1:1"]),

@@ -42,11 +42,12 @@ flags:
                   line, line i names node i); queries may then use names
   --addr ADDR     listen address (default 127.0.0.1:7878; port 0 picks
                   an ephemeral port)
-  --mmap          memory-map EHNQ artifacts (see `ehna quantize`)
-                  instead of reading them onto the heap: open and
-                  reload time become O(1) in table size and a reload
-                  never doubles resident memory; ignored for legacy
-                  dense snapshots (and on non-unix platforms)
+  --mmap          memory-map SNAPSHOT (any EHNQ format: the f32 file
+                  `ehna train` writes, or an `ehna quantize` artifact)
+                  instead of reading it onto the heap: open and reload
+                  time become O(1) in table size and a reload never
+                  doubles resident memory (ignored on non-unix
+                  platforms)
   --index KIND    ivf (cluster-pruned, default for >= 4096 nodes) or
                   brute (exact, default below that)
   --clusters N    IVF cluster count (default sqrt(n))
@@ -251,13 +252,14 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::commands::write_snapshot;
     use ehna_serve::{query_lines, Json};
     use ehna_tgraph::NodeEmbeddings;
 
     fn snapshot_file(name: &str, n: usize, dim: usize) -> std::path::PathBuf {
         let path = std::env::temp_dir().join(name);
         let data: Vec<f32> = (0..n * dim).map(|i| (i % 17) as f32 * 0.25).collect();
-        NodeEmbeddings::from_vec(dim, data).save_path(&path).unwrap();
+        write_snapshot(&path, &NodeEmbeddings::from_vec(dim, data)).unwrap();
         path
     }
 
@@ -465,7 +467,7 @@ mod tests {
 
         // Grow the snapshot on disk, then ask the server to hot-swap it.
         let data: Vec<f32> = (0..50 * 4).map(|i| (i % 13) as f32 * 0.5).collect();
-        NodeEmbeddings::from_vec(4, data).save_path(&snap).unwrap();
+        write_snapshot(&snap, &NodeEmbeddings::from_vec(4, data)).unwrap();
         let responses = query_lines(
             handle.addr(),
             &[

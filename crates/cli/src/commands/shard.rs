@@ -1,11 +1,11 @@
 //! `ehna shard` — partition an embedding snapshot for cluster serving.
 
-use crate::commands::io_err;
+use crate::commands::{io_err, open_snapshot};
 use crate::flags::Flags;
 use crate::CliError;
-use ehna_cluster::{plan_shards, plan_shards_quant, MANIFEST_NAME};
-use ehna_tgraph::{NameMap, NodeEmbeddings, QuantizedEmbeddings};
-use std::io::{BufReader, Read, Write};
+use ehna_cluster::{plan_shards_quant, MANIFEST_NAME};
+use ehna_tgraph::NameMap;
+use std::io::{BufReader, Write};
 use std::path::Path;
 
 const HELP: &str = "ehna shard — partition a snapshot into cluster shards
@@ -20,11 +20,12 @@ shard_I.names --role shard --shard-id I --ehnp-addr ...`, then front
 them with `ehna router --manifest DIR --shard ADDR ...`; the routed
 answers are byte-identical to serving the unsplit SNAPSHOT.
 
-SNAPSHOT may be a dense (EHNA) snapshot or a quantized EHNQ artifact
-from `ehna quantize`. Quantized tables shard by slicing each node's
-code row verbatim — never re-encoding — and copying the source's
-codebooks/scales into every shard, so quantized clusters keep the
-byte-identical guarantee (serve the shards with --mmap if desired).
+SNAPSHOT is an EHNQ snapshot in any format: the f32 snapshot `ehna
+train` writes, or an artifact from `ehna quantize`. Shards are EHNQ in
+the source's format, cut by slicing each node's code row verbatim —
+never re-encoding — and copying the source's codebooks/scales into every
+shard, so every cluster keeps the byte-identical guarantee (serve the
+shards with --mmap if desired).
 
 flags:
   --shards N    number of shards to produce (at least 1, at most the
@@ -47,27 +48,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         return Err(CliError::usage(format!("--out is required\n{HELP}")));
     };
 
-    // Auto-detect the snapshot family from its magic bytes, the same
-    // way `ehna serve` does.
-    let mut magic = [0u8; 4];
-    let got = std::fs::File::open(snapshot)
-        .and_then(|mut f| f.read(&mut magic))
-        .map_err(|e| CliError::runtime(format!("cannot open {snapshot}: {e}")))?;
-    let quant = if got == 4 && &magic == b"EHNQ" {
-        Some(
-            QuantizedEmbeddings::open_path(snapshot, false)
-                .map_err(|e| CliError::runtime(format!("cannot load {snapshot}: {e}")))?,
-        )
-    } else {
-        None
-    };
-    let emb = match quant {
-        Some(_) => None,
-        None => Some(
-            NodeEmbeddings::load_path(snapshot)
-                .map_err(|e| CliError::runtime(format!("cannot load {snapshot}: {e}")))?,
-        ),
-    };
+    let q = open_snapshot(snapshot)?;
     let names = flags
         .get("names")
         .map(|path| {
@@ -79,22 +60,14 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
                 })
         })
         .transpose()?;
-    let (n, dim, kind) = match (&quant, &emb) {
-        (Some(q), _) => (q.num_nodes(), q.dim(), q.format().label()),
-        (None, Some(e)) => (e.num_nodes(), e.dim(), "dense"),
-        (None, None) => unreachable!("one of quant/emb is always loaded"),
-    };
+    let (n, dim, kind) = (q.num_nodes(), q.dim(), q.format().label());
     writeln!(out, "loaded {n} x {dim} {kind} snapshot from {snapshot}").map_err(io_err)?;
 
     let dir = Path::new(out_dir);
     std::fs::create_dir_all(dir)
         .map_err(|e| CliError::runtime(format!("cannot create {out_dir}: {e}")))?;
-    let manifest = match (&quant, &emb) {
-        (Some(q), _) => plan_shards_quant(q, names.as_ref(), num_shards, dir),
-        (None, Some(e)) => plan_shards(e, names.as_ref(), num_shards, dir),
-        (None, None) => unreachable!(),
-    }
-    .map_err(|e| CliError::runtime(e.to_string()))?;
+    let manifest = plan_shards_quant(&q, names.as_ref(), num_shards, dir)
+        .map_err(|e| CliError::runtime(e.to_string()))?;
     for (i, entry) in manifest.shards.iter().enumerate() {
         writeln!(out, "shard {i}: {} nodes -> {}/{}", entry.nodes, out_dir, entry.snapshot)
             .map_err(io_err)?;
@@ -111,7 +84,9 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::commands::write_snapshot;
     use ehna_cluster::ClusterManifest;
+    use ehna_tgraph::{NodeEmbeddings, QuantizedEmbeddings};
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()
@@ -124,7 +99,7 @@ mod tests {
         let snap = dir.join("full.bin");
         std::fs::create_dir_all(&dir).unwrap();
         let data: Vec<f32> = (0..10 * 3).map(|i| i as f32).collect();
-        NodeEmbeddings::from_vec(3, data).save_path(&snap).unwrap();
+        write_snapshot(&snap, &NodeEmbeddings::from_vec(3, data)).unwrap();
 
         let out_dir = dir.join("cluster");
         let mut buf = Vec::new();
@@ -134,6 +109,7 @@ mod tests {
         )
         .unwrap();
         let text = String::from_utf8(buf).unwrap();
+        assert!(text.contains("10 x 3 f32 snapshot"), "output: {text}");
         assert!(text.contains("3 shards, 10 nodes, dim 3"), "output: {text}");
 
         let manifest = ClusterManifest::load(&out_dir).unwrap();

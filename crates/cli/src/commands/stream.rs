@@ -1,7 +1,7 @@
 //! `ehna stream` — replay an edge log into a trained model, refreshing
 //! embeddings incrementally and hot-swapping a live `ehna serve`.
 
-use crate::commands::{ehna_train_options, io_err};
+use crate::commands::{ehna_train_options, io_err, write_snapshot};
 use crate::flags::Flags;
 use crate::method::{ehna_config, MethodName};
 use crate::CliError;
@@ -25,9 +25,10 @@ usage: ehna stream LOG --base EDGELIST --checkpoint CKPT --out SNAPSHOT
 
 Replays batches appended to LOG (see `ehna ingest`) on top of the graph
 in --base and the model in --checkpoint. After each batch the dirty
-embedding rows are re-aggregated and --out is rewritten atomically; with
---reload, a running `ehna serve` instance serving --out is told to
-hot-swap it in (`{\"op\":\"reload\"}`) with zero downtime.
+embedding rows are re-aggregated and --out is rewritten atomically as
+the EHNQ f32 snapshot `ehna train` writes; with --reload, a running
+`ehna serve` instance serving --out is told to hot-swap it in
+(`{\"op\":\"reload\"}`) with zero downtime.
 
 The architecture flags (--method, --dim, --walks, --walk-length, --p,
 --q, --bidirectional, --aggregator, --heads) must match the `ehna train`
@@ -136,7 +137,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             Some(batch) => {
                 let outcome =
                     proc.apply_batch(&batch).map_err(|e| CliError::runtime(e.to_string()))?;
-                write_snapshot(snapshot, &proc)?;
+                write_snapshot(Path::new(snapshot), proc.embeddings())?;
                 let mut line = format!(
                     "batch {}: +{} edges, refreshed {} rows{}",
                     proc.batches_done(),
@@ -174,15 +175,6 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     writeln!(out, "processed {} batches; final snapshot at {snapshot}", proc.batches_done())
         .map_err(io_err)?;
     Ok(())
-}
-
-/// Atomically rewrite the served snapshot (same discipline as `ehna
-/// train`: a torn write must never destroy the previous good snapshot).
-fn write_snapshot(path: &str, proc: &StreamProcessor) -> Result<(), CliError> {
-    atomic_write_path(Path::new(path), |w| {
-        proc.embeddings().save(w).map_err(|e| std::io::Error::other(e.to_string()))
-    })
-    .map_err(io_err)
 }
 
 /// Tell a running `ehna serve` to hot-swap the snapshot; returns the new

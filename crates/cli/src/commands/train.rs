@@ -1,6 +1,6 @@
 //! `ehna train` — train embeddings on an edge list and save a snapshot.
 
-use crate::commands::{ehna_train_options, io_err};
+use crate::commands::{ehna_train_options, io_err, write_snapshot};
 use crate::flags::Flags;
 use crate::method::{MethodName, TrainOptions};
 use crate::CliError;
@@ -37,8 +37,9 @@ RNG) atomically after training; --checkpoint-every N also writes it every
 N epochs, rotating the previous file to FILE.bak. --resume continues
 training from --checkpoint bit-identically to a run that was never
 interrupted (falling back to FILE.bak if FILE is damaged).
-The snapshot is the binary NodeEmbeddings format, read by `ehna serve`,
-`ehna export` and `ehna quantize`.";
+The snapshot is the lossless EHNQ f32 encoding of the table, written
+atomically: `ehna serve` (with --mmap, zero-copy), `ehna shard`, `ehna
+export` and `ehna quantize` read it.";
 
 /// Run the subcommand.
 pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
@@ -93,12 +94,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         writeln!(out, "warning: {warning}").map_err(io_err)?;
     }
     let emb = outcome.embeddings;
-    // The snapshot gets the same crash-safety discipline as checkpoints:
-    // a torn write must never destroy a previous good snapshot.
-    ehna_tgraph::ioutil::atomic_write_path(std::path::Path::new(snapshot), |w| {
-        emb.save(w).map_err(|e| std::io::Error::other(e.to_string()))
-    })
-    .map_err(io_err)?;
+    write_snapshot(std::path::Path::new(snapshot), &emb)?;
     if let Some(report) = &outcome.report {
         let phases = report.total_phase_timings();
         writeln!(
@@ -132,7 +128,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ehna_tgraph::{write_edge_list_path, GraphBuilder, NodeEmbeddings};
+    use ehna_tgraph::{write_edge_list_path, GraphBuilder, QuantFormat, QuantizedEmbeddings};
 
     fn tiny_file(name: &str) -> std::path::PathBuf {
         let path = std::env::temp_dir().join(name);
@@ -183,9 +179,10 @@ mod tests {
         .collect();
         let mut buf = Vec::new();
         run(&args, &mut buf).unwrap();
-        let emb = NodeEmbeddings::load(std::fs::File::open(&snap).unwrap()).unwrap();
-        assert_eq!(emb.dim(), 8);
-        assert_eq!(emb.num_nodes(), 13);
+        let q = QuantizedEmbeddings::open_path(&snap, false).unwrap();
+        assert_eq!(q.format(), QuantFormat::F32);
+        assert_eq!(q.dim(), 8);
+        assert_eq!(q.num_nodes(), 13);
         let _ = std::fs::remove_file(input);
         let _ = std::fs::remove_file(snap);
     }
@@ -218,8 +215,7 @@ mod tests {
         .collect();
         let mut buf = Vec::new();
         run(&args, &mut buf).unwrap();
-        let emb = NodeEmbeddings::load(std::fs::File::open(&snap).unwrap()).unwrap();
-        assert_eq!(emb.dim(), 8);
+        assert_eq!(QuantizedEmbeddings::open_path(&snap, false).unwrap().dim(), 8);
         let _ = std::fs::remove_file(input);
         let _ = std::fs::remove_file(snap);
 
@@ -357,7 +353,7 @@ mod tests {
         run_args(&args).unwrap();
         assert!(bak.exists(), "second snapshot did not rotate the first to .bak");
         assert_eq!(std::fs::read(&bak).unwrap(), first, ".bak is not the prior snapshot");
-        NodeEmbeddings::load(std::fs::File::open(&snap).unwrap()).unwrap();
+        QuantizedEmbeddings::open_path(&snap, false).unwrap();
         for p in [&input, &snap, &bak] {
             let _ = std::fs::remove_file(p);
         }

@@ -96,11 +96,11 @@ commands:
   linkpred     run the future-link-prediction evaluation
   reconstruct  run the network-reconstruction evaluation
   nodeclass    node classification on a temporal SBM (extension)
-  quantize     re-encode a snapshot as an EHNQ artifact
-               (f32 | f16 | int8 | pq) for compact mmap-able serving
+  quantize     re-encode an f32 snapshot in a compact EHNQ format
+               (f16 | int8 | pq) for smaller mmap-able serving
   serve        serve an embedding snapshot over JSON-on-TCP
                (--role shard adds the EHNP binary port for routers;
-               --mmap maps EHNQ artifacts zero-copy)
+               --mmap maps the snapshot zero-copy)
   query        query a running serve instance (knn / score / stats)
   shard        partition a snapshot into cluster shards + manifest
   router       scatter-gather front end over a shard cluster; same

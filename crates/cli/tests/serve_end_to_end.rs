@@ -7,7 +7,7 @@ use ehna_serve::{
     query_lines, BruteForceIndex, EmbeddingStore, EngineConfig, IvfConfig, IvfIndex, Json,
     KnnIndex, QueryEngine, Server,
 };
-use ehna_tgraph::{NodeEmbeddings, NodeId};
+use ehna_tgraph::{NodeEmbeddings, NodeId, QuantFormat, QuantSpec, QuantizedEmbeddings};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::path::PathBuf;
@@ -63,7 +63,7 @@ fn train_export_serve_query_round_trip() {
     assert!(train_out.contains("wrote"), "train output: {train_out}");
 
     // Name every node, as a real export pipeline would.
-    let snapshot = NodeEmbeddings::load_path(&emb).expect("trained snapshot loads");
+    let snapshot = QuantizedEmbeddings::open_path(&emb, false).expect("trained snapshot loads");
     let name_lines: Vec<String> = (0..snapshot.num_nodes()).map(|v| format!("author{v}")).collect();
     std::fs::write(&names, name_lines.join("\n") + "\n").expect("write names");
 
@@ -169,7 +169,8 @@ fn train_attn_aggregator_round_trip() {
     ]);
     assert!(train_out.contains("wrote"), "train output: {train_out}");
 
-    let snapshot = NodeEmbeddings::load_path(&emb).expect("trained snapshot loads");
+    let snapshot =
+        QuantizedEmbeddings::open_path(&emb, false).expect("trained snapshot loads").decode_all();
     assert_eq!(snapshot.dim(), 8);
     assert!(
         snapshot.as_slice().iter().all(|v| v.is_finite()),
@@ -217,7 +218,10 @@ fn ivf_recall_meets_bar_on_10k_nodes() {
     const N: usize = 10_000;
     const K: usize = 10;
     let emb = temp_path("recall10k.bin");
-    clustered_embeddings(N, 16, 64, 0xE47).save_path(&emb).expect("save snapshot");
+    let table = clustered_embeddings(N, 16, 64, 0xE47);
+    QuantizedEmbeddings::encode(&table, &QuantSpec::new(QuantFormat::F32))
+        .and_then(|q| q.save_path(&emb))
+        .expect("save snapshot");
 
     let store = Arc::new(EmbeddingStore::open(emb.to_str().unwrap(), None).expect("open"));
     let brute = BruteForceIndex::new(Arc::clone(&store));

@@ -4,7 +4,7 @@
 //! with zero downtime while clients keep querying.
 
 use ehna_serve::{query_lines, Json};
-use ehna_tgraph::NodeEmbeddings;
+use ehna_tgraph::{NodeEmbeddings, QuantizedEmbeddings};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -188,8 +188,8 @@ fn train_ingest_stream_reload_round_trip() {
     ];
     full_args.extend_from_slice(&arch);
     run_cli(&full_args);
-    let incremental = NodeEmbeddings::load_path(&snap).unwrap();
-    let rebuilt = NodeEmbeddings::load_path(&snap_full).unwrap();
+    let load = |path: &PathBuf| QuantizedEmbeddings::open_path(path, false).unwrap().decode_all();
+    let (incremental, rebuilt) = (load(&snap), load(&snap_full));
     let dist = max_row_dist(&incremental, &rebuilt);
     assert!(dist < 1e-4, "incremental drifted {dist} from full rebuild");
 

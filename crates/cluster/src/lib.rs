@@ -4,9 +4,9 @@
 //! in-memory embedding table. This crate scales that horizontally
 //! without changing what clients see:
 //!
-//! * [`plan::plan_shards`] partitions a snapshot round-robin into N
-//!   shard snapshots plus a checksummed [`manifest::ClusterManifest`]
-//!   (`ehna shard`).
+//! * [`plan::plan_shards_quant`] partitions an EHNQ snapshot
+//!   round-robin into N shard snapshots plus a checksummed
+//!   [`manifest::ClusterManifest`] (`ehna shard`).
 //! * [`shard::ShardServer`] serves one partition over EHNP v2
 //!   ([`proto`]), a compact length-prefixed binary protocol with
 //!   request-id multiplexing, alongside the usual JSON debug port.
@@ -36,7 +36,7 @@ pub mod shard;
 
 pub use client::{CallError, MuxClient};
 pub use manifest::{global_of, owner_of, ClusterManifest, ShardEntry, MANIFEST_NAME};
-pub use plan::{plan_shards, plan_shards_quant};
+pub use plan::plan_shards_quant;
 pub use proto::{ProtoError, Request, Response, EHNP_VERSION, MAX_FRAME_LEN};
 pub use router::{ReplicaStatus, Router, RouterConfig};
 pub use shard::{ShardConfig, ShardHandle, ShardServer};

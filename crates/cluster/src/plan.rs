@@ -1,4 +1,4 @@
-//! The shard planner: partition one EHNS embedding snapshot into N
+//! The shard planner: partition one EHNQ embedding snapshot into N
 //! shard snapshots plus a checksummed [`ClusterManifest`].
 //!
 //! Partitioning is round-robin by global row id: global `g` lands on
@@ -18,7 +18,7 @@
 use crate::manifest::{owner_of, ClusterManifest, ShardEntry};
 use crate::ClusterError;
 use ehna_tgraph::ioutil::{atomic_write_path, fnv1a64};
-use ehna_tgraph::{NameMap, NodeEmbeddings, NodeId, QuantizedEmbeddings};
+use ehna_tgraph::{NameMap, NodeId, QuantizedEmbeddings};
 use std::io::Write;
 use std::path::Path;
 
@@ -32,60 +32,27 @@ pub fn shard_names_name(shard: u32) -> String {
     format!("shard_{shard}.names")
 }
 
-/// Partition `emb` (with optional `names`) into `num_shards` shard
-/// snapshots under `out_dir`, and write `out_dir/cluster.manifest`.
-/// Returns the manifest.
+/// Partition the EHNQ table `q` (with optional `names`) into
+/// `num_shards` shard snapshots under `out_dir`, and write
+/// `out_dir/cluster.manifest`. Returns the manifest.
+///
+/// Each shard snapshot is an EHNQ file in the *same* format as the
+/// source, with the source's codebooks/scales copied verbatim and the
+/// shard's row codes sliced out (never re-encoded). A shard row therefore
+/// scores bit-identically to the same row in the standalone table, which
+/// keeps the router's byte-identical equivalence gate intact.
 ///
 /// # Errors
 /// [`ClusterError::Plan`] on invalid inputs (zero shards, a names file
 /// of the wrong length); IO failures writing the shard files. More
 /// shards than rows is *valid*: the extra shards hold zero rows.
-pub fn plan_shards(
-    emb: &NodeEmbeddings,
-    names: Option<&NameMap>,
-    num_shards: u32,
-    out_dir: &Path,
-) -> Result<ClusterManifest, ClusterError> {
-    plan_with(emb.num_nodes(), emb.dim(), names, num_shards, out_dir, |globals| {
-        let mut rows: Vec<f32> = Vec::with_capacity(globals.len() * emb.dim());
-        for &global in globals {
-            rows.extend_from_slice(emb.get(NodeId(global)));
-        }
-        Ok(NodeEmbeddings::from_vec(emb.dim(), rows).to_bytes())
-    })
-}
-
-/// [`plan_shards`] over a quantized EHNQ table: each shard snapshot is an
-/// EHNQ file in the *same* format as the source, with the source's
-/// codebooks/scales copied verbatim and the shard's row codes sliced out
-/// (never re-encoded). A shard row therefore scores bit-identically to
-/// the same row in the standalone table, which keeps the router's
-/// byte-identical equivalence gate intact for quantized clusters.
-///
-/// # Errors
-/// Same failure modes as [`plan_shards`].
 pub fn plan_shards_quant(
     q: &QuantizedEmbeddings,
     names: Option<&NameMap>,
     num_shards: u32,
     out_dir: &Path,
 ) -> Result<ClusterManifest, ClusterError> {
-    plan_with(q.num_nodes(), q.dim(), names, num_shards, out_dir, |globals| {
-        let rows: Vec<usize> = globals.iter().map(|&g| g as usize).collect();
-        q.select_rows(&rows).map_err(|e| ClusterError::Plan(e.to_string()))
-    })
-}
-
-/// The shared partitioning loop: `snapshot_bytes` maps one shard's
-/// global row ids (ascending) to its serialized snapshot file.
-fn plan_with(
-    total: usize,
-    dim: usize,
-    names: Option<&NameMap>,
-    num_shards: u32,
-    out_dir: &Path,
-    mut snapshot_bytes: impl FnMut(&[u32]) -> Result<Vec<u8>, ClusterError>,
-) -> Result<ClusterManifest, ClusterError> {
+    let (total, dim) = (q.num_nodes(), q.dim());
     if num_shards == 0 {
         return Err(ClusterError::Plan("shard count must be at least 1".into()));
     }
@@ -117,7 +84,8 @@ fn plan_with(
             };
             shard_names.intern(&label);
         }
-        let snap_bytes = snapshot_bytes(&globals)?;
+        let rows: Vec<usize> = globals.iter().map(|&g| g as usize).collect();
+        let snap_bytes = q.select_rows(&rows).map_err(|e| ClusterError::Plan(e.to_string()))?;
 
         let snap_name = shard_snapshot_name(shard);
         let names_name = shard_names_name(shard);
@@ -147,17 +115,24 @@ fn plan_with(
 mod tests {
     use super::*;
     use ehna_serve::EmbeddingStore;
+    use ehna_tgraph::quant::{QuantFormat, QuantSpec};
+    use ehna_tgraph::NodeEmbeddings;
 
     fn emb(n: usize, dim: usize) -> NodeEmbeddings {
         let data: Vec<f32> = (0..n * dim).map(|i| i as f32 * 0.5).collect();
         NodeEmbeddings::from_vec(dim, data)
     }
 
+    /// The lossless EHNQ `f32` encoding of `e`.
+    fn f32(e: &NodeEmbeddings) -> QuantizedEmbeddings {
+        QuantizedEmbeddings::encode(e, &QuantSpec::new(QuantFormat::F32)).unwrap()
+    }
+
     #[test]
     fn round_robin_partition_covers_every_row_once() {
         let dir = std::env::temp_dir().join("ehna_cluster_plan_rr");
         let source = emb(10, 3);
-        let m = plan_shards(&source, None, 4, &dir).unwrap();
+        let m = plan_shards_quant(&f32(&source), None, 4, &dir).unwrap();
         assert_eq!(m.num_shards, 4);
         assert_eq!(m.total_nodes, 10);
         assert_eq!(m.shards.iter().map(|s| s.nodes).sum::<u64>(), 10);
@@ -188,7 +163,7 @@ mod tests {
         for n in ["alice", "bob", "carol", "dave", "eve"] {
             names.intern(n);
         }
-        let m = plan_shards(&emb(5, 2), Some(&names), 2, &dir).unwrap();
+        let m = plan_shards_quant(&f32(&emb(5, 2)), Some(&names), 2, &dir).unwrap();
         // "carol" is global 2 -> shard 0, local 1.
         let store = EmbeddingStore::open(
             dir.join(&m.shards[0].snapshot),
@@ -204,15 +179,16 @@ mod tests {
     fn single_shard_is_the_identity_partition() {
         let dir = std::env::temp_dir().join("ehna_cluster_plan_one");
         let source = emb(6, 2);
-        let m = plan_shards(&source, None, 1, &dir).unwrap();
-        let back = NodeEmbeddings::load_path(dir.join(&m.shards[0].snapshot)).unwrap();
-        assert_eq!(back, source);
+        let q = f32(&source);
+        let m = plan_shards_quant(&q, None, 1, &dir).unwrap();
+        let bytes = std::fs::read(dir.join(&m.shards[0].snapshot)).unwrap();
+        assert_eq!(bytes, q.as_bytes());
+        assert_eq!(QuantizedEmbeddings::from_bytes(&bytes).unwrap().decode_all(), source);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn quant_plan_slices_codes_verbatim() {
-        use ehna_tgraph::quant::{QuantFormat, QuantSpec};
         let dir = std::env::temp_dir().join("ehna_cluster_plan_quant");
         let source = emb(10, 4);
         for format in [QuantFormat::F32, QuantFormat::F16, QuantFormat::Int8] {
@@ -249,10 +225,10 @@ mod tests {
     #[test]
     fn invalid_plans_are_refused() {
         let dir = std::env::temp_dir().join("ehna_cluster_plan_bad");
-        assert!(plan_shards(&emb(3, 2), None, 0, &dir).is_err(), "zero shards");
+        assert!(plan_shards_quant(&f32(&emb(3, 2)), None, 0, &dir).is_err(), "zero shards");
         let mut short = NameMap::new();
         short.intern("only");
-        assert!(plan_shards(&emb(3, 2), Some(&short), 2, &dir).is_err(), "short names");
+        assert!(plan_shards_quant(&f32(&emb(3, 2)), Some(&short), 2, &dir).is_err(), "short names");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -260,7 +236,7 @@ mod tests {
     fn more_shards_than_rows_leaves_trailing_shards_empty() {
         let dir = std::env::temp_dir().join("ehna_cluster_plan_sparse");
         let source = emb(3, 2);
-        let m = plan_shards(&source, None, 4, &dir).unwrap();
+        let m = plan_shards_quant(&f32(&source), None, 4, &dir).unwrap();
         assert_eq!(m.shards.iter().map(|s| s.nodes).collect::<Vec<_>>(), vec![1, 1, 1, 0]);
         m.verify(&dir).unwrap();
         // The empty shard's files open into a zero-row store.
@@ -271,7 +247,7 @@ mod tests {
         .unwrap();
         assert_eq!(store.num_nodes(), 0);
         // A fully empty table plans too (every shard empty).
-        let m0 = plan_shards(&emb(0, 2), None, 2, &dir).unwrap();
+        let m0 = plan_shards_quant(&f32(&emb(0, 2)), None, 2, &dir).unwrap();
         assert_eq!(m0.total_nodes, 0);
         m0.verify(&dir).unwrap();
         let _ = std::fs::remove_dir_all(&dir);

@@ -77,6 +77,7 @@ use ehna_serve::request::{self, Backend, Hit, KnnAnswer, KnnQuery};
 use ehna_serve::{
     lock, op_counts_json, EngineStats, Json, LineHandler, RequestLimits, Role, ServeError,
 };
+use ehna_tgraph::quant::sq_dist_f64;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -568,21 +569,6 @@ fn probe_loop(inner: &Arc<Inner>) {
     }
 }
 
-/// Squared Euclidean distance, replicating the single-node store's loop
-/// bit-for-bit (f32 subtraction, f64 square-and-accumulate, in
-/// dimension order) so router-computed scores equal shard/standalone
-/// ones exactly.
-fn sq_dist(a: &[f32], b: &[f32]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter()
-        .zip(b)
-        .map(|(&x, &y)| {
-            let d = (x - y) as f64;
-            d * d
-        })
-        .sum()
-}
-
 impl Inner {
     /// One call to shard `shard`, failing over across its replicas:
     /// round-robin start, preferred (healthy, breaker closed) replicas
@@ -887,7 +873,7 @@ impl Backend for Inner {
     }
 
     fn score(&self, pairs: Vec<(Resolved, Resolved)>) -> Result<Vec<f64>, String> {
-        Ok(pairs.iter().map(|(a, b)| sq_dist(&a.row, &b.row)).collect())
+        Ok(pairs.iter().map(|(a, b)| sq_dist_f64(&a.row, &b.row)).collect())
     }
 
     fn served(&self, started: Instant) {
@@ -994,16 +980,23 @@ impl Backend for Inner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::plan_shards;
+    use crate::plan::plan_shards_quant;
     use crate::shard::{ShardConfig, ShardHandle, ShardServer};
     use ehna_serve::{handle_line, BruteForceIndex, EmbeddingStore, EngineConfig, QueryEngine};
-    use ehna_tgraph::NodeEmbeddings;
+    use ehna_tgraph::{NodeEmbeddings, QuantFormat, QuantSpec, QuantizedEmbeddings};
+    use std::path::Path;
 
     fn table(n: usize, dim: usize) -> NodeEmbeddings {
         // Deliberately tie-heavy: values repeat mod 5 so distance ties
         // exercise the (dist, id) tie-break across shard boundaries.
         let data: Vec<f32> = (0..n * dim).map(|i| ((i * 7) % 5) as f32).collect();
         NodeEmbeddings::from_vec(dim, data)
+    }
+
+    /// Plan `emb`'s lossless EHNQ `f32` encoding into `num_shards` shards.
+    fn plan(emb: &NodeEmbeddings, num_shards: u32, dir: &Path) -> ClusterManifest {
+        let q = QuantizedEmbeddings::encode(emb, &QuantSpec::new(QuantFormat::F32)).unwrap();
+        plan_shards_quant(&q, None, num_shards, dir).unwrap()
     }
 
     fn standalone(emb: &NodeEmbeddings) -> Arc<QueryEngine> {
@@ -1035,7 +1028,7 @@ mod tests {
         ) -> TestCluster {
             let dir = std::env::temp_dir().join(format!("ehna_router_test_{name}"));
             let _ = std::fs::remove_dir_all(&dir);
-            let manifest = plan_shards(emb, None, num_shards, &dir).unwrap();
+            let manifest = plan(emb, num_shards, &dir);
             let mut handles = Vec::new();
             let mut addrs = Vec::new();
             for entry in &manifest.shards {
@@ -1190,7 +1183,7 @@ mod tests {
         let emb = table(6, 2);
         let dir = std::env::temp_dir().join("ehna_router_test_availerr");
         let _ = std::fs::remove_dir_all(&dir);
-        let manifest = plan_shards(&emb, None, 1, &dir).unwrap();
+        let manifest = plan(&emb, 1, &dir);
         // Nothing listens on the discard port: every attempt fails at
         // connect, which is an availability error, not a request error.
         let addr: SocketAddr = "127.0.0.1:9".parse().unwrap();
@@ -1214,7 +1207,7 @@ mod tests {
         let emb = table(14, 3);
         let dir = std::env::temp_dir().join("ehna_router_test_cache");
         let _ = std::fs::remove_dir_all(&dir);
-        let manifest = plan_shards(&emb, None, 2, &dir).unwrap();
+        let manifest = plan(&emb, 2, &dir);
         let mut handles = Vec::new();
         let mut addrs = Vec::new();
         for (s, entry) in manifest.shards.iter().enumerate() {
@@ -1311,7 +1304,7 @@ mod tests {
         // 1 shard, 2 replicas over the same partition.
         let dir = std::env::temp_dir().join("ehna_router_test_failover");
         let _ = std::fs::remove_dir_all(&dir);
-        let manifest = plan_shards(&emb, None, 1, &dir).unwrap();
+        let manifest = plan(&emb, 1, &dir);
         let mk_handle = || {
             let store = Arc::new(
                 EmbeddingStore::open(
@@ -1395,7 +1388,7 @@ mod tests {
         let emb = table(6, 2);
         let dir = std::env::temp_dir().join("ehna_router_test_badmap");
         let _ = std::fs::remove_dir_all(&dir);
-        let manifest = plan_shards(&emb, None, 2, &dir).unwrap();
+        let manifest = plan(&emb, 2, &dir);
         let addr: SocketAddr = "127.0.0.1:9".parse().unwrap();
         assert!(Router::new(
             manifest.clone(),

@@ -117,9 +117,7 @@ pub struct EhnaConfig {
     /// background producer may buffer ahead of the optimization step.
     /// `0` samples synchronously on the main thread. Any depth produces
     /// bit-identical training results; the knob only trades memory for
-    /// walk-sampling latency hidden behind compute. The
-    /// `EHNA_PIPELINE_DEPTH` environment variable overrides this at
-    /// trainer run time (CI uses it to exercise the pipelined path).
+    /// walk-sampling latency hidden behind compute.
     pub pipeline_depth: usize,
     /// Fire the trainer's checkpoint hook every this many epochs
     /// (`0` disables periodic checkpointing; the hook also never fires
@@ -231,19 +229,6 @@ impl EhnaConfig {
             return Err(format!("pipeline_depth must be <= {MAX_PIPELINE_DEPTH}"));
         }
         Ok(())
-    }
-
-    /// The pipeline depth the trainer should run with: the
-    /// `EHNA_PIPELINE_DEPTH` environment variable when set to an integer
-    /// in `0..=`[`MAX_PIPELINE_DEPTH`], otherwise
-    /// [`EhnaConfig::pipeline_depth`]. Results are depth-invariant, so the
-    /// override can never change what a run computes — only how it
-    /// schedules sampling.
-    pub fn effective_pipeline_depth(&self) -> usize {
-        match std::env::var("EHNA_PIPELINE_DEPTH").ok().and_then(|v| v.parse::<usize>().ok()) {
-            Some(d) if d <= MAX_PIPELINE_DEPTH => d,
-            _ => self.pipeline_depth,
-        }
     }
 }
 

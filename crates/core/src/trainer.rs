@@ -283,7 +283,7 @@ impl<'g> Trainer<'g> {
         let bs = self.model.config.batch_size;
         let q = self.model.config.negatives;
         let threads = self.model.config.threads;
-        let depth = self.model.config.effective_pipeline_depth();
+        let depth = self.model.config.pipeline_depth;
         let edges = self.graph.edges();
         // The trainer RNG draws every batch's negatives, then the fallback's
         // draws batch by batch; taken out so `compute_batch` can borrow it.
@@ -685,8 +685,6 @@ mod tests {
     fn pipeline_depth_is_bit_identical() {
         // The determinism contract of the prefetch pipeline: any depth
         // (and thread count) yields bit-identical losses and embeddings.
-        // Note EHNA_PIPELINE_DEPTH overrides all three runs identically,
-        // so a CI-wide override cannot produce a false failure.
         let g = two_communities();
         let run = |depth: usize, threads: usize| {
             let cfg = EhnaConfig { pipeline_depth: depth, threads, ..tiny_cfg() };

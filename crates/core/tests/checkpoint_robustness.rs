@@ -32,7 +32,7 @@ fn cfg() -> EhnaConfig {
     }
 }
 
-/// A trained v2 checkpoint with full trainer state. Cached: proptest
+/// A trained v3 checkpoint with full trainer state. Cached: proptest
 /// runs ~100 cases and retraining per case would dominate the suite.
 fn trained_checkpoint(g: &TemporalGraph) -> Vec<u8> {
     static CACHE: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
@@ -64,7 +64,7 @@ fn truncation_at_every_byte_boundary_errors_cleanly() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    // Any single corrupted byte anywhere in a v2 checkpoint is detected:
+    // Any single corrupted byte anywhere in a v3 checkpoint is detected:
     // structural fields fail parsing or plausibility caps, payload bytes
     // fail the trailing FNV-1a checksum.
     #[test]

@@ -118,7 +118,7 @@ fn double_resume_is_bit_identical() {
 
 #[test]
 fn model_only_resume_continues_epoch_streams() {
-    // A v1/model-only resume cannot be bit-faithful, but its walk-seed
+    // A model-only resume cannot be bit-faithful, but its walk-seed
     // streams must continue from the recorded epoch count rather than
     // replaying epoch 1's. Observable contract: the trainer resumes with
     // the saved epoch count, and its next epoch differs from what the

@@ -1,14 +1,14 @@
 //! The immutable serving snapshot: one EHNQ row table (heap- or
-//! mmap-backed; a dense table is held as its lossless `f32` encoding)
-//! plus the optional name interner, loadable once and shared across every
-//! worker and connection behind an `Arc`.
+//! mmap-backed; an in-memory dense table is held as its lossless `f32`
+//! encoding) plus the optional name interner, loadable once and shared
+//! across every worker and connection behind an `Arc`.
 
 use crate::ServeError;
 use ehna_tgraph::quant::{sq_dist_f64, QuantFormat, QuantScorer, QuantSpec, QuantizedEmbeddings};
-use ehna_tgraph::{NameMap, NodeEmbeddings, NodeId};
+use ehna_tgraph::{GraphError, NameMap, NodeEmbeddings, NodeId};
 use std::borrow::Cow;
 use std::fs::File;
-use std::io::{BufReader, Read};
+use std::io::BufReader;
 use std::path::Path;
 
 /// Longest accepted line in a names file, in bytes. Real node labels are
@@ -65,7 +65,9 @@ impl EmbeddingStore {
     /// count, or the table does not fit EHNQ (`dim` above
     /// [`MAX_DIM`](ehna_tgraph::quant::MAX_DIM)).
     pub fn new(emb: NodeEmbeddings, names: Option<NameMap>) -> Result<Self, ServeError> {
-        Self::from_quant(encode_f32(&emb)?, names)
+        let rows = QuantizedEmbeddings::encode(&emb, &QuantSpec::new(QuantFormat::F32))
+            .map_err(|e| ServeError::Snapshot(e.to_string()))?;
+        Self::from_quant(rows, names)
     }
 
     /// Wrap a quantized table, optionally with names.
@@ -98,12 +100,8 @@ impl EmbeddingStore {
         Self::open_with(snapshot, names, false)
     }
 
-    /// Load a snapshot, auto-detecting the format from its magic bytes:
-    /// `EHNQ` opens as a quantized table (zero-copy mmap when `mmap` is
-    /// set, which keeps open time O(1) in table size); the legacy
-    /// big-endian `EHNA` format deserializes onto the heap and is encoded
-    /// as EHNQ `f32` (`mmap` is ignored — run `ehna quantize` to produce
-    /// an mmap-able artifact).
+    /// Load an EHNQ snapshot in any format, zero-copy mmap when `mmap`
+    /// is set (which keeps open time O(1) in table size).
     ///
     /// The snapshot header is validated *first*, so the names file is
     /// read with hard caps derived from the declared row count: a
@@ -118,7 +116,11 @@ impl EmbeddingStore {
         names: Option<P>,
         mmap: bool,
     ) -> Result<Self, ServeError> {
-        let rows = open_rows(snapshot.as_ref(), mmap)?;
+        let rows =
+            QuantizedEmbeddings::open_path(snapshot.as_ref(), mmap).map_err(|e| match e {
+                GraphError::Io(e) => ServeError::Io(e),
+                e => ServeError::Snapshot(e.to_string()),
+            })?;
         let names = match names {
             Some(path) => Some(open_names(path.as_ref(), rows.num_nodes())?),
             None => None,
@@ -212,26 +214,6 @@ impl EmbeddingStore {
     pub fn scorer(&self, query: &[f32]) -> QuantScorer<'_> {
         self.rows.scorer(query)
     }
-}
-
-/// The lossless EHNQ encoding of a dense table.
-fn encode_f32(emb: &NodeEmbeddings) -> Result<QuantizedEmbeddings, ServeError> {
-    QuantizedEmbeddings::encode(emb, &QuantSpec::new(QuantFormat::F32))
-        .map_err(|e| ServeError::Snapshot(e.to_string()))
-}
-
-fn open_rows(snapshot: &Path, mmap: bool) -> Result<QuantizedEmbeddings, ServeError> {
-    let mut magic = [0u8; 4];
-    let mut file = File::open(snapshot)?;
-    let got = file.read(&mut magic)?;
-    drop(file);
-    if got == 4 && magic == *b"EHNQ" {
-        return QuantizedEmbeddings::open_path(snapshot, mmap)
-            .map_err(|e| ServeError::Snapshot(e.to_string()));
-    }
-    let emb =
-        NodeEmbeddings::load_path(snapshot).map_err(|e| ServeError::Snapshot(e.to_string()))?;
-    encode_f32(&emb)
 }
 
 fn open_names(path: &Path, num_nodes: usize) -> Result<NameMap, ServeError> {
@@ -352,7 +334,7 @@ mod tests {
         let snap = dir.join("ehna_serve_store_test.bin");
         let names_path = dir.join("ehna_serve_store_test.names");
         let emb = NodeEmbeddings::from_vec(2, vec![1.0, 2.0, 3.0, 4.0]);
-        emb.save_path(&snap).unwrap();
+        EmbeddingStore::new(emb, None).unwrap().rows.save_path(&snap).unwrap();
         let mut names = NameMap::new();
         names.intern("x");
         names.intern("y");
@@ -368,7 +350,7 @@ mod tests {
     }
 
     #[test]
-    fn open_detects_ehnq_and_honors_mmap() {
+    fn open_honors_mmap() {
         let dir = std::env::temp_dir();
         let snap = dir.join("ehna_serve_store_quant.ehnq");
         let emb = NodeEmbeddings::from_vec(2, vec![1.0, 2.0, 3.0, 4.0]);
@@ -387,11 +369,27 @@ mod tests {
     }
 
     #[test]
+    fn a_file_that_is_not_ehnq_is_a_snapshot_error() {
+        let snap = std::env::temp_dir().join("ehna_serve_store_not_ehnq.bin");
+        let mut bytes = b"EHNA".to_vec();
+        bytes.resize(96, 0);
+        std::fs::write(&snap, bytes).unwrap();
+        for mmap in [false, true] {
+            match EmbeddingStore::open_with(&snap, None, mmap) {
+                Err(ServeError::Snapshot(msg)) => assert!(msg.contains("bad EHNQ magic"), "{msg}"),
+                other => panic!("expected a snapshot error, got {other:?}"),
+            }
+        }
+        let _ = std::fs::remove_file(snap);
+    }
+
+    #[test]
     fn oversized_names_file_fails_early() {
         let dir = std::env::temp_dir();
         let snap = dir.join("ehna_serve_store_names_cap.bin");
         let names_path = dir.join("ehna_serve_store_names_cap.names");
-        NodeEmbeddings::zeros(2, 2).save_path(&snap).unwrap();
+        let store = EmbeddingStore::new(NodeEmbeddings::zeros(2, 2), None).unwrap();
+        store.rows.save_path(&snap).unwrap();
         // Three names for a two-row snapshot: must fail from the cap (a
         // typed Snapshot error), not from the post-load length check.
         std::fs::write(&names_path, "a\nb\nc\n").unwrap();

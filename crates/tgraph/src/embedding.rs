@@ -1,15 +1,11 @@
 //! Dense node-embedding matrices — the common output type of every
 //! embedding method in this workspace (EHNA and all baselines), and the
-//! common input type of the evaluation pipelines.
+//! common input type of the evaluation pipelines. On disk a table is an
+//! EHNQ artifact ([`crate::quant`]); its lossless `f32` encoding holds
+//! these rows bit for bit.
 
-use crate::ioutil::FormatError;
-use crate::{GraphError, NodeId};
-use std::io::{BufReader, BufWriter, Read, Write};
-use std::path::Path;
-
-/// Magic bytes of the binary snapshot format ("EHNA" + version 1).
-const MAGIC: u32 = 0x45484E41;
-const VERSION: u32 = 1;
+use crate::quant::sq_dist_f64;
+use crate::NodeId;
 
 /// A `num_nodes x dim` row-major embedding matrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -69,16 +65,9 @@ impl NodeEmbeddings {
     }
 
     /// Squared Euclidean distance between two nodes' embeddings (EHNA's
-    /// native metric, Eq. 5).
+    /// native metric, Eq. 5), by the pinned [`sq_dist_f64`].
     pub fn sq_dist(&self, a: NodeId, b: NodeId) -> f64 {
-        self.get(a)
-            .iter()
-            .zip(self.get(b))
-            .map(|(&x, &y)| {
-                let d = (x - y) as f64;
-                d * d
-            })
-            .sum()
+        sq_dist_f64(self.get(a), self.get(b))
     }
 
     /// L2-normalize every row in place (rows with zero norm are left as
@@ -91,83 +80,6 @@ impl NodeEmbeddings {
                 row.iter_mut().for_each(|x| *x /= norm);
             }
         }
-    }
-
-    /// Serialize to the compact binary snapshot format.
-    ///
-    /// Layout (all big-endian, so the magic reads as ASCII `EHNA`):
-    /// `magic u32 | version u32 | num_nodes u32 | dim u32 | rows f32*`.
-    /// The payload is materialized as one contiguous block rather than
-    /// element-by-element — snapshot IO sits on the serving hot path.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = vec![0u8; 16 + self.data.len() * 4];
-        buf[0..4].copy_from_slice(&MAGIC.to_be_bytes());
-        buf[4..8].copy_from_slice(&VERSION.to_be_bytes());
-        buf[8..12].copy_from_slice(&(self.num_nodes() as u32).to_be_bytes());
-        buf[12..16].copy_from_slice(&(self.dim as u32).to_be_bytes());
-        for (chunk, &x) in buf[16..].chunks_exact_mut(4).zip(&self.data) {
-            chunk.copy_from_slice(&x.to_be_bytes());
-        }
-        buf
-    }
-
-    /// Deserialize from the binary snapshot format.
-    ///
-    /// # Errors
-    /// [`GraphError::Format`] on bad magic/version/size, including a
-    /// header whose `num_nodes x dim` overflows.
-    pub fn from_bytes(buf: &[u8]) -> Result<Self, GraphError> {
-        let bad = |msg: &str| GraphError::Format(FormatError::Corrupt(msg.into()));
-        if buf.len() < 16 {
-            return Err(FormatError::Truncated { offset: 0, wanted: 16 }.into());
-        }
-        let field = |i: usize| u32::from_be_bytes(buf[4 * i..4 * i + 4].try_into().expect("4"));
-        if field(0) != MAGIC {
-            return Err(bad("bad EHNA magic"));
-        }
-        if field(1) != VERSION {
-            return Err(bad("unsupported EHNA version"));
-        }
-        let n = field(2) as usize;
-        let dim = field(3) as usize;
-        if dim == 0 {
-            return Err(bad("zero dim"));
-        }
-        if n.checked_mul(dim).and_then(|x| x.checked_mul(4)) != Some(buf.len() - 16) {
-            return Err(bad("payload size mismatch"));
-        }
-        let data = buf[16..]
-            .chunks_exact(4)
-            .map(|c| f32::from_be_bytes(c.try_into().expect("4")))
-            .collect();
-        Ok(NodeEmbeddings { dim, data })
-    }
-
-    /// Write the binary snapshot to `w` (one bulk write).
-    pub fn save<W: Write>(&self, mut w: W) -> Result<(), GraphError> {
-        w.write_all(&self.to_bytes())?;
-        Ok(())
-    }
-
-    /// Read a binary snapshot from `r`.
-    pub fn load<R: Read>(mut r: R) -> Result<Self, GraphError> {
-        let mut buf = Vec::new();
-        r.read_to_end(&mut buf)?;
-        Self::from_bytes(&buf)
-    }
-
-    /// Write the binary snapshot to a file (buffered).
-    pub fn save_path<P: AsRef<Path>>(&self, path: P) -> Result<(), GraphError> {
-        self.save(BufWriter::new(std::fs::File::create(path)?))
-    }
-
-    /// Read a binary snapshot from a file (buffered, size-hinted).
-    pub fn load_path<P: AsRef<Path>>(path: P) -> Result<Self, GraphError> {
-        let file = std::fs::File::open(path)?;
-        let hint = file.metadata().map(|m| m.len() as usize).unwrap_or(0);
-        let mut buf = Vec::with_capacity(hint);
-        BufReader::new(file).read_to_end(&mut buf)?;
-        Self::from_bytes(&buf)
     }
 }
 
@@ -200,43 +112,6 @@ mod tests {
         e.l2_normalize();
         assert!((e.get(NodeId(0))[0] - 0.6).abs() < 1e-6);
         assert_eq!(e.get(NodeId(1)), &[0.0, 0.0]); // zero row untouched
-    }
-
-    #[test]
-    fn binary_roundtrip() {
-        let e = NodeEmbeddings::from_vec(3, vec![1.5, -2.0, 0.25, 9.0, 0.0, -0.5]);
-        let bytes = e.to_bytes();
-        let back = NodeEmbeddings::from_bytes(&bytes).unwrap();
-        assert_eq!(e, back);
-    }
-
-    #[test]
-    fn corrupt_snapshots_rejected() {
-        assert!(NodeEmbeddings::from_bytes(&[]).is_err());
-        assert!(NodeEmbeddings::from_bytes(&[0u8; 16]).is_err());
-        let e = NodeEmbeddings::zeros(2, 2);
-        let mut bytes = e.to_bytes();
-        bytes.truncate(bytes.len() - 1);
-        assert!(NodeEmbeddings::from_bytes(&bytes).is_err());
-    }
-
-    #[test]
-    fn overflowing_header_rejected() {
-        // num_nodes = dim = 2^31: `n * dim * 4` wraps to 0 in 64 bits,
-        // which an unchecked size test would take for an empty payload.
-        let mut bytes = NodeEmbeddings::zeros(0, 1).to_bytes();
-        bytes[8..12].copy_from_slice(&(1u32 << 31).to_be_bytes());
-        bytes[12..16].copy_from_slice(&(1u32 << 31).to_be_bytes());
-        assert!(NodeEmbeddings::from_bytes(&bytes).is_err());
-    }
-
-    #[test]
-    fn save_load_roundtrip() {
-        let e = NodeEmbeddings::from_vec(2, vec![1.0, 2.0, 3.0, 4.0]);
-        let mut buf = Vec::new();
-        e.save(&mut buf).unwrap();
-        let back = NodeEmbeddings::load(&buf[..]).unwrap();
-        assert_eq!(e, back);
     }
 
     #[test]

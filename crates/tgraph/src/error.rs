@@ -34,7 +34,7 @@ pub enum GraphError {
         /// Description of what failed to parse.
         msg: String,
     },
-    /// A binary snapshot (EHNA, EHNQ) that does not parse.
+    /// A binary EHNQ snapshot that does not parse.
     Format(FormatError),
     /// An underlying IO failure.
     Io(io::Error),

@@ -17,8 +17,8 @@
 //!   [`put_string`]/[`put_f32s`] write what the cursor reads.
 //! * [`FormatError`]: each crate's public error wraps it.
 //!
-//! The EHNA snapshot keeps its big-endian layout and EHNQ its fixed
-//! 64-byte header; both use only the checksum and the cursor.
+//! EHNQ, the embedding-table format, keeps its fixed 64-byte header and
+//! uses only the checksum and the cursor.
 //! [`atomic_write_path`] is the persistence discipline of every
 //! long-lived artifact: tmp file + fsync + `.bak` rotation + atomic
 //! rename, so a crash at any byte leaves a loadable prior file on disk.

@@ -1,11 +1,14 @@
-//! EHNQ v1 — quantized, mmap-able embedding snapshots.
+//! EHNQ v1 — the on-disk embedding table: quantized or lossless,
+//! mmap-able snapshots.
 //!
-//! The legacy `EHNA` snapshot ([`crate::NodeEmbeddings`]) stores f32 rows
-//! big-endian and must be fully deserialized on open, which makes table
-//! memory the scale ceiling for serving and makes hot-swap briefly hold
-//! two full tables. EHNQ is the replacement artifact family:
+//! EHNQ is the only file format for an embedding table
+//! ([`crate::NodeEmbeddings`] in memory). `ehna train`, `ehna stream`
+//! and the shard planner write it, and every reader opens it, on the
+//! heap or zero-copy through mmap so hot-swap never holds two full
+//! tables. Four formats share one container:
 //!
-//! * **f32** — full precision, little-endian, zero-copy readable.
+//! * **f32** — full precision, little-endian, zero-copy readable; the
+//!   lossless encoding the trainers write.
 //! * **f16** — IEEE binary16, 2 bytes/dim (2x smaller).
 //! * **int8** — per-dimension scalar quantization, 1 byte/dim (4x).
 //! * **pq**  — product quantization, `m` bytes/row (`dim/m` dims per
@@ -906,8 +909,8 @@ impl QuantizedEmbeddings {
         }
     }
 
-    /// Decode the full table (used by `ehna quantize --check` and shard
-    /// planning fallbacks; O(n*dim) memory, defeats the point of mmap).
+    /// Decode the full table (used by `ehna quantize` to re-encode an
+    /// `f32` source; O(n*dim) memory, defeats the point of mmap).
     pub fn decode_all(&self) -> NodeEmbeddings {
         let mut emb = NodeEmbeddings::zeros(self.header.num_nodes, self.header.dim);
         for i in 0..self.header.num_nodes {

@@ -81,65 +81,6 @@ proptest! {
     }
 
     #[test]
-    fn embedding_bytes_roundtrip(
-        dim in 1usize..16,
-        rows in 0usize..20,
-        seed in 0u64..1000,
-    ) {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let data: Vec<f32> = (0..rows * dim).map(|_| rng.gen_range(-10.0..10.0)).collect();
-        let e = NodeEmbeddings::from_vec(dim, data);
-        let back = NodeEmbeddings::from_bytes(&e.to_bytes()).expect("roundtrip");
-        prop_assert_eq!(e, back);
-    }
-
-    #[test]
-    fn corrupted_magic_or_version_is_rejected(
-        dim in 1usize..16,
-        rows in 0usize..20,
-        byte in 0usize..8,
-        mask in 1u8..=255,
-    ) {
-        // Any bit flip in the magic or version field must fail parsing.
-        let e = NodeEmbeddings::zeros(rows, dim);
-        let mut bytes = e.to_bytes();
-        bytes[byte] ^= mask;
-        prop_assert!(NodeEmbeddings::from_bytes(&bytes).is_err());
-    }
-
-    #[test]
-    fn truncated_snapshot_is_rejected(
-        dim in 1usize..16,
-        rows in 0usize..20,
-        cut in 0.0f64..1.0,
-    ) {
-        // Every strict prefix (and any extension) of a snapshot fails:
-        // the header pins the exact payload size.
-        let e = NodeEmbeddings::zeros(rows, dim);
-        let full = e.to_bytes();
-        let keep = (cut * full.len() as f64) as usize; // < full.len()
-        prop_assert!(NodeEmbeddings::from_bytes(&full[..keep]).is_err());
-        let mut extended = full.clone();
-        extended.push(0);
-        prop_assert!(NodeEmbeddings::from_bytes(&extended).is_err());
-    }
-
-    #[test]
-    fn header_size_lies_are_rejected(
-        dim in 1usize..16,
-        rows in 1usize..20,
-        bump in 1u32..5,
-    ) {
-        // Growing the claimed row count without payload must fail.
-        let e = NodeEmbeddings::zeros(rows, dim);
-        let mut bytes = e.to_bytes();
-        let claimed = rows as u32 + bump;
-        bytes[8..12].copy_from_slice(&claimed.to_be_bytes());
-        prop_assert!(NodeEmbeddings::from_bytes(&bytes).is_err());
-    }
-
-    #[test]
     fn sq_dist_is_a_metric_square(
         dim in 1usize..8,
         seed in 0u64..500,

@@ -146,7 +146,7 @@ timeout --kill-after=10 120 \
 
 echo "== format gates (wall-clock bounded)"
 # The binary-format layer's contracts: one seeded artifact per format
-# (EHNA, EHNQ x4, ParamStore, Adam, EHNC v3, EHNL, EHNM, EHNP preamble
+# (EHNQ x4, ParamStore, Adam, EHNC v3, EHNL, EHNM, EHNP preamble
 # and every frame kind) hashes to committed constants, so no encoder
 # change moves a byte on disk or on the wire unnoticed (format_bytes),
 # and one sweep through every format's public loader refuses each strict
@@ -231,11 +231,5 @@ for dataset in digg tmall; do
     diff "$records_dir/table3_6_${dataset}_tiny.tsv" "results/table3_6_${dataset}_tiny.tsv"
 done
 rm -rf "$records_dir"
-
-echo "== cargo test (workspace, pipelined: EHNA_PIPELINE_DEPTH=3)"
-# Re-run the suite with a non-default prefetch depth so the pipelined
-# training path is exercised suite-wide; results must be identical to
-# the synchronous path, so the same tests must pass unchanged.
-EHNA_PIPELINE_DEPTH=3 cargo test --workspace -q
 
 echo "ci: all green"

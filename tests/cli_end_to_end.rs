@@ -1,8 +1,11 @@
 //! End-to-end CLI flow: generate → stats → train → evaluate, all through
 //! the library entry point (no subprocesses).
 
+use ehna_cli::method::{ehna_config, TrainOptions};
 use ehna_cli::run;
-use ehna_tgraph::NodeEmbeddings;
+use ehna_core::{EhnaVariant, Trainer};
+use ehna_serve::EmbeddingStore;
+use ehna_tgraph::{read_edge_list_path, QuantFormat, QuantizedEmbeddings};
 
 fn cli(args: &[&str]) -> Result<String, String> {
     let v: Vec<String> = args.iter().map(|s| s.to_string()).collect();
@@ -34,7 +37,8 @@ fn generate_stats_train_evaluate_pipeline() {
         cli(&["train", net_s, "--method", "line", "--dim", "16", "--epochs", "1", "--out", snap_s])
             .expect("train");
     assert!(out.contains("wrote"));
-    let emb = NodeEmbeddings::load(std::fs::File::open(&snap).unwrap()).expect("snapshot");
+    let emb = QuantizedEmbeddings::open_path(&snap, false).expect("snapshot");
+    assert_eq!(emb.format(), QuantFormat::F32);
     assert_eq!(emb.dim(), 16);
 
     // 4. link prediction evaluation
@@ -75,4 +79,48 @@ fn cli_errors_are_actionable() {
     // Missing file is a runtime error mentioning io.
     let err = cli(&["stats", "/definitely/missing.txt"]).unwrap_err();
     assert!(err.contains("io error"), "{err}");
+}
+
+#[test]
+fn trained_artifact_maps_zero_copy() {
+    // `ehna train --out` writes the lossless EHNQ f32 table, so the file
+    // a training run leaves behind is served memory-mapped, and every
+    // served row is the trainer's own inference row bit for bit.
+    let dir = std::env::temp_dir();
+    let pid = std::process::id();
+    let net = dir.join(format!("ehna_e2e_mmap_net_{pid}.txt"));
+    let snap = dir.join(format!("ehna_e2e_mmap_emb_{pid}.bin"));
+    let net_s = net.to_str().unwrap();
+    cli(&["generate", "--dataset", "dblp", "--scale", "tiny", "--seed", "3", "--out", net_s])
+        .expect("generate");
+    let mut argv = vec!["train", net_s, "--out", snap.to_str().unwrap()];
+    argv.extend("--method ehna --seed 5 --dim 8 --epochs 1 --walks 2 --walk-length 3".split(' '));
+    cli(&argv).expect("train");
+
+    let graph = read_edge_list_path(&net).expect("edge list");
+    let opts = TrainOptions {
+        dim: 8,
+        epochs: 1,
+        num_walks: 2,
+        walk_length: 3,
+        seed: 5,
+        ..Default::default()
+    };
+    let mut trainer = Trainer::new(&graph, ehna_config(EhnaVariant::Full, &opts)).expect("config");
+    trainer.train();
+    let expected = trainer.embeddings();
+
+    let store = EmbeddingStore::open_with(&snap, None, true).expect("open");
+    if cfg!(unix) {
+        assert!(store.is_mmap(), "the trained artifact was read onto the heap");
+    }
+    assert_eq!(store.format_label(), "f32");
+    assert_eq!((store.num_nodes(), store.dim()), (expected.num_nodes(), expected.dim()));
+    for v in graph.nodes() {
+        let served: Vec<u32> = store.row(v).unwrap().iter().map(|x| x.to_bits()).collect();
+        let trained: Vec<u32> = expected.get(v).iter().map(|x| x.to_bits()).collect();
+        assert_eq!(served, trained, "row {v:?}");
+    }
+    let _ = std::fs::remove_file(net);
+    let _ = std::fs::remove_file(snap);
 }

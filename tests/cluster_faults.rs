@@ -25,14 +25,14 @@
 use ehna_cluster::proto::{encode_frame, read_msg, write_preamble};
 use ehna_cluster::shard::MAX_EHNP_CONNECTIONS;
 use ehna_cluster::{
-    plan_shards, MuxClient, Request, Response, Router, RouterConfig, ShardConfig, ShardHandle,
-    ShardServer,
+    plan_shards_quant, MuxClient, Request, Response, Router, RouterConfig, ShardConfig,
+    ShardHandle, ShardServer,
 };
 use ehna_serve::{
     handle_line, query_lines, query_lines_timeout, BruteForceIndex, EmbeddingStore, EngineConfig,
     Json, KnnIndex, QueryEngine, Reloader, RequestLimits, Server, ServerConfig,
 };
-use ehna_tgraph::NodeEmbeddings;
+use ehna_tgraph::{NodeEmbeddings, QuantFormat, QuantSpec, QuantizedEmbeddings};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::Path;
@@ -51,6 +51,11 @@ fn share_threads() -> RwLockReadGuard<'static, ()> {
 fn table(n: usize, dim: usize, salt: u32) -> NodeEmbeddings {
     let data: Vec<f32> = (0..n * dim).map(|i| ((i as u32 * 7 + salt * 13) % 5) as f32).collect();
     NodeEmbeddings::from_vec(dim, data)
+}
+
+/// The lossless EHNQ `f32` encoding of `emb`, as `ehna train` writes it.
+fn f32(emb: &NodeEmbeddings) -> QuantizedEmbeddings {
+    QuantizedEmbeddings::encode(emb, &QuantSpec::new(QuantFormat::F32)).unwrap()
 }
 
 fn engine_for(snap: &Path, names: &Path) -> Arc<QueryEngine> {
@@ -193,7 +198,7 @@ fn replica_kill_under_load_recovers_on_restart() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let emb = table(N, 4, 0);
-    let manifest = plan_shards(&emb, None, 2, &dir).unwrap();
+    let manifest = plan_shards_quant(&f32(&emb), None, 2, &dir).unwrap();
 
     // Shard 0 runs two replicas (A, B); shard 1 runs one.
     let shard0_snap = dir.join(&manifest.shards[0].snapshot);
@@ -303,7 +308,7 @@ fn slow_replica_is_circuit_broken_while_peer_serves() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let emb = table(N, 4, 1);
-    let manifest = plan_shards(&emb, None, 1, &dir).unwrap();
+    let manifest = plan_shards_quant(&f32(&emb), None, 1, &dir).unwrap();
 
     // A tarpit: accepts EHNP connections, reads forever, never answers.
     let tarpit = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
@@ -400,7 +405,7 @@ fn tarpit_replica_does_not_delay_peer_recovery() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let emb = table(N, 4, 2);
-    let manifest = plan_shards(&emb, None, 1, &dir).unwrap();
+    let manifest = plan_shards_quant(&f32(&emb), None, 1, &dir).unwrap();
 
     let tarpit = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let tarpit_addr = tarpit.local_addr().unwrap();
@@ -487,7 +492,7 @@ fn rolling_reload_under_load_swaps_every_shard() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let before = table(N, DIM, 0);
-    let manifest = plan_shards(&before, None, 2, &dir).unwrap();
+    let manifest = plan_shards_quant(&f32(&before), None, 2, &dir).unwrap();
 
     let mut handles = Vec::new();
     let mut replicas = Vec::new();
@@ -542,7 +547,7 @@ fn rolling_reload_under_load_swaps_every_shard() {
 
     // Rewrite every shard snapshot (same shape, new values), then roll.
     let after = table(N, DIM, 9);
-    plan_shards(&after, None, 2, &dir).unwrap();
+    plan_shards_quant(&f32(&after), None, 2, &dir).unwrap();
     let lines = query_lines(front.addr(), &[r#"{"op":"reload"}"#.to_string()]).unwrap();
     let doc = Json::parse(&lines[0]).unwrap();
     assert_eq!(doc.get("ok"), Some(&Json::Bool(true)), "rolling reload: {}", lines[0]);
@@ -565,7 +570,7 @@ fn rolling_reload_under_load_swaps_every_shard() {
     // table, proving the swap actually landed on every shard.
     let oracle_store = {
         let snap = dir.join("oracle.bin");
-        after.save_path(&snap).unwrap();
+        f32(&after).save_path(&snap).unwrap();
         Arc::new(EmbeddingStore::open(snap.to_str().unwrap(), None).unwrap())
     };
     let index: Box<dyn KnnIndex> = Box::new(BruteForceIndex::new(Arc::clone(&oracle_store)));

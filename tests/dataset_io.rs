@@ -2,7 +2,10 @@
 //! embedding snapshots through files — the persistence story end to end.
 
 use ehna::datasets::{generate, Dataset, Scale, ALL_DATASETS};
-use ehna::tgraph::{read_edge_list, write_edge_list, GraphStats, NodeEmbeddings, NodeId};
+use ehna::tgraph::{
+    read_edge_list, write_edge_list, GraphStats, NodeEmbeddings, NodeId, QuantFormat, QuantSpec,
+    QuantizedEmbeddings,
+};
 use std::io::Cursor;
 
 #[test]
@@ -35,12 +38,12 @@ fn embedding_snapshot_file_roundtrip() {
             *x = (v as f32) * 0.1 + (i as f32) * 0.01;
         }
     }
-    {
-        let f = std::fs::File::create(&dir).expect("create");
-        e.save(f).expect("save");
+    let q = QuantizedEmbeddings::encode(&e, &QuantSpec::new(QuantFormat::F32)).expect("encode");
+    q.save_path(&dir).expect("save");
+    for mmap in [false, true] {
+        let back = QuantizedEmbeddings::open_path(&dir, mmap).expect("open");
+        assert_eq!(back.decode_all(), e, "mmap = {mmap}");
     }
-    let back = NodeEmbeddings::load(std::fs::File::open(&dir).expect("open")).expect("load");
-    assert_eq!(e, back);
     let _ = std::fs::remove_file(dir);
 }
 

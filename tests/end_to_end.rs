@@ -4,7 +4,7 @@
 use ehna::core::{EhnaConfig, Trainer};
 use ehna::datasets::{generate, Dataset, Scale};
 use ehna::eval::{EdgeOperator, LinkPredictionConfig, LinkPredictionTask};
-use ehna::tgraph::NodeEmbeddings;
+use ehna::tgraph::{QuantFormat, QuantSpec, QuantizedEmbeddings};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -143,7 +143,8 @@ fn embeddings_snapshot_roundtrip_through_bytes() {
     let mut trainer = Trainer::new(&graph, quick_config(16)).expect("config");
     trainer.train_epoch();
     let emb = trainer.into_embeddings();
-    let bytes = emb.to_bytes();
-    let back = NodeEmbeddings::from_bytes(&bytes).expect("roundtrip");
-    assert_eq!(emb, back);
+    // The artifact `ehna train --out` writes: the lossless EHNQ f32 table.
+    let q = QuantizedEmbeddings::encode(&emb, &QuantSpec::new(QuantFormat::F32)).expect("encode");
+    let back = QuantizedEmbeddings::from_bytes(q.as_bytes()).expect("roundtrip");
+    assert_eq!(back.decode_all(), emb);
 }

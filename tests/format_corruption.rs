@@ -5,12 +5,10 @@
 //! `proto_robustness`, the manifest unit sweep) stay as they are; this
 //! harness runs beside them with one rule for all.
 //!
-//! Two formats carry no checksum of their own:
-//! - the EHNA snapshot: its flips are swept over the 16-byte header only,
-//!   since a flipped row value is a different but well-formed table;
-//! - `ParamStore` and the Adam blob are sections of EHNC, whose checksum
-//!   covers them; standalone they are swept for truncation only, and
-//!   their flips are covered by the EHNC sweep.
+//! `ParamStore` and the Adam blob carry no checksum of their own: they
+//! are sections of EHNC, whose checksum covers them; standalone they are
+//! swept for truncation only, and their flips are covered by the EHNC
+//! sweep.
 
 mod formats;
 
@@ -21,7 +19,6 @@ use ehna_nn::optim::Adam;
 use ehna_nn::ParamStore;
 use ehna_stream::EdgeLogReader;
 use ehna_tgraph::quant::QuantizedEmbeddings;
-use ehna_tgraph::NodeEmbeddings;
 use formats::*;
 use std::ops::Range;
 
@@ -43,12 +40,6 @@ fn sweep(name: &str, bytes: &[u8], flips: Range<usize>, accepts: impl Fn(&[u8]) 
             copy[i] ^= mask;
         }
     }
-}
-
-#[test]
-fn ehna_snapshot() {
-    let bytes = embeddings().to_bytes();
-    sweep("EHNA", &bytes, 0..16, |b| NodeEmbeddings::from_bytes(b).is_ok());
 }
 
 #[test]

@@ -10,12 +10,12 @@
 //!
 //! CI runs this suite as the router gate (scripts/ci.sh).
 
-use ehna_cluster::{plan_shards, Router, RouterConfig, ShardConfig, ShardServer};
+use ehna_cluster::{plan_shards_quant, Router, RouterConfig, ShardConfig, ShardServer};
 use ehna_serve::{
     query_lines, BruteForceIndex, EmbeddingStore, EngineConfig, EngineHandler, IvfConfig, IvfIndex,
     Json, KnnIndex, QueryEngine, RequestLimits, Server, ServerConfig,
 };
-use ehna_tgraph::{NameMap, NodeEmbeddings};
+use ehna_tgraph::{NameMap, NodeEmbeddings, QuantFormat, QuantSpec, QuantizedEmbeddings};
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -26,6 +26,11 @@ use std::time::Duration;
 fn table(n: usize, dim: usize) -> NodeEmbeddings {
     let data: Vec<f32> = (0..n * dim).map(|i| ((i * 7) % 5) as f32).collect();
     NodeEmbeddings::from_vec(dim, data)
+}
+
+/// The lossless EHNQ `f32` encoding of `emb`, as `ehna train` writes it.
+fn f32(emb: &NodeEmbeddings) -> QuantizedEmbeddings {
+    QuantizedEmbeddings::encode(emb, &QuantSpec::new(QuantFormat::F32)).unwrap()
 }
 
 fn names(n: usize) -> NameMap {
@@ -40,7 +45,7 @@ fn names(n: usize) -> NameMap {
 fn write_full(dir: &Path, emb: &NodeEmbeddings, n: usize) -> (PathBuf, PathBuf) {
     std::fs::create_dir_all(dir).unwrap();
     let snap = dir.join("full.bin");
-    emb.save_path(&snap).unwrap();
+    f32(emb).save_path(&snap).unwrap();
     let names_path = dir.join("full.names");
     let lines: Vec<String> = (0..n).map(|i| format!("node{i}")).collect();
     std::fs::write(&names_path, lines.join("\n") + "\n").unwrap();
@@ -96,7 +101,7 @@ fn start_cluster_with(
     limits: RequestLimits,
 ) -> LiveCluster {
     std::fs::create_dir_all(dir).unwrap();
-    let manifest = plan_shards(emb, name_map, n_shards, dir).unwrap();
+    let manifest = plan_shards_quant(&f32(emb), name_map, n_shards, dir).unwrap();
     let mut shard_handles = Vec::new();
     let mut replica_addrs: Vec<Vec<SocketAddr>> = Vec::new();
     for (i, entry) in manifest.shards.iter().enumerate() {
@@ -326,7 +331,7 @@ fn sharded_answers_match_on_an_anonymous_table() {
     std::fs::create_dir_all(&dir).unwrap();
     let emb = table(N, DIM);
     let snap = dir.join("full.bin");
-    emb.save_path(&snap).unwrap();
+    f32(&emb).save_path(&snap).unwrap();
 
     let standalone =
         Server::bind_with("127.0.0.1:0", engine_for(&snap, None, 0), ServerConfig::default())
@@ -374,7 +379,7 @@ fn degenerate_tables_match_standalone() {
         std::fs::create_dir_all(&sub).unwrap();
         let emb = table(n, DIM);
         let snap = sub.join("full.bin");
-        emb.save_path(&snap).unwrap();
+        f32(&emb).save_path(&snap).unwrap();
         let standalone =
             Server::bind_with("127.0.0.1:0", engine_for(&snap, None, 256), ServerConfig::default())
                 .unwrap()
@@ -418,8 +423,6 @@ fn quantized_shards_are_byte_identical_to_quantized_standalone() {
     // answer byte-identically to a standalone server over the unsplit
     // quantized table — per format, including PQ's asymmetric-distance
     // path and the full error surface (non-canonical keys included).
-    use ehna_cluster::plan_shards_quant;
-    use ehna_tgraph::{QuantFormat, QuantSpec, QuantizedEmbeddings};
     const N: usize = 48;
     const DIM: usize = 8;
     let dir = std::env::temp_dir().join("ehna_router_equivalence_quant");
@@ -541,7 +544,7 @@ fn shard_local_ivf_recall_stays_above_095() {
     }
     let emb = NodeEmbeddings::from_vec(DIM, data);
     let snap = dir.join("full.bin");
-    emb.save_path(&snap).unwrap();
+    f32(&emb).save_path(&snap).unwrap();
 
     // Brute-force oracle over the unsplit table.
     let standalone =
@@ -555,7 +558,7 @@ fn shard_local_ivf_recall_stays_above_095() {
     let expected = query_lines(standalone.addr(), &queries).unwrap();
     standalone.shutdown();
 
-    let manifest = plan_shards(&emb, None, 2, &dir).unwrap();
+    let manifest = plan_shards_quant(&f32(&emb), None, 2, &dir).unwrap();
     let mut shard_handles = Vec::new();
     let mut replicas = Vec::new();
     for (i, entry) in manifest.shards.iter().enumerate() {
